@@ -16,6 +16,7 @@ sparse direct factorization and the contract is a relative residual below
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -228,10 +229,19 @@ def observe(pressure: PressureField, op: ObservationOperator) -> np.ndarray:
 
 
 def observation_matrix(op: ObservationOperator, grid: Grid) -> np.ndarray:
-    """Dense (m, H*W) matrix whose rows hold bilinear interpolation weights."""
-    m = op.n_sensors
-    mat = np.zeros((m, grid.n_points))
-    for k, (s1, s2) in enumerate(op.locations):
+    """Dense (m, H*W) matrix whose rows hold bilinear interpolation weights.
+
+    The matrix is built once per (sensor locations, grid) and shared by later
+    calls, so it is returned read-only.
+    """
+    return _interpolation_matrix(op.locations.tobytes(), grid)
+
+
+@lru_cache(maxsize=8)
+def _interpolation_matrix(locations: bytes, grid: Grid) -> np.ndarray:
+    points = np.frombuffer(locations, dtype=np.float64).reshape(-1, 2)
+    mat = np.zeros((len(points), grid.n_points))
+    for k, (s1, s2) in enumerate(points):
         fj = min(s1 / grid.spacing_1, grid.width - 1 - 1e-12)
         fi = min(s2 / grid.spacing_2, grid.height - 1 - 1e-12)
         j0, i0 = int(fj), int(fi)
@@ -239,6 +249,7 @@ def observation_matrix(op: ObservationOperator, grid: Grid) -> np.ndarray:
         for di, wi in ((0, 1.0 - ti), (1, ti)):
             for dj, wj in ((0, 1.0 - tj), (1, tj)):
                 mat[k, (i0 + di) * grid.width + (j0 + dj)] += wi * wj
+    mat.flags.writeable = False
     return mat
 
 

@@ -18,6 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .params import read_exact
+
 DATASET_MAGIC = b"KRDS"
 
 
@@ -198,12 +200,16 @@ def load_dataset(path) -> tuple[list[FieldSample], Grid]:
     with open(path, "rb") as fh:
         if fh.read(4) != DATASET_MAGIC:
             raise ValueError(f"{path}: not a field dataset (bad magic)")
-        h, w, count = struct.unpack("<IIQ", fh.read(16))
-        grid = Grid(h, w)
+        h, w, count = struct.unpack("<IIQ", read_exact(fh, 16, path))
+        try:
+            grid = Grid(h, w)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         samples = []
         for _ in range(count):
-            scale, seed = struct.unpack("<dQ", fh.read(16))
-            values = np.frombuffer(fh.read(8 * h * w), dtype="<f8").reshape(h, w).copy()
+            scale, seed = struct.unpack("<dQ", read_exact(fh, 16, path))
+            values = np.frombuffer(read_exact(fh, 8 * h * w, path),
+                                   dtype="<f8").reshape(h, w).copy()
             samples.append(FieldSample(values=values, length_scale=scale, seed=int(seed)))
     return samples, grid
 

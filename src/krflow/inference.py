@@ -33,11 +33,11 @@ from . import autodiff as ad
 from .darcy import ObservationSet, observation_matrix
 from .flow import FlowConfig, FlowParams, krnet_inverse, log_density
 from .grf import Grid
-from .nets import std_normal_logpdf
+from .nets import ACTIVATIONS, std_normal_logpdf
 from .params import AdamState, ParamStore, adam_step
 from .report import write_loss_curve
-from .surrogate import SurrogateParams, surrogate_forward_batch
-from .vae import TrainingDiverged, VaeParams, decode_batch
+from .surrogate import SurrogateParams, pressure_layers, surrogate_forward_batch
+from .vae import TrainingDiverged, VaeParams, decode_batch, decoder_mean_layers
 
 
 @dataclass
@@ -218,10 +218,10 @@ def posterior_moments(flow: FlowParams, vae: VaeParams, n_samples: int,
 
 
 def posterior_moments_from_states(states: np.ndarray, vae: VaeParams,
-                                  exact_field: np.ndarray | None = None,
-                                  wall_time: float = 0.0) -> PosteriorSummary:
+                                  exact_field: np.ndarray | None = None
+                                  ) -> PosteriorSummary:
     """Same decoder-Gaussian estimators with MCMC states in place of flow draws."""
-    start = time.perf_counter() - wall_time
+    start = time.perf_counter()
     return _moments_from_latents(np.asarray(states, dtype=np.float64), vae,
                                  start, exact_field)
 
@@ -258,20 +258,49 @@ def relative_error(mean_field: np.ndarray, exact_field: np.ndarray) -> float:
 
 def make_surrogate_loglike(vae: VaeParams, surrogate: SurrogateParams,
                            obs: ObservationSet) -> Callable[[np.ndarray], float]:
-    """Latent-space log-likelihood x -> log pi(D | mu_de(x)) via the surrogate."""
+    """Latent-space log-likelihood x -> log pi(D | mu_de(x)) via the surrogate.
+
+    The returned function takes one (d,) latent.  The weights are folded
+    once, here, into plain dense layers that keep only what the likelihood
+    reads; everything between two ReLUs is affine, so:
+
+    - the decoder's mean head (its first H*W columns; the log-variance head
+      is dropped), the map back to raw field units, the surrogate's input
+      standardization and the surrogate's first layer become one layer;
+    - the surrogate's pressure head (the flux heads are dropped), the
+      bilinear upsampling of structured heads, the sensor interpolation and
+      the division by the noise standard deviations become one (hidden, m)
+      map to the whitened residual.
+
+    The hidden layers of both networks are kept as they are.  A call is a
+    chain of relu(h @ W + b) and one affine map, with no tape dispatch.  The
+    folds reassociate sums, so the value matches the composition
+    decode_batch -> surrogate_forward_batch -> observation_matrix to 1e-12
+    relative, not bit for bit.
+    """
     obs_matrix, sigma, log_norm = _likelihood_terms(
         obs, Grid(surrogate.height, surrogate.width))
-    dec_params = dict(vae.decoder.items())
-    sur_params = dict(surrogate.store.items())
+    decoder = decoder_mean_layers(vae)
+    body = pressure_layers(surrogate, obs_matrix.T / sigma)
+    layers = decoder[:-1] + [_compose(decoder[-1], body[0])] + body[1:]
+    hidden, (w_out, b_out) = layers[:-1], layers[-1]
+    target = obs.values / sigma - b_out
+    relu = ACTIVATIONS["relu"]
 
     def log_like(x: np.ndarray) -> float:
-        mu, _ = decode_batch(np.atleast_2d(x), dec_params, vae)
-        u, _, _ = surrogate_forward_batch(mu, sur_params, surrogate)
-        predicted = obs_matrix @ u.reshape(-1)
-        z = (obs.values - predicted) / sigma
-        return float(-0.5 * np.sum(z * z) + log_norm)
+        h = x
+        for w, b in hidden:
+            h = relu(h @ w + b)
+        z = target - h @ w_out
+        return float(-0.5 * (z @ z) + log_norm)
 
     return log_like
+
+
+def _compose(first, second):
+    """The affine map h -> (h @ W1 + b1) @ W2 + b2 as one (W, b) pair."""
+    (w1, b1), (w2, b2) = first, second
+    return w1 @ w2, b1 @ w2 + b2
 
 
 def pcn_mcmc(log_like: Callable[[np.ndarray], float], dim: int, steps: int,

@@ -43,23 +43,32 @@ def init_mlp(rng: np.random.Generator, sizes: Sequence[int], prefix: str = "",
     return out
 
 
+def dense_layers(params: Mapping[str, object], prefix: str = "") -> list[tuple]:
+    """The ``(W, b)`` pairs of the dense stack named ``{prefix}W{i}``/``{prefix}b{i}``.
+
+    Depth is discovered from the parameter names.
+    """
+    layers = []
+    while f"{prefix}W{len(layers)}" in params:
+        i = len(layers)
+        layers.append((params[f"{prefix}W{i}"], params[f"{prefix}b{i}"]))
+    if not layers:
+        raise KeyError(f"no parameters found under prefix '{prefix}'")
+    return layers
+
+
 def mlp_forward(params: Mapping[str, object], x, prefix: str = "",
                 activation: str = "relu"):
     """Apply the dense stack named ``{prefix}W{i}``/``{prefix}b{i}``.
 
-    Depth is discovered from the parameter names; the activation is applied
-    to every layer except the last.
+    The activation is applied to every layer except the last.
     """
     act = ACTIVATIONS[activation]
-    n_layers = 0
-    while f"{prefix}W{n_layers}" in params:
-        n_layers += 1
-    if n_layers == 0:
-        raise KeyError(f"no parameters found under prefix '{prefix}'")
+    layers = dense_layers(params, prefix)
     h = x
-    for i in range(n_layers):
-        h = ad.add(ad.matmul(h, params[f"{prefix}W{i}"]), params[f"{prefix}b{i}"])
-        if i < n_layers - 1:
+    for i, (w, b) in enumerate(layers):
+        h = ad.add(ad.matmul(h, w), b)
+        if i < len(layers) - 1:
             h = act(h)
     return h
 

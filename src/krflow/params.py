@@ -19,6 +19,8 @@ sidecars.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
@@ -102,22 +104,31 @@ class ParamStore:
         with open(path, "rb") as fh:
             if fh.read(4) != MAGIC:
                 raise ValueError(f"{path}: not a parameter container (bad magic)")
-            (version,) = struct.unpack("<I", fh.read(4))
+            (version,) = struct.unpack("<I", read_exact(fh, 4, path))
             if version != VERSION:
                 raise ValueError(f"{path}: unsupported container version {version}")
-            while True:
-                head = fh.read(4)
-                if not head:
-                    break
-                (name_len,) = struct.unpack("<I", head)
-                name = fh.read(name_len).decode("utf-8")
-                (rank,) = struct.unpack("<I", fh.read(4))
-                dims = struct.unpack(f"<{rank}Q", fh.read(8 * rank)) if rank else ()
-                count = int(np.prod(dims)) if dims else 1
-                payload = fh.read(8 * count)
-                arr = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
-                store[name] = arr
+            end = os.fstat(fh.fileno()).st_size
+            while fh.tell() < end:
+                (name_len,) = struct.unpack("<I", read_exact(fh, 4, path))
+                name = read_exact(fh, name_len, path).decode("utf-8")
+                (rank,) = struct.unpack("<I", read_exact(fh, 4, path))
+                dims = struct.unpack(f"<{rank}Q", read_exact(fh, 8 * rank, path))
+                payload = read_exact(fh, 8 * math.prod(dims), path)
+                store[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
         return store
+
+
+def read_exact(fh, size: int, path) -> bytes:
+    """Read ``size`` bytes of a binary artifact, or raise ValueError naming it.
+
+    The size is checked against the bytes left in the file before reading,
+    so a corrupt length field cannot ask for a huge buffer.
+    """
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size > left:
+        raise ValueError(f"{path}: truncated: needs {size} bytes at offset "
+                         f"{fh.tell()}, {left} left")
+    return fh.read(size)
 
 
 @dataclass

@@ -49,7 +49,7 @@ import numpy as np
 from . import autodiff as ad
 from .darcy import solve_darcy
 from .grf import Grid
-from .nets import init_mlp, mlp_forward
+from .nets import dense_layers, init_mlp, mlp_forward
 from .params import AdamState, ParamStore, adam_step
 from .report import write_loss_curve
 from .vae import TrainingDiverged
@@ -156,6 +156,27 @@ def surrogate_forward_batch(y_flat, params: Mapping[str, object], sp: SurrogateP
     tau1 = ad.reshape(ad.matmul(ad.take_cols(out, np.arange(nc, 2 * nc)), up), shape)
     tau2 = ad.reshape(ad.matmul(ad.take_cols(out, np.arange(2 * nc, 3 * nc)), up), shape)
     return u, tau1, tau2
+
+
+def pressure_layers(sp: SurrogateParams, readout: np.ndarray
+                    ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The map y_flat -> u_flat @ readout as dense ``(W, b)`` layers, ReLU between.
+
+    ``readout`` is an (H*W, k) linear map of the flat pressure image.  The
+    input standardization is folded into the first layer; the last layer
+    keeps only the pressure head's columns, followed by the bilinear
+    upsampling of structured heads and ``readout``.  The flux heads are not
+    computed.  The stack matches surrogate_forward_batch up to rounding.
+    """
+    layers = dense_layers(sp.store)
+    if sp.structured:
+        readout = _bilinear_up(sp.height, sp.width, sp.head_height, sp.head_width) @ readout
+    w, b = layers[-1]
+    k = len(readout)
+    layers[-1] = (w[:, :k] @ readout, b[:k] @ readout)
+    w, b = layers[0]
+    layers[0] = (w / sp.scale, b - (sp.offset / sp.scale) * w.sum(axis=0))
+    return layers
 
 
 def surrogate_forward(y: np.ndarray, sp: SurrogateParams):

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .nets import diag_gaussian_logpdf, init_mlp, mlp_forward, std_normal_logpdf
+from .nets import dense_layers, diag_gaussian_logpdf, init_mlp, mlp_forward, std_normal_logpdf
 from .params import AdamState, ParamStore, adam_step
 from .report import write_loss_curve
 
@@ -120,6 +120,20 @@ def decode_batch(x, params, vae: VaeParams):
     logvar = ad.clip(ad.add(logvar_raw, 2.0 * np.log(vae.scale)),
                      -LOGVAR_BOUND, LOGVAR_BOUND)
     return mu, logvar
+
+
+def decoder_mean_layers(vae: VaeParams) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The decoder mean as dense ``(W, b)`` layers with a ReLU between each two.
+
+    The last layer keeps only the mean head's columns and maps straight to
+    raw field units, so the stack computes decode_batch's mean (up to
+    rounding) without the log-variance head.
+    """
+    layers = dense_layers(vae.decoder)
+    w, b = layers[-1]
+    n = vae.height * vae.width
+    layers[-1] = (w[:, :n] * vae.scale, b[:n] * vae.scale + vae.offset)
+    return layers
 
 
 def encode(y: np.ndarray, vae: VaeParams) -> tuple[np.ndarray, np.ndarray]:

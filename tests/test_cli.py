@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -142,6 +143,18 @@ class TestDependencyGates:
         cfg_path = tmp_path / "changed.ini"
         save_config(cfg_path, changed)
         assert main(["train-vae", "--config", str(cfg_path), "--out", str(out)]) == 1
+
+    @pytest.mark.parametrize("artifact,stage", [("dataset.bin", "train-vae"),
+                                                ("vae.bin", "infer-mcmc")])
+    def test_truncated_artifact_exits_1_naming_it(self, run_dir, tmp_path, capsys,
+                                                  artifact, stage):
+        _, cfg_path, out = run_dir
+        copy = tmp_path / "run"
+        shutil.copytree(out, copy)
+        data = (copy / artifact).read_bytes()
+        (copy / artifact).write_bytes(data[:len(data) // 2])
+        assert main([stage, "--config", str(cfg_path), "--out", str(copy)]) == 1
+        assert f"{artifact}: truncated" in capsys.readouterr().err
 
     def test_bad_config_rejected(self, tmp_path):
         cfg_path = tmp_path / "bad.ini"

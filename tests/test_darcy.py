@@ -147,6 +147,14 @@ class TestObserve:
         mat = observation_matrix(op, grid)
         np.testing.assert_allclose(mat.sum(axis=1), 1.0, atol=1e-12)
 
+    def test_observation_matrix_built_once_and_read_only(self):
+        grid = Grid(7, 9)
+        mat = observation_matrix(lattice_operator(4, 4, 0.1, 0.2), grid)
+        assert observation_matrix(lattice_operator(4, 4, 0.1, 0.2), grid) is mat
+        assert not mat.flags.writeable
+        other = observation_matrix(lattice_operator(4, 4, 0.1, 0.2), Grid(9, 7))
+        assert other is not mat and other.shape == mat.shape
+
     def test_out_of_square_location_rejected(self):
         with pytest.raises(ValueError, match="unit square"):
             ObservationOperator([[1.2, 0.5]])

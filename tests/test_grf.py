@@ -178,6 +178,16 @@ class TestDataset:
             assert a.length_scale == b.length_scale
             assert a.values.tobytes() == b.values.tobytes()
 
+    # the (H, W, count) header, the first sample's header, the last payload
+    @pytest.mark.parametrize("cut", [12, 25, -5])
+    def test_truncated_file_names_path(self, tmp_path, small_grid, cut):
+        samples = generate_prior_dataset(small_grid, 0.5, 1.0, [0.2], 2, base_seed=11)
+        path = tmp_path / "dataset.bin"
+        save_dataset(path, samples, small_grid)
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(ValueError, match=r"dataset\.bin: truncated"):
+            load_dataset(path)
+
     def test_manifest(self, tmp_path):
         samples = [FieldSample(np.zeros((3, 3)), 0.2, 7), FieldSample(np.ones((3, 3)), 0.3, 8)]
         path = tmp_path / "manifest.csv"

@@ -3,7 +3,14 @@ import pytest
 from scipy import stats
 
 from krflow import autodiff as ad
-from krflow.darcy import NoiseModel, ObservationOperator, ObservationSet, lattice_operator
+from krflow.darcy import (
+    NoiseModel,
+    ObservationOperator,
+    ObservationSet,
+    lattice_operator,
+    log_likelihood,
+    observation_matrix,
+)
 from krflow.flow import FlowConfig, init_flow, krnet_inverse
 from krflow.grf import Grid
 from krflow.inference import (
@@ -21,8 +28,8 @@ from krflow.inference import (
     tune_pcn_step,
 )
 from krflow.nets import std_normal_logpdf
-from krflow.surrogate import init_surrogate
-from krflow.vae import VaeParams, init_vae
+from krflow.surrogate import init_surrogate, surrogate_forward
+from krflow.vae import VaeParams, decode, init_vae
 
 H = W = 5
 D = 4
@@ -362,10 +369,71 @@ class TestRelativeError:
 def test_surrogate_loglike_matches_manual(vae, surrogate, obs):
     log_like = make_surrogate_loglike(vae, surrogate, obs)
     x = np.random.default_rng(23).standard_normal(D)
-    from krflow.darcy import log_likelihood, observation_matrix
-    from krflow.surrogate import surrogate_forward
-    from krflow.vae import decode
-    mu, _ = decode(x, vae)
-    u, _, _ = surrogate_forward(mu, surrogate)
-    predicted = observation_matrix(obs.operator, Grid(H, W)) @ u.ravel()
-    assert log_like(x) == pytest.approx(log_likelihood(obs, predicted), rel=1e-12)
+    assert log_like(x) == pytest.approx(_reference_loglike(vae, surrogate, obs)(x),
+                                        rel=1e-12)
+
+
+def _reference_loglike(vae, surrogate, obs):
+    """decode -> surrogate_forward -> observation_matrix, step by step."""
+    obs_matrix = observation_matrix(obs.operator, Grid(surrogate.height, surrogate.width))
+
+    def log_like(x):
+        mu, _ = decode(x, vae)
+        u, _, _ = surrogate_forward(mu, surrogate)
+        return log_likelihood(obs, obs_matrix @ u.ravel())
+
+    return log_like
+
+
+def _random_model(structured, decoder_hidden, surrogate_hidden, seed=0):
+    """Decoder and surrogate with every weight and bias random and non-zero."""
+    rng = np.random.default_rng(seed)
+    vae = init_vae(H, W, D, seed, encoder_hidden=(12,), decoder_hidden=decoder_hidden,
+                   offset=1.1, scale=0.6)
+    sp = init_surrogate(H, W, seed + 1, hidden=surrogate_hidden, structured=structured,
+                        offset=0.9, scale=0.7)
+    for store in (vae.decoder, sp.store):
+        for name, arr in store.items():
+            store[name] = 0.4 * rng.standard_normal(arr.shape)
+    return vae, sp
+
+
+def _noisy_obs(vae, sp, sigma, seed=0):
+    """Observations of the model's own prediction at a random latent."""
+    rng = np.random.default_rng(seed)
+    op = lattice_operator(3, 3, 0.1, 0.35)
+    mu, _ = decode(rng.standard_normal(D), vae)
+    u, _, _ = surrogate_forward(mu, sp)
+    clean = observation_matrix(op, Grid(H, W)) @ u.ravel()
+    values = clean + sigma * rng.standard_normal(op.n_sensors)
+    noise = NoiseModel(level=0.05, per_sensor_std=np.full(op.n_sensors, sigma), floor=sigma)
+    return ObservationSet(operator=op, values=values, noise=noise)
+
+
+@pytest.mark.parametrize("structured", [True, False])
+@pytest.mark.parametrize("decoder_hidden,surrogate_hidden",
+                         [((12,), (16,)), ((12, 10), (16, 8)), ((), ()), ((12,), ())])
+def test_surrogate_loglike_matches_composition_with_random_weights(
+        structured, decoder_hidden, surrogate_hidden):
+    vae, sp = _random_model(structured, decoder_hidden, surrogate_hidden)
+    obs = _noisy_obs(vae, sp, sigma=0.05)
+    log_like = make_surrogate_loglike(vae, sp, obs)
+    reference = _reference_loglike(vae, sp, obs)
+    for x in np.random.default_rng(7).standard_normal((16, D)):
+        expected = reference(x)
+        assert log_like(x) == pytest.approx(expected, rel=1e-12)
+        assert isinstance(log_like(x), float)
+
+
+@pytest.mark.parametrize("structured", [True, False])
+def test_pcn_with_folded_loglike_reproduces_reference_chain(structured):
+    vae, sp = _random_model(structured, (12,), (16, 8), seed=3)
+    obs = _noisy_obs(vae, sp, sigma=0.5, seed=3)
+    chains = [pcn_mcmc(f, D, steps=600, step_size=0.3, seed=11, burn_keep=200)
+              for f in (make_surrogate_loglike(vae, sp, obs),
+                        _reference_loglike(vae, sp, obs))]
+    assert 50 < chains[0].accepted_count < 550
+    assert chains[0].accepted_count == chains[1].accepted_count
+    assert chains[0].states.tobytes() == chains[1].states.tobytes()
+    np.testing.assert_allclose(chains[0].log_likelihoods, chains[1].log_likelihoods,
+                               rtol=1e-12)

@@ -39,6 +39,28 @@ class TestParamStore:
         with pytest.raises(ValueError, match="magic"):
             ParamStore.load(path)
 
+    # offsets into a container holding W0 (3, 2) then b0 (2,): the version
+    # field, W0's name length, W0's dims, W0's payload, b0's rank, b0's payload
+    @pytest.mark.parametrize("cut", [6, 10, 20, 40, 90, -3])
+    def test_truncated_file_names_path(self, tmp_path, cut):
+        store = ParamStore({"W0": np.arange(6.0).reshape(3, 2), "b0": np.ones(2)})
+        path = tmp_path / "vae.bin"
+        store.save(path)
+        data = path.read_bytes()
+        assert len(data) == 116
+        path.write_bytes(data[:cut])
+        with pytest.raises(ValueError, match=r"vae\.bin: truncated"):
+            ParamStore.load(path)
+
+    def test_corrupt_length_field_rejected_without_reading(self, tmp_path):
+        path = tmp_path / "vae.bin"
+        ParamStore({"W0": np.ones((2, 2))}).save(path)
+        data = bytearray(path.read_bytes())
+        data[18:26] = (2 ** 62).to_bytes(8, "little")   # first dim of W0
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=r"vae\.bin: truncated"):
+            ParamStore.load(path)
+
 
 class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
