@@ -2,9 +2,17 @@
 
 A ``Tensor`` wraps a numpy array and records the operation that produced it,
 so that ``backward()`` on a scalar output accumulates exact gradients into
-every upstream tensor that requires them.  The op set is deliberately small:
-it is exactly what the dense networks, coupling flows and Sobel-filter
-residuals in this package need, nothing more.
+every upstream tensor that requires them.  The op set is exactly what the
+dense networks, coupling flows and Sobel-filter residuals in this package
+build, nothing more:
+
+- elementwise: ``add``, ``sub``, ``mul``, ``exp``, ``tanh``, ``relu``,
+  ``square`` and ``clip``;
+- linear algebra and reductions: ``matmul``, ``sum_`` and ``mean_``;
+- structural: ``reshape``, ``take_cols`` and ``concat``;
+- ``fixed_conv2d``, a 3x3 cross-correlation with a constant kernel.
+
+Ops are plain functions; ``Tensor`` has no operator overloads.
 
 Every op dispatches on its input type, so the same network code runs either
 on the tape (``Tensor`` inputs, gradients available) or as plain numpy
@@ -16,7 +24,6 @@ from __future__ import annotations
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 
 class ShapeError(ValueError):
@@ -78,15 +85,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ShapeError(f"item() on tensor of shape {self.data.shape}")
-        return float(self.data.reshape(()))
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, op={self.op!r})"
 
@@ -119,51 +117,6 @@ class Tensor:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad += g
-
-    # -- operator sugar ---------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __rmatmul__(self, other):
-        return matmul(other, self)
-
-    def __getitem__(self, key):
-        return slice_(self, key)
-
-    def sum(self, axis: int | None = None):
-        return sum_(self, axis)
-
-    def mean(self, axis: int | None = None):
-        return mean_(self, axis)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
 
 
 def _coerce(x) -> Tensor:
@@ -228,21 +181,6 @@ def mul(a, b):
     return _node(data, "mul", (a, b), backward)
 
 
-def div(a, b):
-    if not _is_tape(a, b):
-        return np.asarray(a) / np.asarray(b)
-    a, b = _coerce(a), _coerce(b)
-    data = a.data / b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _node(data, "div", (a, b), backward)
-
-
 def matmul(a, b):
     if not _is_tape(a, b):
         return np.asarray(a) @ np.asarray(b)
@@ -301,18 +239,6 @@ def exp(a):
     return _node(data, "exp", (a,), backward)
 
 
-def log(a):
-    if not _is_tape(a):
-        return np.log(a)
-    a = _coerce(a)
-    data = np.log(a.data)
-
-    def backward(g):
-        a._accumulate(g / a.data)
-
-    return _node(data, "log", (a,), backward)
-
-
 def tanh(a):
     if not _is_tape(a):
         return np.tanh(a)
@@ -335,18 +261,6 @@ def relu(a):
         a._accumulate(g * (a.data > 0.0))
 
     return _node(data, "relu", (a,), backward)
-
-
-def softplus(a):
-    if not _is_tape(a):
-        return np.logaddexp(0.0, a)
-    a = _coerce(a)
-    data = np.logaddexp(0.0, a.data)
-
-    def backward(g):
-        a._accumulate(g * expit(a.data))
-
-    return _node(data, "softplus", (a,), backward)
 
 
 def square(a):
@@ -379,21 +293,6 @@ def reshape(a, shape):
         a._accumulate(g.reshape(a.data.shape))
 
     return _node(data, "reshape", (a,), backward)
-
-
-def slice_(a, key):
-    """Basic (slice/int/ellipsis) indexing; no fancy indexing on the tape."""
-    if not _is_tape(a):
-        return np.asarray(a)[key]
-    a = _coerce(a)
-    data = a.data[key]
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        full[key] += g
-        a._accumulate(full)
-
-    return _node(np.asarray(data), "slice", (a,), backward)
 
 
 def take_cols(a, idx):
@@ -488,9 +387,9 @@ def fixed_conv2d(field, kernel) -> "Tensor | np.ndarray":
 # -- driving programs -----------------------------------------------------------------
 
 
-def evaluate_with_gradients(program: Callable, params: Mapping[str, np.ndarray],
-                            inputs=None) -> tuple[float, dict[str, np.ndarray]]:
-    """Run ``program(leaves, inputs)`` to a scalar and return (value, gradients).
+def evaluate_with_gradients(program: Callable, params: Mapping[str, np.ndarray]
+                            ) -> tuple[float, dict[str, np.ndarray]]:
+    """Run ``program(leaves)`` to a scalar and return (value, gradients).
 
     ``params`` is any name-to-array mapping (a ParamStore works); each entry
     becomes a leaf tensor.  Gradients are exact reverse-mode derivatives of the
@@ -498,7 +397,7 @@ def evaluate_with_gradients(program: Callable, params: Mapping[str, np.ndarray],
     touches get zero gradients.
     """
     leaves = {name: Tensor.leaf(arr, name=name) for name, arr in params.items()}
-    out = program(leaves, inputs)
+    out = program(leaves)
     if not isinstance(out, Tensor):
         out = Tensor.constant(out)
     if out.data.size != 1:

@@ -12,6 +12,7 @@ import configparser
 import hashlib
 import io
 from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 
 class ConfigError(ValueError):
@@ -169,7 +170,7 @@ def parse_config(text: str) -> ExperimentConfig:
         if name not in parser:
             raise ConfigError(f"missing config section [{name}]")
         section = parser[name]
-        declared = {f.name: f.type for f in fields(cls)}
+        declared = get_type_hints(cls)
         unknown = set(section) - set(declared)
         if unknown:
             raise ConfigError(f"unknown keys in [{name}]: {sorted(unknown)}")
@@ -177,23 +178,12 @@ def parse_config(text: str) -> ExperimentConfig:
         for key, ftype in declared.items():
             if key not in section:
                 raise ConfigError(f"missing key '{key}' in [{name}]")
-            ftype = _resolve_type(ftype)
             try:
                 values[key] = _PARSERS[ftype](section[key])
             except ValueError as exc:
                 raise ConfigError(f"bad value for {name}.{key}: {exc}") from exc
         built[name] = cls(**values)
     return ExperimentConfig(**built)
-
-
-def _resolve_type(ftype):
-    if isinstance(ftype, str):
-        # dataclass fields carry string annotations under future-import style
-        mapping = {"int": int, "float": float, "str": str,
-                   "tuple[float, ...]": tuple[float, ...],
-                   "tuple[int, ...]": tuple[int, ...]}
-        return mapping[ftype]
-    return ftype
 
 
 def render_config(config: ExperimentConfig) -> str:

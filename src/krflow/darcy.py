@@ -24,6 +24,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import spsolve
 
 from .grf import Grid
+from .report import read_csv_floats
 
 
 class DarcySolveError(RuntimeError):
@@ -281,29 +282,25 @@ def log_likelihood(obs: ObservationSet, predicted: np.ndarray) -> float:
     return float(np.sum(-0.5 * z * z - np.log(sigma) - 0.5 * np.log(2.0 * np.pi)))
 
 
+OBSERVATION_COLUMNS = ("s1", "s2", "value", "sigma")
+
+
 def save_observations_csv(path, obs: ObservationSet) -> None:
     import csv
 
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["s1", "s2", "value", "sigma"])
+        writer.writerow(OBSERVATION_COLUMNS)
         for (s1, s2), v, sig in zip(obs.operator.locations, obs.values,
                                     obs.noise.per_sensor_std):
             writer.writerow([repr(float(s1)), repr(float(s2)), repr(float(v)), repr(float(sig))])
 
 
 def load_observations_csv(path, level: float) -> ObservationSet:
-    import csv
-
-    locations, values, sigmas = [], [], []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            locations.append((float(row["s1"]), float(row["s2"])))
-            values.append(float(row["value"]))
-            sigmas.append(float(row["sigma"]))
-    sigmas = np.asarray(sigmas)
+    table = read_csv_floats(path, header=OBSERVATION_COLUMNS)
+    sigmas = table[:, 3]
     return ObservationSet(
-        operator=ObservationOperator(np.asarray(locations)),
-        values=np.asarray(values),
+        operator=ObservationOperator(table[:, :2]),
+        values=table[:, 2],
         noise=NoiseModel(level=level, per_sensor_std=sigmas, floor=float(sigmas.min())),
     )

@@ -21,7 +21,6 @@ numpy arrays or on the autodiff tape.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -30,6 +29,7 @@ import numpy as np
 from . import autodiff as ad
 from .nets import init_mlp, mlp_forward, std_normal_logpdf
 from .params import ParamStore
+from .report import read_json, write_json
 
 
 @dataclass(frozen=True)
@@ -63,11 +63,6 @@ class FlowConfig:
 class FlowParams:
     store: ParamStore
     config: FlowConfig
-
-
-@dataclass
-class LogDensity:
-    value: float
 
 
 def _split(active_dim: int, layer: int) -> tuple[np.ndarray, np.ndarray]:
@@ -211,10 +206,6 @@ def log_density(x, params: Mapping[str, object] | FlowParams,
     return ad.add(std_normal_logpdf(z), logdet)
 
 
-def log_density_value(x: np.ndarray, flow: FlowParams) -> LogDensity:
-    return LogDensity(value=float(log_density(x, flow)))
-
-
 def sample_latent(flow: FlowParams, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw x = f^{-1}(z) with z ~ N(0, I); returns (n, d)."""
     z = rng.standard_normal((n, flow.config.dim))
@@ -247,7 +238,7 @@ def dependency_mask(config: FlowConfig) -> np.ndarray:
 
 def _unpack(params, config):
     if isinstance(params, FlowParams):
-        return dict(params.store.items()), params.config
+        return params.store, params.config
     if config is None:
         raise ValueError("config is required when passing a raw parameter mapping")
     return params, config
@@ -270,14 +261,11 @@ def save_flow(path_prefix: str, flow: FlowParams, seed: int,
             "hidden_width": cfg.hidden_width, "hidden_depth": cfg.hidden_depth,
             "scale_bound": cfg.scale_bound, "seed": seed}
     meta.update(extra or {})
-    with open(f"{path_prefix}.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(f"{path_prefix}.json", meta)
 
 
 def load_flow(path_prefix: str) -> tuple[FlowParams, dict]:
-    with open(f"{path_prefix}.json") as fh:
-        meta = json.load(fh)
+    meta = read_json(f"{path_prefix}.json")
     config = FlowConfig(dim=meta["d"], n_groups=meta["K"], layers_per_stage=meta["L"],
                         hidden_width=meta["hidden_width"], hidden_depth=meta["hidden_depth"],
                         scale_bound=meta["scale_bound"])

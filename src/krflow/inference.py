@@ -23,7 +23,6 @@ the likelihood, and pushes retained states through the same decoder.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,10 +30,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .darcy import ObservationSet, observation_matrix
-from .flow import FlowConfig, FlowParams, krnet_inverse, log_density
+from .flow import FlowConfig, FlowParams, krnet_inverse
 from .grf import Grid
 from .nets import ACTIVATIONS, std_normal_logpdf
-from .params import AdamState, ParamStore, adam_step
+from .params import AdamState, adam_step
 from .report import write_loss_curve
 from .surrogate import SurrogateParams, pressure_layers, surrogate_forward_batch
 from .vae import TrainingDiverged, VaeParams, decode_batch, decoder_mean_layers
@@ -58,7 +57,6 @@ class PosteriorSummary:
     variance_field: np.ndarray
     relative_error: float
     n_samples: int
-    wall_time: float
     # diagnostic: spread of decoder means across posterior samples, the term
     # the headline variance estimator deliberately leaves out
     mean_spread_field: np.ndarray | None = None
@@ -120,8 +118,7 @@ def posterior_flow_terms(z_batch: np.ndarray, flow_params, flow_config: FlowConf
     entropy = ad.mean_(ad.sub(base, logdet_inv))
     log_prior = ad.mean_(std_normal_logpdf(x))
 
-    dec_params = dict(vae.decoder.items())
-    mu_de, logvar_de = decode_batch(x, dec_params, vae)
+    mu_de, logvar_de = decode_batch(x, vae.store, vae)
     y_flat = mu_de
     if zeta is not None:
         y_flat = ad.add(mu_de, ad.mul(ad.exp(ad.mul(logvar_de, 0.5)), zeta))
@@ -129,8 +126,7 @@ def posterior_flow_terms(z_batch: np.ndarray, flow_params, flow_config: FlowConf
     if obs is None:
         log_lik = 0.0
     else:
-        sur_params = dict(surrogate.store.items())
-        u, _, _ = surrogate_forward_batch(y_flat, sur_params, surrogate)
+        u, _, _ = surrogate_forward_batch(y_flat, surrogate.store, surrogate)
         u_flat = ad.reshape(u, (-1, surrogate.height * surrogate.width))
         grid = Grid(surrogate.height, surrogate.width)
         log_lik = ad.mean_(observed_log_likelihood_batch(u_flat, obs, grid))
@@ -143,7 +139,7 @@ def posterior_flow_loss(z_batch: np.ndarray, flow: FlowParams, vae: VaeParams,
                         ) -> tuple[float, KrnetLossBreakdown]:
     """Reverse-KL objective value for a (B, d) batch of base draws."""
     entropy, log_lik, log_prior = posterior_flow_terms(
-        z_batch, dict(flow.store.items()), flow.config, vae, surrogate, obs, zeta)
+        z_batch, flow.store, flow.config, vae, surrogate, obs, zeta)
     breakdown = KrnetLossBreakdown(
         flow_entropy_term=float(entropy),
         neg_log_likelihood_term=-float(log_lik),
@@ -182,7 +178,7 @@ def train_posterior_flow(flow_config: FlowConfig, vae: VaeParams,
             if config.decoder_sampling == "sample":
                 zeta = rng.standard_normal((len(z_batch), n_pixels))
 
-            def program(leaves, _):
+            def program(leaves):
                 entropy, log_lik, log_prior = posterior_flow_terms(
                     z_batch, leaves, flow_config, vae, surrogate, obs, zeta)
                 return ad.sub(ad.sub(entropy, log_lik), log_prior)
@@ -211,24 +207,21 @@ def posterior_moments(flow: FlowParams, vae: VaeParams, n_samples: int,
     variances (exactly the headline estimator).  The across-sample spread of
     decoder means is reported separately as ``mean_spread_field``.
     """
-    start = time.perf_counter()
     z = rng.standard_normal((n_samples, flow.config.dim))
     x = krnet_inverse(z, flow)
-    return _moments_from_latents(x, vae, start, exact_field)
+    return _moments_from_latents(x, vae, exact_field)
 
 
 def posterior_moments_from_states(states: np.ndarray, vae: VaeParams,
                                   exact_field: np.ndarray | None = None
                                   ) -> PosteriorSummary:
     """Same decoder-Gaussian estimators with MCMC states in place of flow draws."""
-    start = time.perf_counter()
-    return _moments_from_latents(np.asarray(states, dtype=np.float64), vae,
-                                 start, exact_field)
+    return _moments_from_latents(np.asarray(states, dtype=np.float64), vae, exact_field)
 
 
-def _moments_from_latents(x: np.ndarray, vae: VaeParams, start: float,
+def _moments_from_latents(x: np.ndarray, vae: VaeParams,
                           exact_field: np.ndarray | None) -> PosteriorSummary:
-    mu, logvar = decode_batch(x, dict(vae.decoder.items()), vae)
+    mu, logvar = decode_batch(x, vae.store, vae)
     shape = (vae.height, vae.width)
     mean_field = mu.mean(axis=0).reshape(shape)
     variance_field = np.exp(logvar).mean(axis=0).reshape(shape)
@@ -239,7 +232,6 @@ def _moments_from_latents(x: np.ndarray, vae: VaeParams, start: float,
         variance_field=variance_field,
         relative_error=err,
         n_samples=len(x),
-        wall_time=time.perf_counter() - start,
         mean_spread_field=spread,
     )
 

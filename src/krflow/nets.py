@@ -15,11 +15,8 @@ from . import autodiff as ad
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
-ACTIVATIONS = {
-    "relu": ad.relu,
-    "tanh": ad.tanh,
-    "softplus": ad.softplus,
-}
+# the activation between the layers of every dense stack
+ACTIVATIONS = {"relu": ad.relu}
 
 
 def init_mlp(rng: np.random.Generator, sizes: Sequence[int], prefix: str = "",
@@ -57,19 +54,18 @@ def dense_layers(params: Mapping[str, object], prefix: str = "") -> list[tuple]:
     return layers
 
 
-def mlp_forward(params: Mapping[str, object], x, prefix: str = "",
-                activation: str = "relu"):
+def mlp_forward(params: Mapping[str, object], x, prefix: str = ""):
     """Apply the dense stack named ``{prefix}W{i}``/``{prefix}b{i}``.
 
-    The activation is applied to every layer except the last.
+    ReLU is applied after every layer except the last.
     """
-    act = ACTIVATIONS[activation]
+    relu = ACTIVATIONS["relu"]
     layers = dense_layers(params, prefix)
     h = x
     for i, (w, b) in enumerate(layers):
         h = ad.add(ad.matmul(h, w), b)
         if i < len(layers) - 1:
-            h = act(h)
+            h = relu(h)
     return h
 
 

@@ -72,10 +72,6 @@ class ParamStore:
     def values(self):
         return self._entries.values()
 
-    def copy(self) -> "ParamStore":
-        return ParamStore(((k, v.copy()) for k, v in self._entries.items()),
-                          rng_seed=self.rng_seed)
-
     def n_scalars(self) -> int:
         return sum(v.size for v in self._entries.values())
 

@@ -30,8 +30,33 @@ def save_field_csv(path, field: np.ndarray) -> None:
 
 
 def load_field_csv(path) -> np.ndarray:
+    return read_csv_floats(path)
+
+
+def read_csv_floats(path, header: Sequence[str] | None = None) -> np.ndarray:
+    """A CSV of floats as a 2-D array, or ValueError naming the file.
+
+    With ``header`` the first line must equal it.  There must be a data row,
+    and every row must be as wide as the header or the first row, so a file
+    cut short mid-row fails here.
+    """
     with open(path, newline="") as fh:
-        return np.array([[float(v) for v in row] for row in csv.reader(fh)])
+        rows = list(csv.reader(fh))
+    skip = 0 if header is None else 1
+    if skip and rows[:1] != [list(header)]:
+        raise ValueError(f"{path}: expected the header {','.join(header)}")
+    if len(rows) == skip:
+        raise ValueError(f"{path}: no data rows")
+    width = len(header) if skip else len(rows[0])
+    table = []
+    for line, row in enumerate(rows[skip:], start=skip + 1):
+        if len(row) != width:
+            raise ValueError(f"{path}: line {line} has {len(row)} fields, expected {width}")
+        try:
+            table.append([float(v) for v in row])
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line}: {exc}") from exc
+    return np.array(table)
 
 
 def save_field_pgm(path, field: np.ndarray) -> None:
@@ -54,4 +79,7 @@ def write_json(path, payload: dict) -> None:
 
 def read_json(path) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from exc

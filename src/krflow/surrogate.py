@@ -39,7 +39,6 @@ surrogate predicts all-zero fields.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
@@ -51,7 +50,7 @@ from .darcy import solve_darcy
 from .grf import Grid
 from .nets import dense_layers, init_mlp, mlp_forward
 from .params import AdamState, ParamStore, adam_step
-from .report import write_loss_curve
+from .report import read_json, write_json, write_loss_curve
 from .vae import TrainingDiverged
 
 SOBEL_1 = np.array([[-1.0, 0.0, 1.0],
@@ -181,7 +180,7 @@ def pressure_layers(sp: SurrogateParams, readout: np.ndarray
 
 def surrogate_forward(y: np.ndarray, sp: SurrogateParams):
     """Single H-by-W field -> (u, tau1, tau2) images."""
-    u, t1, t2 = surrogate_forward_batch(y.reshape(1, -1), dict(sp.store.items()), sp)
+    u, t1, t2 = surrogate_forward_batch(y.reshape(1, -1), sp.store, sp)
     return u[0], t1[0], t2[0]
 
 
@@ -247,8 +246,7 @@ def physics_loss(batch: np.ndarray, sp: SurrogateParams, source: float = 3.0,
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 3 or len(batch) == 0:
         raise ValueError("batch must be a nonempty (B, H, W) array")
-    params = dict(sp.store.items())
-    u, t1, t2 = surrogate_forward_batch(batch.reshape(len(batch), -1), params, sp)
+    u, t1, t2 = surrogate_forward_batch(batch.reshape(len(batch), -1), sp.store, sp)
     fd, fc, di, ne = physics_residual_terms(batch, u, t1, t2, source)
     breakdown = ResidualBreakdown(float(fd), float(fc), float(di), float(ne), beta)
     return breakdown.total, breakdown
@@ -278,7 +276,7 @@ def train_surrogate(dataset: np.ndarray, config: SurrogateTrainConfig) -> Surrog
         for y_batch in batches:
             flat = y_batch.reshape(len(y_batch), -1)
 
-            def program(leaves, _):
+            def program(leaves):
                 u, t1, t2 = surrogate_forward_batch(flat, leaves, sp)
                 fd, fc, di, ne = physics_residual_terms(y_batch, u, t1, t2,
                                                         config.source)
@@ -306,8 +304,7 @@ def surrogate_relative_error(sp: SurrogateParams, test_fields: np.ndarray,
     """Mean ||u_hat - u_fd||_2 / ||u_fd||_2 against the finite-volume solver."""
     grid = Grid(sp.height, sp.width)
     fields = np.asarray(test_fields, dtype=np.float64)
-    params = dict(sp.store.items())
-    u_hat, _, _ = surrogate_forward_batch(fields.reshape(len(fields), -1), params, sp)
+    u_hat, _, _ = surrogate_forward_batch(fields.reshape(len(fields), -1), sp.store, sp)
     errors = []
     for y, uh in zip(fields, u_hat):
         u_ref = solve_darcy(y, grid, source=source).values
@@ -323,14 +320,11 @@ def save_surrogate(path_prefix: str, sp: SurrogateParams, seed: int, beta: float
             "offset": sp.offset, "scale": sp.scale,
             "beta": beta, "seed": seed, "final_loss": final_loss}
     meta.update(extra or {})
-    with open(f"{path_prefix}.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(f"{path_prefix}.json", meta)
 
 
 def load_surrogate(path_prefix: str) -> tuple[SurrogateParams, dict]:
-    with open(f"{path_prefix}.json") as fh:
-        meta = json.load(fh)
+    meta = read_json(f"{path_prefix}.json")
     store = ParamStore.load(f"{path_prefix}.bin")
     return SurrogateParams(store, meta["H"], meta["W"], tuple(meta["hidden"]),
                            meta["structured"],

@@ -10,11 +10,14 @@ Monte Carlo ELBO estimate per sample,
 by mini-batch Adam, and the probabilistic decoder of the final epoch is the
 prior handed to the inference stage.  Log-variance heads are clamped to
 [-10, 10] to keep likelihoods non-degenerate.
+
+Both networks live in one ``ParamStore``: the encoder's layers under
+``enc.`` and the decoder's under ``dec.``, the layout ``vae.bin`` holds.
 """
 
 from __future__ import annotations
 
-import json
+import dataclasses
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,15 +26,14 @@ import numpy as np
 from . import autodiff as ad
 from .nets import dense_layers, diag_gaussian_logpdf, init_mlp, mlp_forward, std_normal_logpdf
 from .params import AdamState, ParamStore, adam_step
-from .report import write_loss_curve
+from .report import read_json, write_json, write_loss_curve
 
 LOGVAR_BOUND = 10.0
 
 
 @dataclass
 class VaeParams:
-    encoder: ParamStore
-    decoder: ParamStore
+    store: ParamStore    # encoder under "enc.", decoder under "dec."
     latent_dim: int
     height: int
     width: int
@@ -42,14 +44,6 @@ class VaeParams:
     # the data mean is far from zero
     offset: float = 0.0
     scale: float = 1.0
-
-    @property
-    def encoder_sizes(self) -> list[int]:
-        return [self.height * self.width, *self.encoder_hidden, 2 * self.latent_dim]
-
-    @property
-    def decoder_sizes(self) -> list[int]:
-        return [self.latent_dim, *self.decoder_hidden, 2 * self.height * self.width]
 
 
 @dataclass
@@ -87,9 +81,10 @@ def init_vae(height: int, width: int, latent_dim: int, seed: int,
              offset: float = 0.0, scale: float = 1.0) -> VaeParams:
     rng = np.random.default_rng(seed)
     n = height * width
-    enc = ParamStore(init_mlp(rng, [n, *encoder_hidden, 2 * latent_dim]), rng_seed=seed)
-    dec = ParamStore(init_mlp(rng, [latent_dim, *decoder_hidden, 2 * n]), rng_seed=seed)
-    return VaeParams(enc, dec, latent_dim, height, width,
+    store = ParamStore({**init_mlp(rng, [n, *encoder_hidden, 2 * latent_dim], "enc."),
+                        **init_mlp(rng, [latent_dim, *decoder_hidden, 2 * n], "dec.")},
+                       rng_seed=seed)
+    return VaeParams(store, latent_dim, height, width,
                      tuple(encoder_hidden), tuple(decoder_hidden), offset, scale)
 
 
@@ -101,7 +96,8 @@ def _split_heads(out, n: int):
 
 def encode_batch(y_flat, params, vae: VaeParams):
     """(B, H*W) fields -> (mu_en, logvar_en), each (B, d).  Tape or numpy."""
-    out = mlp_forward(params, ad.mul(ad.sub(y_flat, vae.offset), 1.0 / vae.scale))
+    out = mlp_forward(params, ad.mul(ad.sub(y_flat, vae.offset), 1.0 / vae.scale),
+                      prefix="enc.")
     return _split_heads(out, vae.latent_dim)
 
 
@@ -112,7 +108,7 @@ def decode_batch(x, params, vae: VaeParams):
     back through the affine transform and the log-variance is shifted by
     2*log(scale) (then clamped), so the returned Gaussian is over raw fields.
     """
-    out = mlp_forward(params, x)
+    out = mlp_forward(params, x, prefix="dec.")
     n = vae.height * vae.width
     mu_raw = ad.take_cols(out, np.arange(n))
     logvar_raw = ad.take_cols(out, np.arange(n, 2 * n))
@@ -129,7 +125,7 @@ def decoder_mean_layers(vae: VaeParams) -> list[tuple[np.ndarray, np.ndarray]]:
     raw field units, so the stack computes decode_batch's mean (up to
     rounding) without the log-variance head.
     """
-    layers = dense_layers(vae.decoder)
+    layers = dense_layers(vae.store, prefix="dec.")
     w, b = layers[-1]
     n = vae.height * vae.width
     layers[-1] = (w[:, :n] * vae.scale, b[:n] * vae.scale + vae.offset)
@@ -138,13 +134,13 @@ def decoder_mean_layers(vae: VaeParams) -> list[tuple[np.ndarray, np.ndarray]]:
 
 def encode(y: np.ndarray, vae: VaeParams) -> tuple[np.ndarray, np.ndarray]:
     """Single H-by-W field -> (mu_en, logvar_en) vectors of length d."""
-    mu, logvar = encode_batch(y.reshape(1, -1), dict(vae.encoder.items()), vae)
+    mu, logvar = encode_batch(y.reshape(1, -1), vae.store, vae)
     return mu[0], logvar[0]
 
 
 def decode(x: np.ndarray, vae: VaeParams) -> tuple[np.ndarray, np.ndarray]:
     """Latent vector -> (mu_de, logvar_de) as H-by-W images."""
-    mu, logvar = decode_batch(np.atleast_2d(x), dict(vae.decoder.items()), vae)
+    mu, logvar = decode_batch(np.atleast_2d(x), vae.store, vae)
     shape = (vae.height, vae.width)
     return mu[0].reshape(shape), logvar[0].reshape(shape)
 
@@ -154,36 +150,11 @@ def reparameterize(mu, logvar, eps):
     return ad.add(mu, ad.mul(ad.exp(ad.mul(logvar, 0.5)), eps))
 
 
-def _merged_store(vae: VaeParams) -> ParamStore:
-    store = ParamStore(rng_seed=vae.encoder.rng_seed)
-    for k, v in vae.encoder.items():
-        store[f"enc.{k}"] = v
-    for k, v in vae.decoder.items():
-        store[f"dec.{k}"] = v
-    return store
-
-
-def _split_store(store, vae: VaeParams) -> VaeParams:
-    enc = ParamStore(rng_seed=vae.encoder.rng_seed)
-    dec = ParamStore(rng_seed=vae.decoder.rng_seed)
-    for k, v in store.items():
-        if k.startswith("enc."):
-            enc[k[4:]] = v
-        else:
-            dec[k[4:]] = v
-    return VaeParams(enc, dec, vae.latent_dim, vae.height, vae.width,
-                     vae.encoder_hidden, vae.decoder_hidden, vae.offset, vae.scale)
-
-
-def _prefixed(params, prefix: str):
-    return {k[len(prefix):]: v for k, v in params.items() if k.startswith(prefix)}
-
-
 def _elbo_terms(params, y_flat: np.ndarray, eps: np.ndarray, vae: VaeParams):
     """Batch-mean reconstruction / prior / entropy terms (tape-compatible)."""
-    mu_en, logvar_en = encode_batch(y_flat, _prefixed(params, "enc."), vae)
+    mu_en, logvar_en = encode_batch(y_flat, params, vae)
     x = reparameterize(mu_en, logvar_en, eps)
-    mu_de, logvar_de = decode_batch(x, _prefixed(params, "dec."), vae)
+    mu_de, logvar_de = decode_batch(x, params, vae)
     recon = ad.mean_(diag_gaussian_logpdf(y_flat, mu_de, logvar_de))
     log_q = ad.mean_(diag_gaussian_logpdf(x, mu_en, logvar_en))
     log_p = ad.mean_(std_normal_logpdf(x))
@@ -198,9 +169,8 @@ def elbo_batch(batch: np.ndarray, vae: VaeParams,
         raise ValueError("batch must be a nonempty (B, H, W) array")
     y_flat = batch.reshape(batch.shape[0], -1)
     eps = rng.standard_normal((batch.shape[0], vae.latent_dim))
-    merged = {k: v for k, v in _merged_store(vae).items()}
     try:
-        recon, log_p, log_q = _elbo_terms(merged, y_flat, eps, vae)
+        recon, log_p, log_q = _elbo_terms(vae.store, y_flat, eps, vae)
     except ad.NonFiniteError as exc:
         raise ad.NonFiniteError(f"ELBO evaluation failed: {exc}") from exc
     breakdown = ElboBreakdown(
@@ -235,7 +205,7 @@ def train_vae(dataset: np.ndarray, config: VaeTrainConfig) -> VaeParams:
     flat = data.reshape(n, -1)[order]
     batches = [flat[lo:lo + config.batch_size] for lo in range(0, n, config.batch_size)]
 
-    store = _merged_store(vae)
+    store = vae.store
     state = AdamState.fresh(store, config.learning_rate)
     curve: list[tuple[int, float]] = []
     d = config.latent_dim
@@ -245,7 +215,7 @@ def train_vae(dataset: np.ndarray, config: VaeTrainConfig) -> VaeParams:
         for y_batch in batches:
             eps = rng.standard_normal((len(y_batch), d))
 
-            def program(leaves, _inputs):
+            def program(leaves):
                 recon, log_p, log_q = _elbo_terms(leaves, y_batch, eps, vae)
                 return ad.mul(ad.add(ad.sub(recon, log_q), log_p), -1.0)
 
@@ -254,14 +224,14 @@ def train_vae(dataset: np.ndarray, config: VaeTrainConfig) -> VaeParams:
             except ad.NonFiniteError as exc:
                 raise TrainingDiverged(
                     f"VAE training diverged at epoch {epoch}: {exc}",
-                    _split_store(store, vae)) from exc
+                    dataclasses.replace(vae, store=store)) from exc
             store, state = adam_step(store, grads, state)
             epoch_losses.append(loss)
         curve.append((epoch, float(np.mean(epoch_losses))))
 
     if config.curve_path is not None:
         write_loss_curve(config.curve_path, curve)
-    return _split_store(store, vae)
+    return dataclasses.replace(vae, store=store)
 
 
 def sample_prior(vae: VaeParams, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -269,7 +239,7 @@ def sample_prior(vae: VaeParams, n: int, rng: np.random.Generator) -> np.ndarray
     if n == 0:
         return np.zeros((0, vae.height, vae.width))
     x = rng.standard_normal((n, vae.latent_dim))
-    mu, _ = decode_batch(x, dict(vae.decoder.items()), vae)
+    mu, _ = decode_batch(x, vae.store, vae)
     return mu.reshape(n, vae.height, vae.width)
 
 
@@ -278,7 +248,7 @@ def sample_prior(vae: VaeParams, n: int, rng: np.random.Generator) -> np.ndarray
 
 def save_vae(path_prefix: str, vae: VaeParams, seed: int, epochs: int,
              final_loss: float, extra: dict | None = None) -> None:
-    _merged_store(vae).save(f"{path_prefix}.bin")
+    vae.store.save(f"{path_prefix}.bin")
     meta = {
         "d": vae.latent_dim, "H": vae.height, "W": vae.width,
         "encoder_hidden": list(vae.encoder_hidden),
@@ -287,16 +257,12 @@ def save_vae(path_prefix: str, vae: VaeParams, seed: int, epochs: int,
         "epochs": epochs, "seed": seed, "final_loss": final_loss,
     }
     meta.update(extra or {})
-    with open(f"{path_prefix}.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(f"{path_prefix}.json", meta)
 
 
 def load_vae(path_prefix: str) -> tuple[VaeParams, dict]:
-    with open(f"{path_prefix}.json") as fh:
-        meta = json.load(fh)
-    store = ParamStore.load(f"{path_prefix}.bin")
-    template = VaeParams(ParamStore(), ParamStore(), meta["d"], meta["H"], meta["W"],
-                         tuple(meta["encoder_hidden"]), tuple(meta["decoder_hidden"]),
-                         meta["offset"], meta["scale"])
-    return _split_store(store, template), meta
+    meta = read_json(f"{path_prefix}.json")
+    vae = VaeParams(ParamStore.load(f"{path_prefix}.bin"), meta["d"], meta["H"], meta["W"],
+                    tuple(meta["encoder_hidden"]), tuple(meta["decoder_hidden"]),
+                    meta["offset"], meta["scale"])
+    return vae, meta

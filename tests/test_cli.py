@@ -1,4 +1,4 @@
-import json
+import re
 import shutil
 from pathlib import Path
 
@@ -145,7 +145,12 @@ class TestDependencyGates:
         assert main(["train-vae", "--config", str(cfg_path), "--out", str(out)]) == 1
 
     @pytest.mark.parametrize("artifact,stage", [("dataset.bin", "train-vae"),
-                                                ("vae.bin", "infer-mcmc")])
+                                                ("vae.bin", "infer-mcmc"),
+                                                ("observations.csv", "infer-mcmc"),
+                                                ("truth_field.csv", "infer-mcmc"),
+                                                ("vae.json", "infer-mcmc"),
+                                                ("surrogate.json", "infer-mcmc"),
+                                                ("generate_data_meta.json", "train-vae")])
     def test_truncated_artifact_exits_1_naming_it(self, run_dir, tmp_path, capsys,
                                                   artifact, stage):
         _, cfg_path, out = run_dir
@@ -154,7 +159,10 @@ class TestDependencyGates:
         data = (copy / artifact).read_bytes()
         (copy / artifact).write_bytes(data[:len(data) // 2])
         assert main([stage, "--config", str(cfg_path), "--out", str(copy)]) == 1
-        assert f"{artifact}: truncated" in capsys.readouterr().err
+        reason = {".bin": "truncated",
+                  ".csv": r"line \d+ has \d+ fields, expected \d+",
+                  ".json": r".* line \d+ column \d+"}[Path(artifact).suffix]
+        assert re.search(rf"{re.escape(artifact)}: {reason}", capsys.readouterr().err)
 
     def test_bad_config_rejected(self, tmp_path):
         cfg_path = tmp_path / "bad.ini"

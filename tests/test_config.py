@@ -1,7 +1,12 @@
+from typing import get_type_hints
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from krflow.config import (
     ConfigError,
+    ExperimentConfig,
     config_hash,
     desk_config,
     load_config,
@@ -77,3 +82,33 @@ def test_override_all_seeds():
     assert {cfg.seeds.data, cfg.seeds.truth, cfg.seeds.noise, cfg.seeds.vae,
             cfg.seeds.surrogate, cfg.seeds.flow, cfg.seeds.mcmc,
             cfg.seeds.posterior} == {42}
+
+
+# one strategy per field type of the schema; values must survive the INI
+# text (a str value has no line breaks and no surrounding blanks)
+FIELD_VALUES = {
+    int: st.integers(-2 ** 63, 2 ** 63),
+    float: st.floats(allow_nan=False),
+    str: st.text(st.characters(min_codepoint=32, max_codepoint=126)).map(str.strip),
+    tuple[float, ...]: st.lists(st.floats(allow_nan=False), max_size=4).map(tuple),
+    tuple[int, ...]: st.lists(st.integers(-2 ** 63, 2 ** 63), max_size=4).map(tuple),
+}
+SECTIONS = get_type_hints(ExperimentConfig)
+
+
+def test_schema_uses_only_generated_field_types():
+    used = {t for cls in SECTIONS.values() for t in get_type_hints(cls).values()}
+    assert used == set(FIELD_VALUES)
+
+
+configs = st.builds(ExperimentConfig, **{
+    name: st.builds(cls, **{key: FIELD_VALUES[t] for key, t in get_type_hints(cls).items()})
+    for name, cls in SECTIONS.items()})
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(configs)
+def test_generated_config_roundtrips_with_equal_hash(cfg):
+    parsed = parse_config(render_config(cfg))
+    assert parsed == cfg
+    assert config_hash(parsed) == config_hash(cfg)

@@ -237,3 +237,17 @@ def test_observations_csv_roundtrip(tmp_path):
     np.testing.assert_array_equal(loaded.values, obs.values)
     np.testing.assert_array_equal(loaded.noise.per_sensor_std, obs.noise.per_sensor_std)
     np.testing.assert_array_equal(loaded.operator.locations, obs.operator.locations)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("s1,s2,value,sigma\n0.1,0.2,0.3,0.4\n0.5,0.6\n", "line 3 has 2 fields, expected 4"),
+    ("s1,s2,value,sigma\n0.1,0.2,0.3,0.4,0.5\n", "line 2 has 5 fields, expected 4"),
+    ("s1,s2,value,sigma\n0.1,0.2,0.3,1e\n", "line 2: could not convert"),
+    ("s1,s2,val", "expected the header s1,s2,value,sigma"),
+    ("s1,s2,value,sigma\n", "no data rows"),
+])
+def test_malformed_observations_csv_names_file(tmp_path, text, message):
+    path = tmp_path / "observations.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=rf"observations\.csv: {message}"):
+        load_observations_csv(path, level=0.05)

@@ -275,7 +275,7 @@ class TestLogDensity:
         flow = random_flow(config, seed=25, scale=0.4)
         x = np.random.default_rng(26).standard_normal((3, 4))
 
-        def program(leaves, _):
+        def program(leaves):
             return ad.mean_(log_density(x, leaves, config))
 
         value, grads = ad.evaluate_with_gradients(program, flow.store)

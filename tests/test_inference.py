@@ -80,13 +80,14 @@ class TestFlowLoss:
         # identity flow, decoder planted to constant outputs, constant sensors:
         # the three diagonal-Gaussian terms are hand-computable
         vae = init_vae(H, W, D, seed=0, encoder_hidden=(6,), decoder_hidden=(6,))
-        for name in list(vae.decoder.keys()):
-            vae.decoder[name] = np.zeros_like(vae.decoder[name])
+        for name in vae.store:
+            if name.startswith("dec."):
+                vae.store[name] = np.zeros_like(vae.store[name])
         const_mu, const_logvar = 0.7, -0.4
         b_last = np.zeros(2 * H * W)
         b_last[:H * W] = const_mu
         b_last[H * W:] = const_logvar
-        vae.decoder["b1"] = b_last
+        vae.store["dec.b1"] = b_last
 
         surrogate = init_surrogate(H, W, seed=1, hidden=(6,), structured=False)
         for name in list(surrogate.store.keys()):
@@ -125,7 +126,7 @@ class TestFlowLoss:
                 flow.store[name].shape)
         z = rng.standard_normal((3, D))
 
-        def program(leaves, _):
+        def program(leaves):
             entropy, log_lik, log_prior = posterior_flow_terms(
                 z, leaves, flow_config, vae, surrogate, obs)
             return ad.sub(ad.sub(entropy, log_lik), log_prior)
@@ -216,11 +217,12 @@ class TestPosteriorMoments:
 
     def test_constant_decoder_mean(self, flow_config):
         vae = init_vae(H, W, D, seed=0, encoder_hidden=(6,), decoder_hidden=(6,))
-        for name in list(vae.decoder.keys()):
-            vae.decoder[name] = np.zeros_like(vae.decoder[name])
+        for name in vae.store:
+            if name.startswith("dec."):
+                vae.store[name] = np.zeros_like(vae.store[name])
         b = np.zeros(2 * H * W)
         b[:H * W] = 2.5
-        vae.decoder["b1"] = b
+        vae.store["dec.b1"] = b
         flow = init_flow(flow_config, 1)
         summary = posterior_moments(flow, vae, 50, np.random.default_rng(12))
         np.testing.assert_allclose(summary.mean_field, 2.5, atol=1e-12)
@@ -265,7 +267,7 @@ class TestPosteriorMoments:
         states = np.random.default_rng(18).standard_normal((30, D))
         summary = posterior_moments_from_states(states, vae)
         from krflow.vae import decode_batch
-        mu, logvar = decode_batch(states, dict(vae.decoder.items()), vae)
+        mu, logvar = decode_batch(states, vae.store, vae)
         np.testing.assert_allclose(summary.mean_field.ravel(), mu.mean(axis=0))
         np.testing.assert_allclose(summary.variance_field.ravel(),
                                    np.exp(logvar).mean(axis=0))
@@ -392,9 +394,10 @@ def _random_model(structured, decoder_hidden, surrogate_hidden, seed=0):
                    offset=1.1, scale=0.6)
     sp = init_surrogate(H, W, seed + 1, hidden=surrogate_hidden, structured=structured,
                         offset=0.9, scale=0.7)
-    for store in (vae.decoder, sp.store):
+    for store, prefix in ((vae.store, "dec."), (sp.store, "")):
         for name, arr in store.items():
-            store[name] = 0.4 * rng.standard_normal(arr.shape)
+            if name.startswith(prefix):
+                store[name] = 0.4 * rng.standard_normal(arr.shape)
     return vae, sp
 
 

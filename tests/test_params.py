@@ -1,7 +1,19 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from krflow.params import AdamState, ParamStore, adam_step
+
+prefixed_names = st.builds(lambda prefix, rest: prefix + rest,
+                           st.sampled_from(["enc.", "dec.", "s0.l1.", ""]),
+                           st.text(min_size=1, max_size=8))
+finite_arrays = hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0),
+                           elements=st.floats(allow_nan=False, allow_infinity=False))
 
 
 class TestParamStore:
@@ -30,6 +42,19 @@ class TestParamStore:
         loaded = ParamStore.load(path)
         assert list(loaded.keys()) == list(store.keys())
         for name in store:
+            assert loaded[name].shape == store[name].shape
+            assert loaded[name].tobytes() == store[name].tobytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.dictionaries(prefixed_names, finite_arrays, min_size=1, max_size=6))
+    def test_prefixed_store_keeps_names_order_and_bytes(self, entries):
+        store = ParamStore(entries)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "store.bin"
+            store.save(path)
+            loaded = ParamStore.load(path)
+        assert list(loaded) == list(entries)
+        for name in entries:
             assert loaded[name].shape == store[name].shape
             assert loaded[name].tobytes() == store[name].tobytes()
 

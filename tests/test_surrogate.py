@@ -76,9 +76,9 @@ class TestForward:
         flat = y.reshape(2, -1)
         w = rng.standard_normal((2, 4, 4))
 
-        def program(leaves, _):
+        def program(leaves):
             u, tau1, tau2 = surrogate_forward_batch(flat, leaves, sp)
-            return ad.sum_(ad.mul(u, w)) + ad.sum_(tau1) + ad.mean_(tau2)
+            return ad.add(ad.add(ad.sum_(ad.mul(u, w)), ad.sum_(tau1)), ad.mean_(tau2))
 
         _, grads = ad.evaluate_with_gradients(program, sp.store)
         h = 1e-5
@@ -145,7 +145,7 @@ class TestPhysicsLoss:
         batch = rng.standard_normal((2, 4, 4)) * 0.4
         flat = batch.reshape(2, -1)
 
-        def program(leaves, _):
+        def program(leaves):
             u, t1, t2 = surrogate_forward_batch(flat, leaves, sp)
             fd, fc, di, ne = physics_residual_terms(batch, u, t1, t2, 3.0)
             return ad.add(ad.add(fd, fc), ad.mul(ad.add(di, ne), 100.0))

@@ -8,11 +8,11 @@ from krflow.vae import (
     VaeParams,
     VaeTrainConfig,
     _elbo_terms,
-    _merged_store,
     decode,
     decode_batch,
     elbo_batch,
     encode,
+    encode_batch,
     init_vae,
     load_vae,
     reparameterize,
@@ -60,11 +60,10 @@ class TestEncodeDecode:
 
     def test_encoder_gradient_matches_finite_differences(self, vae, field):
         y = field.reshape(1, -1)
-        store = ParamStore({f"enc.{k}": v for k, v in vae.encoder.items()})
+        store = ParamStore({k: v for k, v in vae.store.items() if k.startswith("enc.")})
 
-        def program(leaves, _):
-            from krflow.vae import encode_batch, _prefixed
-            mu, _ = encode_batch(y, _prefixed(leaves, "enc."), vae)
+        def program(leaves):
+            mu, _ = encode_batch(y, leaves, vae)
             return ad.sum_(mu)
 
         _, grads = ad.evaluate_with_gradients(program, store)
@@ -174,10 +173,10 @@ class TestElbo:
         vae = init_vae(4, 4, 2, seed=3, encoder_hidden=(6,), decoder_hidden=(6,))
         batch = np.random.default_rng(11).standard_normal((2, 4, 4))
         eps = np.random.default_rng(12).standard_normal((2, 2))
-        store = _merged_store(vae)
+        store = vae.store
         y_flat = batch.reshape(2, -1)
 
-        def program(leaves, _):
+        def program(leaves):
             recon, log_p, log_q = _elbo_terms(leaves, y_flat, eps, vae)
             return ad.mul(ad.add(ad.sub(recon, log_q), log_p), -1.0)
 
@@ -213,8 +212,7 @@ class TestTraining:
                                 encoder_hidden=(16,), decoder_hidden=(16,))
         trained = train_vae(data, config)
         fresh = init_vae(8, 8, 3, seed=5, encoder_hidden=(16,), decoder_hidden=(16,))
-        assert trained.encoder == fresh.encoder
-        assert trained.decoder == fresh.decoder
+        assert trained.store == fresh.store
 
     def test_loss_decreases_and_curve_written(self, tmp_path):
         data = self._dataset()
@@ -237,10 +235,9 @@ class TestTraining:
                                 encoder_hidden=(12,), decoder_hidden=(12,))
         a = train_vae(data, config)
         b = train_vae(data, config)
-        for k in a.encoder:
-            assert a.encoder[k].tobytes() == b.encoder[k].tobytes()
-        for k in a.decoder:
-            assert a.decoder[k].tobytes() == b.decoder[k].tobytes()
+        assert list(a.store) == list(b.store)
+        for k in a.store:
+            assert a.store[k].tobytes() == b.store[k].tobytes()
 
 
 class TestSamplePrior:
@@ -272,7 +269,6 @@ def test_checkpoint_roundtrip(tmp_path, vae):
     loaded, meta = load_vae(prefix)
     assert meta["final_loss"] == 3.5 and meta["tag"] == "x"
     assert loaded.latent_dim == vae.latent_dim
-    assert loaded.encoder == vae.encoder
-    assert loaded.decoder == vae.decoder
+    assert loaded.store == vae.store
     x = np.random.default_rng(2).standard_normal(D)
     np.testing.assert_array_equal(decode(x, loaded)[0], decode(x, vae)[0])
