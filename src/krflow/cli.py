@@ -60,6 +60,7 @@ from .inference import (
     train_posterior_flow,
     tune_pcn_step,
 )
+from .params import TrainingDiverged
 from .report import (
     load_field_csv,
     read_json,
@@ -76,7 +77,6 @@ from .surrogate import (
     train_surrogate,
 )
 from .vae import (
-    TrainingDiverged,
     VaeTrainConfig,
     elbo_batch,
     load_vae,
@@ -221,10 +221,18 @@ def _load_trained_components(config: ExperimentConfig, out_dir: Path):
     sp, sur_meta = load_surrogate(str(out_dir / "surrogate"))
     _check_hash(vae_meta["config_hash"], chash, vae_json.name)
     _check_hash(sur_meta["config_hash"], chash, sur_json.name)
-    _require(out_dir / "observations.csv", "generate-data")
-    obs = load_observations_csv(out_dir / "observations.csv",
-                                level=config.observation.noise_level)
-    truth = load_field_csv(out_dir / "truth_field.csv")
+    # a CSV cut exactly at a line end parses cleanly, so check the sizes
+    obs_path = _require(out_dir / "observations.csv", "generate-data")
+    obs = load_observations_csv(obs_path, level=config.observation.noise_level)
+    n_sensors = config.observation.sensor_rows * config.observation.sensor_cols
+    if obs.operator.n_sensors != n_sensors:
+        raise ValueError(f"{obs_path}: {obs.operator.n_sensors} observations, "
+                         f"expected {n_sensors}")
+    truth_path = out_dir / "truth_field.csv"
+    truth = load_field_csv(truth_path)
+    grid_shape = (config.grid.height, config.grid.width)
+    if truth.shape != grid_shape:
+        raise ValueError(f"{truth_path}: field shape {truth.shape}, expected {grid_shape}")
     return chash, vae, sp, obs, truth
 
 

@@ -33,10 +33,10 @@ from .darcy import ObservationSet, observation_matrix
 from .flow import FlowConfig, FlowParams, krnet_inverse
 from .grf import Grid
 from .nets import ACTIVATIONS, std_normal_logpdf
-from .params import AdamState, adam_step
+from .params import adam_step, fit
 from .report import write_loss_curve
 from .surrogate import SurrogateParams, pressure_layers, surrogate_forward_batch
-from .vae import TrainingDiverged, VaeParams, decode_batch, decoder_mean_layers
+from .vae import VaeParams, decode_batch, decoder_mean_layers
 
 
 @dataclass
@@ -164,35 +164,22 @@ def train_posterior_flow(flow_config: FlowConfig, vae: VaeParams,
     flow = init_flow(flow_config, config.seed)
     rng = np.random.default_rng(config.seed)
     z_data = rng.standard_normal((config.sample_size, flow_config.dim))
-    batches = [z_data[lo:lo + config.batch_size]
-               for lo in range(0, config.sample_size, config.batch_size)]
-
-    store = flow.store
-    state = AdamState.fresh(store, config.learning_rate)
-    curve: list[tuple[int, float]] = []
     n_pixels = vae.height * vae.width
-    for epoch in range(config.epochs):
-        losses = []
-        for z_batch in batches:
-            zeta = None
-            if config.decoder_sampling == "sample":
-                zeta = rng.standard_normal((len(z_batch), n_pixels))
 
-            def program(leaves):
-                entropy, log_lik, log_prior = posterior_flow_terms(
-                    z_batch, leaves, flow_config, vae, surrogate, obs, zeta)
-                return ad.sub(ad.sub(entropy, log_lik), log_prior)
+    def program_for(z_batch):
+        zeta = None
+        if config.decoder_sampling == "sample":
+            zeta = rng.standard_normal((len(z_batch), n_pixels))
 
-            try:
-                loss, grads = ad.evaluate_with_gradients(program, store)
-            except ad.NonFiniteError as exc:
-                raise TrainingDiverged(
-                    f"flow training diverged at epoch {epoch}: {exc}",
-                    FlowParams(store, flow_config)) from exc
-            store, state = adam_step(store, grads, state)
-            losses.append(loss)
-        curve.append((epoch, float(np.mean(losses))))
+        def program(leaves):
+            entropy, log_lik, log_prior = posterior_flow_terms(
+                z_batch, leaves, flow_config, vae, surrogate, obs, zeta)
+            return ad.sub(ad.sub(entropy, log_lik), log_prior)
 
+        return program
+
+    store, curve = fit("flow", flow.store, z_data, config.batch_size, config.epochs,
+                       config.learning_rate, program_for, adam_step)
     if config.curve_path is not None:
         write_loss_curve(config.curve_path, curve)
     return FlowParams(store, flow_config)

@@ -1,4 +1,4 @@
-"""Named parameter collections, their binary checkpoint format, and Adam.
+"""Named parameter collections, their checkpoint format, Adam and the training loop.
 
 Checkpoint container layout (little-endian throughout):
 
@@ -23,9 +23,11 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
+
+from . import autodiff as ad
 
 MAGIC = b"KRFL"
 VERSION = 1
@@ -46,7 +48,7 @@ class ParamStore:
             self[name] = arr
 
     def __setitem__(self, name: str, arr) -> None:
-        arr = np.ascontiguousarray(np.asarray(arr, dtype=np.float64))
+        arr = np.asarray(arr, dtype=np.float64, order="C")
         if not np.isfinite(arr).all():
             raise ValueError(f"parameter '{name}' contains non-finite values")
         self._entries[name] = arr
@@ -173,3 +175,44 @@ def adam_step(params: ParamStore, gradients: Mapping[str, np.ndarray],
         new_m[name] = m
         new_v[name] = v
     return new_params, AdamState(new_m, new_v, t, b1, b2, state.epsilon, state.learning_rate)
+
+
+class TrainingDiverged(RuntimeError):
+    """Loss became non-finite; carries the last finite ParamStore."""
+
+    def __init__(self, message: str, last_params: ParamStore):
+        super().__init__(message)
+        self.last_params = last_params
+
+
+def fit(what: str, store: ParamStore, data: np.ndarray, batch_size: int, epochs: int,
+        learning_rate: float, program_for: Callable, update: Callable
+        ) -> tuple[ParamStore, list[tuple[int, float]]]:
+    """Mini-batch Adam over fixed batches of ``data``; returns the final store
+    and the ``(epoch, mean batch loss)`` curve.
+
+    Training starts from a fresh Adam state.  ``data`` is cut once, in order,
+    into batches of ``batch_size`` rows that every epoch sweeps in the same
+    order.  ``program_for(batch)`` returns the loss program of one step
+    (drawing that step's noise, if any); ``update(store, grads, state)``
+    applies the optimizer step; callers pass their own module's ``adam_step``,
+    so rebinding that name in the caller's module reaches every step.  A
+    non-finite value on the tape raises TrainingDiverged naming ``what`` and
+    the epoch.
+    """
+    batches = [data[lo:lo + batch_size] for lo in range(0, len(data), batch_size)]
+    state = AdamState.fresh(store, learning_rate)
+    curve: list[tuple[int, float]] = []
+    for epoch in range(epochs):
+        losses = []
+        for batch in batches:
+            program = program_for(batch)
+            try:
+                loss, grads = ad.evaluate_with_gradients(program, store)
+            except ad.NonFiniteError as exc:
+                raise TrainingDiverged(
+                    f"{what} training diverged at epoch {epoch}: {exc}", store) from exc
+            store, state = update(store, grads, state)
+            losses.append(loss)
+        curve.append((epoch, float(np.mean(losses))))
+    return store, curve

@@ -39,6 +39,7 @@ surrogate predicts all-zero fields.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
@@ -49,9 +50,8 @@ from . import autodiff as ad
 from .darcy import solve_darcy
 from .grf import Grid
 from .nets import dense_layers, init_mlp, mlp_forward
-from .params import AdamState, ParamStore, adam_step
+from .params import ParamStore, adam_step, fit
 from .report import read_json, write_json, write_loss_curve
-from .vae import TrainingDiverged
 
 SOBEL_1 = np.array([[-1.0, 0.0, 1.0],
                     [-2.0, 0.0, 2.0],
@@ -105,7 +105,6 @@ class SurrogateTrainConfig:
     beta: float = 100.0
     source: float = 3.0
     hidden: tuple[int, ...] = (512, 512)
-    structured: bool = True
     curve_path: str | None = None
 
 
@@ -206,26 +205,23 @@ def _masked_mean_square(residual, mask):
                   1.0 / n_pixels)
 
 
-def physics_residual_terms(y, u, tau1, tau2, source: float, fd_ring: int = 1):
+def physics_residual_terms(y, u, tau1, tau2, source: float):
     """The four loss terms (before the beta weighting), batch-averaged.
 
-    ``fd_ring`` widens the interior exclusion of the divergence residual;
-    structured heads use 2 because their divergence stencil composes two
-    replicate-padded Sobel applications.
+    The divergence and consistency residuals both exclude the same one-pixel
+    boundary ring, for every head structure.
     """
     shape = y.data.shape if isinstance(y, ad.Tensor) else np.asarray(y).shape
     h, w = shape[-2], shape[-1]
     interior = np.zeros((h, w))
     interior[1:-1, 1:-1] = 1.0
-    fd_interior = np.zeros((h, w))
-    fd_interior[fd_ring:-fd_ring, fd_ring:-fd_ring] = 1.0
 
     d_tau1, _ = spatial_gradient(tau1)
     _, d_tau2 = spatial_gradient(tau2)
     du1, du2 = spatial_gradient(u)
     perm = ad.exp(y)
 
-    flux_div = _masked_mean_square(ad.sub(ad.add(d_tau1, d_tau2), source), fd_interior)
+    flux_div = _masked_mean_square(ad.sub(ad.add(d_tau1, d_tau2), source), interior)
     consistency = ad.add(
         _masked_mean_square(ad.add(tau1, ad.mul(perm, du1)), interior),
         _masked_mean_square(ad.add(tau2, ad.mul(perm, du2)), interior))
@@ -261,42 +257,24 @@ def train_surrogate(dataset: np.ndarray, config: SurrogateTrainConfig) -> Surrog
     offset, scale = float(data.mean()), float(data.std())
     scale = scale if scale > 0 else 1.0
     sp = init_surrogate(height, width, config.seed, config.hidden,
-                        config.structured, offset, scale)
+                        offset=offset, scale=scale)
     rng = np.random.default_rng(config.seed)
-    order = rng.permutation(n)
-    shuffled = data[order]
-    batches = [shuffled[lo:lo + config.batch_size]
-               for lo in range(0, n, config.batch_size)]
 
-    store = sp.store
-    state = AdamState.fresh(store, config.learning_rate)
-    curve: list[tuple[int, float]] = []
-    for epoch in range(config.epochs):
-        losses = []
-        for y_batch in batches:
-            flat = y_batch.reshape(len(y_batch), -1)
+    def program_for(y_batch):
+        flat = y_batch.reshape(len(y_batch), -1)
 
-            def program(leaves):
-                u, t1, t2 = surrogate_forward_batch(flat, leaves, sp)
-                fd, fc, di, ne = physics_residual_terms(y_batch, u, t1, t2,
-                                                        config.source)
-                return ad.add(ad.add(fd, fc), ad.mul(ad.add(di, ne), config.beta))
+        def program(leaves):
+            u, t1, t2 = surrogate_forward_batch(flat, leaves, sp)
+            fd, fc, di, ne = physics_residual_terms(y_batch, u, t1, t2, config.source)
+            return ad.add(ad.add(fd, fc), ad.mul(ad.add(di, ne), config.beta))
 
-            try:
-                loss, grads = ad.evaluate_with_gradients(program, store)
-            except ad.NonFiniteError as exc:
-                raise TrainingDiverged(
-                    f"surrogate training diverged at epoch {epoch}: {exc}",
-                    SurrogateParams(store, height, width, config.hidden,
-                                    sp.structured, offset, scale)) from exc
-            store, state = adam_step(store, grads, state)
-            losses.append(loss)
-        curve.append((epoch, float(np.mean(losses))))
+        return program
 
+    store, curve = fit("surrogate", sp.store, data[rng.permutation(n)], config.batch_size,
+                       config.epochs, config.learning_rate, program_for, adam_step)
     if config.curve_path is not None:
         write_loss_curve(config.curve_path, curve)
-    return SurrogateParams(store, height, width, config.hidden,
-                           sp.structured, offset, scale)
+    return dataclasses.replace(sp, store=store)
 
 
 def surrogate_relative_error(sp: SurrogateParams, test_fields: np.ndarray,

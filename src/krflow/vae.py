@@ -25,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .nets import dense_layers, diag_gaussian_logpdf, init_mlp, mlp_forward, std_normal_logpdf
-from .params import AdamState, ParamStore, adam_step
+from .params import ParamStore, adam_step, fit
 from .report import read_json, write_json, write_loss_curve
 
 LOGVAR_BOUND = 10.0
@@ -63,16 +63,7 @@ class VaeTrainConfig:
     seed: int
     encoder_hidden: tuple[int, ...] = (256, 128)
     decoder_hidden: tuple[int, ...] = (128, 256)
-    standardize: bool = True
     curve_path: str | None = None
-
-
-class TrainingDiverged(RuntimeError):
-    """Loss became non-finite; carries the last finite parameters."""
-
-    def __init__(self, message: str, last_params):
-        super().__init__(message)
-        self.last_params = last_params
 
 
 def init_vae(height: int, width: int, latent_dim: int, seed: int,
@@ -193,42 +184,24 @@ def train_vae(dataset: np.ndarray, config: VaeTrainConfig) -> VaeParams:
     if data.ndim != 3 or len(data) == 0:
         raise ValueError("dataset must be a nonempty (N, H, W) array")
     n, height, width = data.shape
-    if config.standardize:
-        offset, scale = float(data.mean()), float(data.std())
-        scale = scale if scale > 0 else 1.0
-    else:
-        offset, scale = 0.0, 1.0
+    offset, scale = float(data.mean()), float(data.std())
+    scale = scale if scale > 0 else 1.0
     vae = init_vae(height, width, config.latent_dim, config.seed,
                    config.encoder_hidden, config.decoder_hidden, offset, scale)
     rng = np.random.default_rng(config.seed)
-    order = rng.permutation(n)
-    flat = data.reshape(n, -1)[order]
-    batches = [flat[lo:lo + config.batch_size] for lo in range(0, n, config.batch_size)]
+    flat = data.reshape(n, -1)[rng.permutation(n)]
 
-    store = vae.store
-    state = AdamState.fresh(store, config.learning_rate)
-    curve: list[tuple[int, float]] = []
-    d = config.latent_dim
+    def program_for(y_batch):
+        eps = rng.standard_normal((len(y_batch), config.latent_dim))
 
-    for epoch in range(config.epochs):
-        epoch_losses = []
-        for y_batch in batches:
-            eps = rng.standard_normal((len(y_batch), d))
+        def program(leaves):
+            recon, log_p, log_q = _elbo_terms(leaves, y_batch, eps, vae)
+            return ad.mul(ad.add(ad.sub(recon, log_q), log_p), -1.0)
 
-            def program(leaves):
-                recon, log_p, log_q = _elbo_terms(leaves, y_batch, eps, vae)
-                return ad.mul(ad.add(ad.sub(recon, log_q), log_p), -1.0)
+        return program
 
-            try:
-                loss, grads = ad.evaluate_with_gradients(program, store)
-            except ad.NonFiniteError as exc:
-                raise TrainingDiverged(
-                    f"VAE training diverged at epoch {epoch}: {exc}",
-                    dataclasses.replace(vae, store=store)) from exc
-            store, state = adam_step(store, grads, state)
-            epoch_losses.append(loss)
-        curve.append((epoch, float(np.mean(epoch_losses))))
-
+    store, curve = fit("VAE", vae.store, flat, config.batch_size, config.epochs,
+                       config.learning_rate, program_for, adam_step)
     if config.curve_path is not None:
         write_loss_curve(config.curve_path, curve)
     return dataclasses.replace(vae, store=store)

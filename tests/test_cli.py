@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from krflow import autodiff as ad
 from krflow.cli import main
 from krflow.config import desk_config, save_config
 from krflow.darcy import lattice_operator, observe, solve_darcy
@@ -164,6 +165,33 @@ class TestDependencyGates:
                   ".json": r".* line \d+ column \d+"}[Path(artifact).suffix]
         assert re.search(rf"{re.escape(artifact)}: {reason}", capsys.readouterr().err)
 
+    # a cut at a line end leaves a well-formed CSV with fewer rows
+    @pytest.mark.parametrize("artifact,reason", [
+        ("observations.csv", r"4 observations, expected 9"),
+        ("truth_field.csv", r"field shape \(4, 8\), expected \(8, 8\)")],
+        ids=["observations.csv", "truth_field.csv"])
+    def test_csv_cut_at_line_end_exits_1_naming_it(self, run_dir, tmp_path, capsys,
+                                                   artifact, reason):
+        _, cfg_path, out = run_dir
+        copy = tmp_path / "run"
+        shutil.copytree(out, copy)
+        lines = (copy / artifact).read_text().splitlines(keepends=True)
+        (copy / artifact).write_text("".join(lines[:len(lines) // 2]))
+        assert main(["infer-mcmc", "--config", str(cfg_path), "--out", str(copy)]) == 1
+        assert re.search(rf"{re.escape(artifact)}: {reason}", capsys.readouterr().err)
+
+    def test_training_divergence_exits_2(self, run_dir, tmp_path, capsys, monkeypatch):
+        _, cfg_path, out = run_dir
+        copy = tmp_path / "run"
+        shutil.copytree(out, copy)
+
+        def diverge(program, params):
+            raise ad.NonFiniteError("injected")
+
+        monkeypatch.setattr(ad, "evaluate_with_gradients", diverge)
+        assert main(["train-vae", "--config", str(cfg_path), "--out", str(copy)]) == 2
+        assert "numerical failure: VAE training diverged at epoch 0" in capsys.readouterr().err
+
     def test_bad_config_rejected(self, tmp_path):
         cfg_path = tmp_path / "bad.ini"
         cfg_path.write_text("[grid]\nheight = 8\n")
@@ -178,16 +206,16 @@ class TestDeterminism:
         for stage in ("generate-data", "train-vae", "train-surrogate",
                       "infer-krnet", "infer-mcmc"):
             assert main([stage, "--config", str(cfg_path), "--out", str(out2)]) == 0
-        tracked = ["dataset.bin", "dataset_manifest.csv", "truth_field.csv",
-                   "observations.csv", "vae.bin", "vae.json", "surrogate.bin",
-                   "surrogate.json", "vae_loss_curve.csv", "surrogate_loss_curve.csv",
-                   "krnet/flow.bin", "krnet/summary.json", "krnet/mean_field.csv",
-                   "krnet/variance_field.csv", "mcmc/summary.json",
-                   "mcmc/mean_field.csv", "mcmc/variance_field.csv"]
-        for rel in tracked:
-            a = (out / rel).read_bytes()
-            b = (out2 / rel).read_bytes()
-            assert a == b, f"{rel} differs between reruns"
+
+        def artifacts(run):
+            return {p.relative_to(run).as_posix(): p.read_bytes() for p in run.rglob("*")
+                    if p.is_file() and not p.name.endswith("_timing.json")}
+
+        first, second = artifacts(out), artifacts(out2)
+        assert sorted(first) == sorted(second)
+        assert "krnet/loss_curve.csv" in first
+        for rel, data in first.items():
+            assert data == second[rel], f"{rel} differs between reruns"
 
     def test_seed_override_changes_outputs(self, run_dir, tmp_path):
         _, cfg_path, out = run_dir

@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from krflow.params import AdamState, ParamStore, adam_step
+from krflow import autodiff as ad
+from krflow.darcy import NoiseModel, ObservationSet, lattice_operator
+from krflow.flow import FlowConfig
+from krflow.inference import FlowTrainConfig, train_posterior_flow
+from krflow.params import AdamState, ParamStore, TrainingDiverged, adam_step
+from krflow.surrogate import SurrogateTrainConfig, init_surrogate, train_surrogate
+from krflow.vae import VaeTrainConfig, init_vae, train_vae
 
 prefixed_names = st.builds(lambda prefix, rest: prefix + rest,
                            st.sampled_from(["enc.", "dec.", "s0.l1.", ""]),
@@ -55,7 +61,7 @@ class TestParamStore:
             loaded = ParamStore.load(path)
         assert list(loaded) == list(entries)
         for name in entries:
-            assert loaded[name].shape == store[name].shape
+            assert loaded[name].shape == entries[name].shape
             assert loaded[name].tobytes() == store[name].tobytes()
 
     def test_bad_magic_rejected(self, tmp_path):
@@ -138,3 +144,49 @@ class TestAdam:
         for _ in range(5):
             params, state = adam_step(params, {"p": rng.standard_normal(6)}, state)
         assert (state.second_moment["p"] >= 0.0).all()
+
+
+# each trainer at tiny shapes with two batches per epoch; returns the final store
+def _train_vae(epochs):
+    data = np.random.default_rng(0).normal(size=(8, 4, 4))
+    config = VaeTrainConfig(latent_dim=2, epochs=epochs, batch_size=4, learning_rate=1e-2,
+                            seed=1, encoder_hidden=(6,), decoder_hidden=(6,))
+    return train_vae(data, config).store
+
+
+def _train_surrogate(epochs):
+    data = np.random.default_rng(0).normal(size=(8, 4, 4))
+    config = SurrogateTrainConfig(epochs=epochs, batch_size=4, learning_rate=1e-2,
+                                  seed=1, hidden=(6,))
+    return train_surrogate(data, config).store
+
+
+def _train_flow(epochs):
+    vae = init_vae(4, 4, 4, seed=0, encoder_hidden=(6,), decoder_hidden=(6,))
+    sp = init_surrogate(4, 4, seed=1, hidden=(6,))
+    obs = ObservationSet(lattice_operator(2, 2, 0.25, 0.5), np.full(4, 0.2),
+                         NoiseModel(level=0.05, per_sensor_std=np.full(4, 0.01), floor=0.01))
+    config = FlowTrainConfig(sample_size=8, epochs=epochs, batch_size=4, learning_rate=1e-2,
+                             seed=3, decoder_sampling="sample")
+    flow_config = FlowConfig(dim=4, n_groups=2, layers_per_stage=2, hidden_width=4)
+    return train_posterior_flow(flow_config, vae, sp, obs, config).store
+
+
+@pytest.mark.parametrize("what,train", [("VAE", _train_vae), ("surrogate", _train_surrogate),
+                                        ("flow", _train_flow)], ids=["vae", "surrogate", "flow"])
+def test_divergence_names_loop_and_epoch_and_keeps_last_finite_store(monkeypatch, what, train):
+    after_two_updates = train(epochs=1)
+    evaluate = ad.evaluate_with_gradients
+    calls = []
+
+    def third_call_fails(program, params):
+        calls.append(None)
+        if len(calls) == 3:
+            raise ad.NonFiniteError("injected")
+        return evaluate(program, params)
+
+    monkeypatch.setattr(ad, "evaluate_with_gradients", third_call_fails)
+    with pytest.raises(TrainingDiverged,
+                       match=rf"^{what} training diverged at epoch 1: injected$") as info:
+        train(epochs=3)
+    assert info.value.last_params == after_two_updates
