@@ -22,7 +22,6 @@ from .darcy import (
 from .flow import FlowConfig, FlowParams, init_flow, krnet_forward, krnet_inverse, log_density
 from .grf import CovarianceSpec, FieldSample, Grid, KLBasis, generate_prior_dataset
 from .inference import (
-    FlowTrainConfig,
     KrnetLossBreakdown,
     McmcChain,
     PosteriorSummary,
@@ -35,12 +34,11 @@ from .inference import (
 from .params import AdamState, ParamStore, adam_step
 from .surrogate import (
     SurrogateParams,
-    SurrogateTrainConfig,
     physics_loss,
     surrogate_forward,
     surrogate_relative_error,
     train_surrogate,
 )
-from .vae import ElboBreakdown, VaeParams, VaeTrainConfig, elbo_batch, sample_prior, train_vae
+from .vae import ElboBreakdown, VaeParams, elbo_batch, sample_prior, train_vae
 
 __version__ = "0.1.0"

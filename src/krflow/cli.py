@@ -13,7 +13,7 @@ Exit codes: 0 success, 1 validation/dependency error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
+import dataclasses
 import sys
 import time
 from pathlib import Path
@@ -37,7 +37,7 @@ from .darcy import (
     save_observations_csv,
     solve_darcy,
 )
-from .flow import FlowConfig, load_flow, save_flow
+from .flow import FlowConfig, save_flow
 from .grf import (
     CovarianceSpec,
     Grid,
@@ -51,7 +51,6 @@ from .grf import (
     truncated_kle,
 )
 from .inference import (
-    FlowTrainConfig,
     make_surrogate_loglike,
     pcn_mcmc,
     posterior_moments,
@@ -69,21 +68,13 @@ from .report import (
     write_json,
 )
 from .surrogate import (
-    SurrogateTrainConfig,
     load_surrogate,
     physics_loss,
     save_surrogate,
     surrogate_relative_error,
     train_surrogate,
 )
-from .vae import (
-    VaeTrainConfig,
-    elbo_batch,
-    load_vae,
-    sample_prior,
-    save_vae,
-    train_vae,
-)
+from .vae import elbo_batch, load_vae, sample_prior, save_vae, train_vae
 
 
 class DependencyError(RuntimeError):
@@ -164,17 +155,7 @@ def _load_stage_inputs(config: ExperimentConfig, out_dir: Path):
 def cmd_train_vae(config: ExperimentConfig, out_dir: Path) -> None:
     start = time.perf_counter()
     chash, grid, data = _load_stage_inputs(config, out_dir)
-    train_config = VaeTrainConfig(
-        latent_dim=config.vae.latent_dim,
-        epochs=config.vae.epochs,
-        batch_size=config.vae.batch_size,
-        learning_rate=config.vae.learning_rate,
-        seed=config.seeds.vae,
-        encoder_hidden=config.vae.encoder_hidden,
-        decoder_hidden=config.vae.decoder_hidden,
-        curve_path=str(out_dir / "vae_loss_curve.csv"),
-    )
-    vae = train_vae(data, train_config)
+    vae = train_vae(data, config.vae, config.seeds.vae, out_dir / "vae_loss_curve.csv")
     final_loss, _ = elbo_batch(data[: min(len(data), 256)], vae,
                                np.random.default_rng(config.seeds.vae))
     save_vae(str(out_dir / "vae"), vae, seed=config.seeds.vae,
@@ -187,17 +168,8 @@ def cmd_train_vae(config: ExperimentConfig, out_dir: Path) -> None:
 def cmd_train_surrogate(config: ExperimentConfig, out_dir: Path) -> None:
     start = time.perf_counter()
     chash, grid, data = _load_stage_inputs(config, out_dir)
-    train_config = SurrogateTrainConfig(
-        epochs=config.surrogate.epochs,
-        batch_size=config.surrogate.batch_size,
-        learning_rate=config.surrogate.learning_rate,
-        seed=config.seeds.surrogate,
-        beta=config.surrogate.beta,
-        source=config.surrogate.source,
-        hidden=config.surrogate.hidden,
-        curve_path=str(out_dir / "surrogate_loss_curve.csv"),
-    )
-    sp = train_surrogate(data, train_config)
+    sp = train_surrogate(data, config.surrogate, config.seeds.surrogate,
+                         out_dir / "surrogate_loss_curve.csv")
     final_loss, _ = physics_loss(data[: min(len(data), 128)], sp,
                                  source=config.surrogate.source,
                                  beta=config.surrogate.beta)
@@ -260,24 +232,9 @@ def cmd_infer_krnet(config: ExperimentConfig, out_dir: Path) -> None:
     stage_dir = out_dir / "krnet"
     stage_dir.mkdir(parents=True, exist_ok=True)
 
-    flow_config = FlowConfig(
-        dim=vae.latent_dim,
-        n_groups=config.flow.n_groups,
-        layers_per_stage=config.flow.layers_per_stage,
-        hidden_width=config.flow.hidden_width,
-        hidden_depth=config.flow.hidden_depth,
-        scale_bound=config.flow.scale_bound,
-    )
-    train_config = FlowTrainConfig(
-        sample_size=config.inference.sample_size,
-        epochs=config.inference.epochs,
-        batch_size=config.inference.batch_size,
-        learning_rate=config.inference.learning_rate,
-        seed=config.seeds.flow,
-        decoder_sampling=config.inference.decoder_sampling,
-        curve_path=str(stage_dir / "loss_curve.csv"),
-    )
-    flow = train_posterior_flow(flow_config, vae, sp, obs, train_config)
+    flow_config = FlowConfig(dim=vae.latent_dim, **dataclasses.asdict(config.flow))
+    flow = train_posterior_flow(flow_config, vae, sp, obs, config.inference,
+                                config.seeds.flow, stage_dir / "loss_curve.csv")
     save_flow(str(stage_dir / "flow"), flow, seed=config.seeds.flow,
               extra={"config_hash": chash})
 

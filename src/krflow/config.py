@@ -1,9 +1,13 @@
 """Experiment configuration: a strict, sectioned key-value file.
 
 Every section and key is declared in the schema below; unknown or missing
-entries are errors, so typos cannot silently fall back to defaults.  Values
-render with ``repr`` and the canonical dump is stable, which makes the
-config hash well defined and lets files round-trip losslessly.
+entries are errors, so typos cannot silently fall back to defaults, and a
+value outside its type (``decoder_sampling`` names its choices) fails here,
+before any stage runs.  The sections are also the trainers' settings:
+``train_vae``, ``train_surrogate`` and ``train_posterior_flow`` take
+``vae``, ``surrogate`` and ``inference`` as they are.  Values render with
+``repr`` and the canonical dump is stable, which makes the config hash well
+defined and lets files round-trip losslessly.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import configparser
 import hashlib
 import io
 from dataclasses import dataclass, fields
-from typing import get_type_hints
+from typing import Literal, get_args, get_type_hints
 
 
 class ConfigError(ValueError):
@@ -25,6 +29,16 @@ def _float_tuple(text: str) -> tuple[float, ...]:
 
 def _int_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(",") if v.strip())
+
+
+# how the flow's likelihood reads the decoder: its mean, or one Gaussian draw
+DecoderSampling = Literal["mean", "sample"]
+
+
+def _decoder_sampling(text: str) -> str:
+    if text not in get_args(DecoderSampling):
+        raise ValueError(f"{text!r} is not one of {', '.join(get_args(DecoderSampling))}")
+    return text
 
 
 @dataclass
@@ -78,7 +92,7 @@ class InferenceSection:
     batch_size: int
     learning_rate: float
     posterior_samples: int
-    decoder_sampling: str
+    decoder_sampling: DecoderSampling
 
 
 @dataclass
@@ -140,9 +154,9 @@ _SECTIONS = {
 _PARSERS = {
     int: int,
     float: float,
-    str: str,
     tuple[float, ...]: _float_tuple,
     tuple[int, ...]: _int_tuple,
+    DecoderSampling: _decoder_sampling,
 }
 
 

@@ -24,15 +24,16 @@ the likelihood, and pushes retained states through the same decoder.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, get_args
 
 import numpy as np
 
 from . import autodiff as ad
+from .config import DecoderSampling, InferenceSection
 from .darcy import ObservationSet, observation_matrix
-from .flow import FlowConfig, FlowParams, krnet_inverse
+from .flow import FlowConfig, FlowParams, init_flow, krnet_inverse
 from .grf import Grid
-from .nets import ACTIVATIONS, std_normal_logpdf
+from .nets import std_normal_logpdf
 from .params import adam_step, fit
 from .report import write_loss_curve
 from .surrogate import SurrogateParams, pressure_layers, surrogate_forward_batch
@@ -73,17 +74,6 @@ class McmcChain:
     @property
     def acceptance_rate(self) -> float:
         return self.accepted_count / self.total_steps
-
-
-@dataclass
-class FlowTrainConfig:
-    sample_size: int            # I, the z-dataset size
-    epochs: int
-    batch_size: int
-    learning_rate: float
-    seed: int
-    decoder_sampling: str = "mean"   # "mean" (deterministic y) or "sample"
-    curve_path: str | None = None
 
 
 def _likelihood_terms(obs: ObservationSet, grid: Grid):
@@ -150,19 +140,18 @@ def posterior_flow_loss(z_batch: np.ndarray, flow: FlowParams, vae: VaeParams,
 
 def train_posterior_flow(flow_config: FlowConfig, vae: VaeParams,
                          surrogate: SurrogateParams, obs: ObservationSet,
-                         config: FlowTrainConfig) -> FlowParams:
+                         config: InferenceSection, seed: int,
+                         curve_path=None) -> FlowParams:
     """Fit the coupling flow to the latent posterior by mini-batch Adam.
 
     The base dataset Z of ``config.sample_size`` standard-normal draws is
     generated once; every epoch sweeps its mini-batches.  Decoder and
     surrogate are frozen throughout.  Returns the final-epoch parameters.
     """
-    if config.decoder_sampling not in ("mean", "sample"):
-        raise ValueError("decoder_sampling must be 'mean' or 'sample'")
-    from .flow import init_flow
-
-    flow = init_flow(flow_config, config.seed)
-    rng = np.random.default_rng(config.seed)
+    if config.decoder_sampling not in get_args(DecoderSampling):
+        raise ValueError(f"decoder_sampling must be one of {get_args(DecoderSampling)}")
+    flow = init_flow(flow_config, seed)
+    rng = np.random.default_rng(seed)
     z_data = rng.standard_normal((config.sample_size, flow_config.dim))
     n_pixels = vae.height * vae.width
 
@@ -180,8 +169,8 @@ def train_posterior_flow(flow_config: FlowConfig, vae: VaeParams,
 
     store, curve = fit("flow", flow.store, z_data, config.batch_size, config.epochs,
                        config.learning_rate, program_for, adam_step)
-    if config.curve_path is not None:
-        write_loss_curve(config.curve_path, curve)
+    if curve_path is not None:
+        write_loss_curve(curve_path, curve)
     return FlowParams(store, flow_config)
 
 
@@ -264,12 +253,11 @@ def make_surrogate_loglike(vae: VaeParams, surrogate: SurrogateParams,
     layers = decoder[:-1] + [_compose(decoder[-1], body[0])] + body[1:]
     hidden, (w_out, b_out) = layers[:-1], layers[-1]
     target = obs.values / sigma - b_out
-    relu = ACTIVATIONS["relu"]
 
     def log_like(x: np.ndarray) -> float:
         h = x
         for w, b in hidden:
-            h = relu(h @ w + b)
+            h = np.maximum(h @ w + b, 0.0)
         z = target - h @ w_out
         return float(-0.5 * (z @ z) + log_norm)
 
@@ -288,12 +276,13 @@ def pcn_mcmc(log_like: Callable[[np.ndarray], float], dim: int, steps: int,
 
     Proposal x' = sqrt(1 - beta^2) x + beta xi with xi ~ N(0, I) preserves
     N(0, I), so the acceptance probability is the likelihood ratio alone.
-    The last ``burn_keep`` states are retained.
+    The last ``burn_keep`` states are retained; at least one must be.
     """
     if not 0.0 < step_size <= 1.0:
         raise ValueError("step_size must lie in (0, 1]")
-    if steps < burn_keep:
-        raise ValueError("steps must be at least burn_keep")
+    if not 1 <= burn_keep <= steps:
+        raise ValueError(f"burn_keep must lie in [1, steps]: burn_keep={burn_keep}, "
+                         f"steps={steps}")
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(dim)
     current_ll = float(log_like(x))

@@ -47,6 +47,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import autodiff as ad
+from .config import SurrogateSection
 from .darcy import solve_darcy
 from .grf import Grid
 from .nets import dense_layers, init_mlp, mlp_forward
@@ -65,13 +66,13 @@ class SurrogateParams:
     store: ParamStore
     height: int
     width: int
-    hidden: tuple[int, ...] = (512, 512)
+    hidden: tuple[int, ...]
     # coarse-basis heads upsampled bilinearly (see module docstring)
-    structured: bool = True
+    structured: bool
     # affine input standardization for the network body; the physics terms
     # always see the raw log-permeability
-    offset: float = 0.0
-    scale: float = 1.0
+    offset: float
+    scale: float
 
     @property
     def head_height(self) -> int:
@@ -96,18 +97,6 @@ class ResidualBreakdown:
                 + self.beta * (self.dirichlet + self.neumann))
 
 
-@dataclass
-class SurrogateTrainConfig:
-    epochs: int
-    batch_size: int
-    learning_rate: float
-    seed: int
-    beta: float = 100.0
-    source: float = 3.0
-    hidden: tuple[int, ...] = (512, 512)
-    curve_path: str | None = None
-
-
 @lru_cache(maxsize=8)
 def _bilinear_up(height: int, width: int, coarse_h: int, coarse_w: int) -> np.ndarray:
     """(coarse_h*coarse_w, H*W) transposed bilinear interpolation weights."""
@@ -126,7 +115,7 @@ def _bilinear_up(height: int, width: int, coarse_h: int, coarse_w: int) -> np.nd
 
 
 def init_surrogate(height: int, width: int, seed: int,
-                   hidden: Sequence[int] = (512, 512), structured: bool = True,
+                   hidden: Sequence[int], structured: bool = True,
                    offset: float = 0.0, scale: float = 1.0) -> SurrogateParams:
     rng = np.random.default_rng(seed)
     n = height * width
@@ -248,7 +237,8 @@ def physics_loss(batch: np.ndarray, sp: SurrogateParams, source: float = 3.0,
     return breakdown.total, breakdown
 
 
-def train_surrogate(dataset: np.ndarray, config: SurrogateTrainConfig) -> SurrogateParams:
+def train_surrogate(dataset: np.ndarray, config: SurrogateSection, seed: int,
+                    curve_path=None) -> SurrogateParams:
     """Mini-batch Adam on the physics loss; returns last-epoch parameters."""
     data = np.asarray(dataset, dtype=np.float64)
     if data.ndim != 3 or len(data) == 0:
@@ -256,9 +246,8 @@ def train_surrogate(dataset: np.ndarray, config: SurrogateTrainConfig) -> Surrog
     n, height, width = data.shape
     offset, scale = float(data.mean()), float(data.std())
     scale = scale if scale > 0 else 1.0
-    sp = init_surrogate(height, width, config.seed, config.hidden,
-                        offset=offset, scale=scale)
-    rng = np.random.default_rng(config.seed)
+    sp = init_surrogate(height, width, seed, config.hidden, offset=offset, scale=scale)
+    rng = np.random.default_rng(seed)
 
     def program_for(y_batch):
         flat = y_batch.reshape(len(y_batch), -1)
@@ -272,8 +261,8 @@ def train_surrogate(dataset: np.ndarray, config: SurrogateTrainConfig) -> Surrog
 
     store, curve = fit("surrogate", sp.store, data[rng.permutation(n)], config.batch_size,
                        config.epochs, config.learning_rate, program_for, adam_step)
-    if config.curve_path is not None:
-        write_loss_curve(config.curve_path, curve)
+    if curve_path is not None:
+        write_loss_curve(curve_path, curve)
     return dataclasses.replace(sp, store=store)
 
 

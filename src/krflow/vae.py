@@ -24,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
+from .config import VaeSection
 from .nets import dense_layers, diag_gaussian_logpdf, init_mlp, mlp_forward, std_normal_logpdf
 from .params import ParamStore, adam_step, fit
 from .report import read_json, write_json, write_loss_curve
@@ -37,13 +38,13 @@ class VaeParams:
     latent_dim: int
     height: int
     width: int
-    encoder_hidden: tuple[int, ...] = (256, 128)
-    decoder_hidden: tuple[int, ...] = (128, 256)
+    encoder_hidden: tuple[int, ...]
+    decoder_hidden: tuple[int, ...]
     # affine field standardization; the Gaussian heads live in standardized
     # space and are mapped back, which keeps training well conditioned when
     # the data mean is far from zero
-    offset: float = 0.0
-    scale: float = 1.0
+    offset: float
+    scale: float
 
 
 @dataclass
@@ -54,21 +55,8 @@ class ElboBreakdown:
     total: float
 
 
-@dataclass
-class VaeTrainConfig:
-    latent_dim: int
-    epochs: int
-    batch_size: int
-    learning_rate: float
-    seed: int
-    encoder_hidden: tuple[int, ...] = (256, 128)
-    decoder_hidden: tuple[int, ...] = (128, 256)
-    curve_path: str | None = None
-
-
 def init_vae(height: int, width: int, latent_dim: int, seed: int,
-             encoder_hidden: Sequence[int] = (256, 128),
-             decoder_hidden: Sequence[int] = (128, 256),
+             encoder_hidden: Sequence[int], decoder_hidden: Sequence[int],
              offset: float = 0.0, scale: float = 1.0) -> VaeParams:
     rng = np.random.default_rng(seed)
     n = height * width
@@ -173,12 +161,13 @@ def elbo_batch(batch: np.ndarray, vae: VaeParams,
     return -breakdown.total, breakdown
 
 
-def train_vae(dataset: np.ndarray, config: VaeTrainConfig) -> VaeParams:
+def train_vae(dataset: np.ndarray, config: VaeSection, seed: int,
+              curve_path=None) -> VaeParams:
     """Mini-batch Adam maximization of the ELBO; returns last-epoch parameters.
 
     The dataset is shuffled once (seeded) and split into fixed mini-batches;
     every batch draws a fresh reparameterization noise set each epoch.  A
-    per-epoch loss curve is written to ``config.curve_path`` when given.
+    per-epoch loss curve is written to ``curve_path`` when given.
     """
     data = np.asarray(dataset, dtype=np.float64)
     if data.ndim != 3 or len(data) == 0:
@@ -186,9 +175,9 @@ def train_vae(dataset: np.ndarray, config: VaeTrainConfig) -> VaeParams:
     n, height, width = data.shape
     offset, scale = float(data.mean()), float(data.std())
     scale = scale if scale > 0 else 1.0
-    vae = init_vae(height, width, config.latent_dim, config.seed,
+    vae = init_vae(height, width, config.latent_dim, seed,
                    config.encoder_hidden, config.decoder_hidden, offset, scale)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     flat = data.reshape(n, -1)[rng.permutation(n)]
 
     def program_for(y_batch):
@@ -202,8 +191,8 @@ def train_vae(dataset: np.ndarray, config: VaeTrainConfig) -> VaeParams:
 
     store, curve = fit("VAE", vae.store, flat, config.batch_size, config.epochs,
                        config.learning_rate, program_for, adam_step)
-    if config.curve_path is not None:
-        write_loss_curve(config.curve_path, curve)
+    if curve_path is not None:
+        write_loss_curve(curve_path, curve)
     return dataclasses.replace(vae, store=store)
 
 

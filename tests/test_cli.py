@@ -198,6 +198,16 @@ class TestDependencyGates:
         assert main(["generate-data", "--config", str(cfg_path),
                      "--out", str(tmp_path / "x")]) == 1
 
+    def test_decoder_sampling_typo_stops_the_first_stage(self, tmp_path, capsys):
+        cfg = tiny_config()
+        cfg.inference.decoder_sampling = "means"
+        cfg_path = tmp_path / "typo.ini"
+        save_config(cfg_path, cfg)
+        assert main(["generate-data", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "x")]) == 1
+        assert "inference.decoder_sampling" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
 
 class TestDeterminism:
     def test_regenerated_outputs_byte_identical(self, run_dir, tmp_path):

@@ -1,11 +1,12 @@
-from typing import get_type_hints
+from typing import get_args, get_type_hints
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from krflow.config import (
     ConfigError,
+    DecoderSampling,
     ExperimentConfig,
     config_hash,
     desk_config,
@@ -84,12 +85,13 @@ def test_override_all_seeds():
             cfg.seeds.posterior} == {42}
 
 
-# one strategy per field type of the schema; values must survive the INI
-# text (a str value has no line breaks and no surrounding blanks)
+# one strategy per field type of the schema; a value must survive the INI
+# text, so a string has no line breaks and no surrounding blanks
+INI_TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126)).map(str.strip)
 FIELD_VALUES = {
     int: st.integers(-2 ** 63, 2 ** 63),
     float: st.floats(allow_nan=False),
-    str: st.text(st.characters(min_codepoint=32, max_codepoint=126)).map(str.strip),
+    DecoderSampling: st.sampled_from(get_args(DecoderSampling)),
     tuple[float, ...]: st.lists(st.floats(allow_nan=False), max_size=4).map(tuple),
     tuple[int, ...]: st.lists(st.integers(-2 ** 63, 2 ** 63), max_size=4).map(tuple),
 }
@@ -112,3 +114,14 @@ def test_generated_config_roundtrips_with_equal_hash(cfg):
     parsed = parse_config(render_config(cfg))
     assert parsed == cfg
     assert config_hash(parsed) == config_hash(cfg)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(INI_TEXT.filter(lambda v: v not in get_args(DecoderSampling)))
+@example("means")
+@example("")
+def test_decoder_sampling_outside_its_values_rejected(value):
+    text = render_config(desk_config()).replace("decoder_sampling = mean\n",
+                                                f"decoder_sampling = {value}\n")
+    with pytest.raises(ConfigError, match=r"inference\.decoder_sampling"):
+        parse_config(text)

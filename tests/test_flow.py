@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from krflow import autodiff as ad
 from krflow.flow import (
@@ -145,6 +147,24 @@ class TestKrnetMap:
         assert np.abs(back - x).max() < 1e-10
         fwd, _ = krnet_forward(krnet_inverse(x, flow), flow)
         assert np.abs(fwd - x).max() < 1e-10
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(group_size=st.integers(1, 3), n_groups=st.integers(2, 4),
+           layers_per_stage=st.integers(1, 3), hidden_width=st.integers(2, 8),
+           hidden_depth=st.integers(1, 3), scale_bound=st.floats(0.25, 4.0),
+           seed=st.integers(0, 2 ** 16))
+    def test_generated_shapes_invert_with_negated_logdet(
+            self, group_size, n_groups, layers_per_stage, hidden_width, hidden_depth,
+            scale_bound, seed):
+        config = FlowConfig(dim=group_size * n_groups, n_groups=n_groups,
+                            layers_per_stage=layers_per_stage, hidden_width=hidden_width,
+                            hidden_depth=hidden_depth, scale_bound=scale_bound)
+        flow = random_flow(config, seed)
+        x = np.random.default_rng(seed).standard_normal((16, config.dim))
+        z, logdet_fwd = krnet_forward(x, flow)
+        back, logdet_inv = krnet_inverse(z, flow, with_logdet=True)
+        assert np.abs(back - x).max() < 1e-10
+        np.testing.assert_allclose(logdet_inv, -logdet_fwd, rtol=0, atol=1e-12)
 
     def test_frozen_coordinates_bitwise_preserved(self):
         config = FlowConfig(dim=9, n_groups=3, layers_per_stage=3, hidden_width=8)

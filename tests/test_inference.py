@@ -3,6 +3,7 @@ import pytest
 from scipy import stats
 
 from krflow import autodiff as ad
+from krflow.config import InferenceSection
 from krflow.darcy import (
     NoiseModel,
     ObservationOperator,
@@ -14,7 +15,6 @@ from krflow.darcy import (
 from krflow.flow import FlowConfig, init_flow, krnet_inverse
 from krflow.grf import Grid
 from krflow.inference import (
-    FlowTrainConfig,
     KrnetLossBreakdown,
     McmcChain,
     make_surrogate_loglike,
@@ -164,43 +164,41 @@ class TestFlowLoss:
 
 class TestTrainPosteriorFlow:
     def test_zero_epochs_identity(self, vae, surrogate, obs, flow_config):
-        config = FlowTrainConfig(sample_size=40, epochs=0, batch_size=20,
-                                 learning_rate=0.01, seed=3)
-        flow = train_posterior_flow(flow_config, vae, surrogate, obs, config)
+        config = InferenceSection(sample_size=40, epochs=0, batch_size=20, learning_rate=0.01,
+                                  posterior_samples=0, decoder_sampling="mean")
+        flow = train_posterior_flow(flow_config, vae, surrogate, obs, config, seed=3)
         fresh = init_flow(flow_config, 3)
         assert flow.store == fresh.store
 
     def test_loss_decreases(self, vae, surrogate, obs, flow_config, tmp_path):
         curve_path = tmp_path / "curve.csv"
-        config = FlowTrainConfig(sample_size=200, epochs=8, batch_size=50,
-                                 learning_rate=0.01, seed=3,
-                                 curve_path=str(curve_path))
-        train_posterior_flow(flow_config, vae, surrogate, obs, config)
+        config = InferenceSection(sample_size=200, epochs=8, batch_size=50, learning_rate=0.01,
+                                  posterior_samples=0, decoder_sampling="mean")
+        train_posterior_flow(flow_config, vae, surrogate, obs, config, seed=3,
+                             curve_path=curve_path)
         rows = curve_path.read_text().strip().splitlines()[1:]
         losses = [float(r.split(",")[1]) for r in rows]
         assert losses[-1] < losses[0]
 
     def test_determinism(self, vae, surrogate, obs, flow_config):
-        config = FlowTrainConfig(sample_size=60, epochs=2, batch_size=30,
-                                 learning_rate=0.01, seed=9)
-        a = train_posterior_flow(flow_config, vae, surrogate, obs, config)
-        b = train_posterior_flow(flow_config, vae, surrogate, obs, config)
+        config = InferenceSection(sample_size=60, epochs=2, batch_size=30, learning_rate=0.01,
+                                  posterior_samples=0, decoder_sampling="mean")
+        a = train_posterior_flow(flow_config, vae, surrogate, obs, config, seed=9)
+        b = train_posterior_flow(flow_config, vae, surrogate, obs, config, seed=9)
         for k in a.store:
             assert a.store[k].tobytes() == b.store[k].tobytes()
 
     def test_sampled_mode_runs(self, vae, surrogate, obs, flow_config):
-        config = FlowTrainConfig(sample_size=30, epochs=1, batch_size=30,
-                                 learning_rate=0.01, seed=4,
-                                 decoder_sampling="sample")
-        flow = train_posterior_flow(flow_config, vae, surrogate, obs, config)
+        config = InferenceSection(sample_size=30, epochs=1, batch_size=30, learning_rate=0.01,
+                                  posterior_samples=0, decoder_sampling="sample")
+        flow = train_posterior_flow(flow_config, vae, surrogate, obs, config, seed=4)
         assert len(flow.store) > 0
 
     def test_invalid_mode_rejected(self, vae, surrogate, obs, flow_config):
-        config = FlowTrainConfig(sample_size=10, epochs=1, batch_size=10,
-                                 learning_rate=0.01, seed=4,
-                                 decoder_sampling="bogus")
+        config = InferenceSection(sample_size=10, epochs=1, batch_size=10, learning_rate=0.01,
+                                  posterior_samples=0, decoder_sampling="bogus")
         with pytest.raises(ValueError, match="decoder_sampling"):
-            train_posterior_flow(flow_config, vae, surrogate, obs, config)
+            train_posterior_flow(flow_config, vae, surrogate, obs, config, seed=4)
 
 
 class TestPosteriorMoments:
@@ -329,6 +327,12 @@ class TestPcnMcmc:
         with pytest.raises(ValueError, match="not finite"):
             pcn_mcmc(lambda x: float("nan"), dim=2, steps=10, step_size=0.5,
                      seed=0, burn_keep=5)
+
+    @pytest.mark.parametrize("steps,burn_keep", [(0, 0), (10, 0), (10, 11)])
+    def test_retained_count_outside_one_to_steps_rejected(self, steps, burn_keep):
+        with pytest.raises(ValueError, match="burn_keep"):
+            pcn_mcmc(lambda x: 0.0, dim=2, steps=steps, step_size=0.5, seed=0,
+                     burn_keep=burn_keep)
 
     def test_invalid_step_size_rejected(self):
         with pytest.raises(ValueError, match="step_size"):

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from krflow import autodiff as ad
+from krflow.config import InferenceSection, SurrogateSection, VaeSection
 from krflow.darcy import NoiseModel, ObservationSet, lattice_operator
 from krflow.flow import FlowConfig
-from krflow.inference import FlowTrainConfig, train_posterior_flow
+from krflow.inference import train_posterior_flow
 from krflow.params import AdamState, ParamStore, TrainingDiverged, adam_step
-from krflow.surrogate import SurrogateTrainConfig, init_surrogate, train_surrogate
-from krflow.vae import VaeTrainConfig, init_vae, train_vae
+from krflow.surrogate import init_surrogate, train_surrogate
+from krflow.vae import init_vae, train_vae
 
 prefixed_names = st.builds(lambda prefix, rest: prefix + rest,
                            st.sampled_from(["enc.", "dec.", "s0.l1.", ""]),
@@ -149,16 +150,16 @@ class TestAdam:
 # each trainer at tiny shapes with two batches per epoch; returns the final store
 def _train_vae(epochs):
     data = np.random.default_rng(0).normal(size=(8, 4, 4))
-    config = VaeTrainConfig(latent_dim=2, epochs=epochs, batch_size=4, learning_rate=1e-2,
-                            seed=1, encoder_hidden=(6,), decoder_hidden=(6,))
-    return train_vae(data, config).store
+    config = VaeSection(latent_dim=2, encoder_hidden=(6,), decoder_hidden=(6,),
+                        epochs=epochs, batch_size=4, learning_rate=1e-2)
+    return train_vae(data, config, seed=1).store
 
 
 def _train_surrogate(epochs):
     data = np.random.default_rng(0).normal(size=(8, 4, 4))
-    config = SurrogateTrainConfig(epochs=epochs, batch_size=4, learning_rate=1e-2,
-                                  seed=1, hidden=(6,))
-    return train_surrogate(data, config).store
+    config = SurrogateSection(hidden=(6,), epochs=epochs, batch_size=4, learning_rate=1e-2,
+                              beta=100.0, source=3.0)
+    return train_surrogate(data, config, seed=1).store
 
 
 def _train_flow(epochs):
@@ -166,10 +167,10 @@ def _train_flow(epochs):
     sp = init_surrogate(4, 4, seed=1, hidden=(6,))
     obs = ObservationSet(lattice_operator(2, 2, 0.25, 0.5), np.full(4, 0.2),
                          NoiseModel(level=0.05, per_sensor_std=np.full(4, 0.01), floor=0.01))
-    config = FlowTrainConfig(sample_size=8, epochs=epochs, batch_size=4, learning_rate=1e-2,
-                             seed=3, decoder_sampling="sample")
+    config = InferenceSection(sample_size=8, epochs=epochs, batch_size=4, learning_rate=1e-2,
+                              posterior_samples=0, decoder_sampling="sample")
     flow_config = FlowConfig(dim=4, n_groups=2, layers_per_stage=2, hidden_width=4)
-    return train_posterior_flow(flow_config, vae, sp, obs, config).store
+    return train_posterior_flow(flow_config, vae, sp, obs, config, seed=3).store
 
 
 @pytest.mark.parametrize("what,train", [("VAE", _train_vae), ("surrogate", _train_surrogate),

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from krflow import autodiff as ad
+from krflow.config import SurrogateSection
 from krflow.grf import Grid, dataset_to_array, generate_prior_dataset
 from krflow.surrogate import (
     ResidualBreakdown,
-    SurrogateTrainConfig,
     init_surrogate,
     load_surrogate,
     physics_loss,
@@ -175,26 +175,26 @@ class TestTraining:
             grid, 0.5, 1.0, [0.25, 0.35], n // 2, base_seed=41))
 
     def test_zero_epochs_returns_initialization(self):
-        config = SurrogateTrainConfig(epochs=0, batch_size=32, learning_rate=1e-3,
-                                      seed=3, hidden=(16,))
-        sp = train_surrogate(self._dataset(), config)
+        config = SurrogateSection(hidden=(16,), epochs=0, batch_size=32,
+                                  learning_rate=1e-3, beta=100.0, source=3.0)
+        sp = train_surrogate(self._dataset(), config, seed=3)
         fresh = init_surrogate(H, W, seed=3, hidden=(16,))
         assert sp.store == fresh.store
 
     def test_loss_drops_by_factor_ten(self, tmp_path):
         curve_path = tmp_path / "curve.csv"
-        config = SurrogateTrainConfig(epochs=60, batch_size=40, learning_rate=1e-3,
-                                      seed=3, hidden=(96,), curve_path=str(curve_path))
-        train_surrogate(self._dataset(), config)
+        config = SurrogateSection(hidden=(96,), epochs=60, batch_size=40,
+                                  learning_rate=1e-3, beta=100.0, source=3.0)
+        train_surrogate(self._dataset(), config, seed=3, curve_path=curve_path)
         rows = curve_path.read_text().strip().splitlines()[1:]
         losses = [float(r.split(",")[1]) for r in rows]
         assert losses[-1] < 0.1 * losses[0]
 
     def test_determinism(self):
-        config = SurrogateTrainConfig(epochs=4, batch_size=40, learning_rate=1e-3,
-                                      seed=11, hidden=(24,))
-        a = train_surrogate(self._dataset(60), config)
-        b = train_surrogate(self._dataset(60), config)
+        config = SurrogateSection(hidden=(24,), epochs=4, batch_size=40,
+                                  learning_rate=1e-3, beta=100.0, source=3.0)
+        a = train_surrogate(self._dataset(60), config, seed=11)
+        b = train_surrogate(self._dataset(60), config, seed=11)
         for k in a.store:
             assert a.store[k].tobytes() == b.store[k].tobytes()
 

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from krflow import autodiff as ad
+from krflow.config import VaeSection
 from krflow.grf import Grid, dataset_to_array, generate_prior_dataset
 from krflow.vae import (
     ElboBreakdown,
     VaeParams,
-    VaeTrainConfig,
     _elbo_terms,
     decode,
     decode_batch,
@@ -207,21 +207,18 @@ class TestTraining:
 
     def test_zero_epochs_returns_initialization(self):
         data = self._dataset()
-        config = VaeTrainConfig(latent_dim=3, epochs=0, batch_size=16,
-                                learning_rate=1e-3, seed=5,
-                                encoder_hidden=(16,), decoder_hidden=(16,))
-        trained = train_vae(data, config)
+        config = VaeSection(latent_dim=3, encoder_hidden=(16,), decoder_hidden=(16,),
+                            epochs=0, batch_size=16, learning_rate=1e-3)
+        trained = train_vae(data, config, seed=5)
         fresh = init_vae(8, 8, 3, seed=5, encoder_hidden=(16,), decoder_hidden=(16,))
         assert trained.store == fresh.store
 
     def test_loss_decreases_and_curve_written(self, tmp_path):
         data = self._dataset()
         curve_path = tmp_path / "curve.csv"
-        config = VaeTrainConfig(latent_dim=3, epochs=12, batch_size=16,
-                                learning_rate=1e-3, seed=5,
-                                encoder_hidden=(24,), decoder_hidden=(24,),
-                                curve_path=str(curve_path))
-        train_vae(data, config)
+        config = VaeSection(latent_dim=3, encoder_hidden=(24,), decoder_hidden=(24,),
+                            epochs=12, batch_size=16, learning_rate=1e-3)
+        train_vae(data, config, seed=5, curve_path=curve_path)
         rows = curve_path.read_text().strip().splitlines()
         assert rows[0] == "epoch,loss"
         losses = [float(r.split(",")[1]) for r in rows[1:]]
@@ -230,11 +227,10 @@ class TestTraining:
 
     def test_determinism(self):
         data = self._dataset()
-        config = VaeTrainConfig(latent_dim=2, epochs=3, batch_size=20,
-                                learning_rate=1e-3, seed=9,
-                                encoder_hidden=(12,), decoder_hidden=(12,))
-        a = train_vae(data, config)
-        b = train_vae(data, config)
+        config = VaeSection(latent_dim=2, encoder_hidden=(12,), decoder_hidden=(12,),
+                            epochs=3, batch_size=20, learning_rate=1e-3)
+        a = train_vae(data, config, seed=9)
+        b = train_vae(data, config, seed=9)
         assert list(a.store) == list(b.store)
         for k in a.store:
             assert a.store[k].tobytes() == b.store[k].tobytes()
@@ -254,10 +250,9 @@ class TestSamplePrior:
         grid = Grid(8, 8)
         data = dataset_to_array(
             generate_prior_dataset(grid, 0.5, 1.0, [0.3], 400, base_seed=33))
-        config = VaeTrainConfig(latent_dim=8, epochs=400, batch_size=64,
-                                learning_rate=2e-3, seed=7,
-                                encoder_hidden=(96, 64), decoder_hidden=(64, 96))
-        vae = train_vae(data, config)
+        config = VaeSection(latent_dim=8, encoder_hidden=(96, 64), decoder_hidden=(64, 96),
+                            epochs=400, batch_size=64, learning_rate=2e-3)
+        vae = train_vae(data, config, seed=7)
         fields = sample_prior(vae, 2000, np.random.default_rng(17))
         rms = np.sqrt(np.mean((fields.mean(axis=0) - 1.0) ** 2))
         assert rms < 0.15
