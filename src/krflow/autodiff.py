@@ -4,7 +4,7 @@ A ``Tensor`` wraps a numpy array and records the operation that produced it,
 so that ``backward()`` on a scalar output accumulates exact gradients into
 every upstream tensor that requires them.  The op set is exactly what the
 dense networks, coupling flows and Sobel-filter residuals in this package
-build, nothing more:
+build, nothing more; each op, ``sub`` included, is one tape node:
 
 - elementwise: ``add``, ``sub``, ``mul``, ``exp``, ``tanh``, ``relu``,
   ``square`` and ``clip``;
@@ -17,11 +17,18 @@ Ops are plain functions; ``Tensor`` has no operator overloads.
 Every op dispatches on its input type, so the same network code runs either
 on the tape (``Tensor`` inputs, gradients available) or as plain numpy
 (``ndarray`` inputs, no tape overhead) for sampling and MCMC hot loops.
+
+Finiteness is checked once per ``evaluate_with_gradients`` (see there), not
+on every node.  A gradient reaches a tensor by assignment the first time and
+by out-of-place addition after that, so one array may be shared by several
+tensors: no backward function updates a received gradient in place.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Sequence
+import math
+from contextvars import ContextVar
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -43,8 +50,15 @@ def _check_finite(data: np.ndarray, op: str) -> None:
         raise NonFiniteError(f"non-finite values produced by op '{op}'")
 
 
+# the op nodes of the evaluate_with_gradients call in progress (per thread),
+# in the order they were built; None outside one
+_trail: ContextVar[list | None] = ContextVar("trail", default=None)
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a gradient back down to the shape of a broadcast operand."""
+    if grad.shape == shape:
+        return grad
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for axis, n in enumerate(shape):
@@ -54,14 +68,18 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class Tensor:
-    """Node of the reverse-mode tape; holds float64 data and (later) a gradient."""
+    """Node of the reverse-mode tape; holds float64 data and (later) a gradient.
+
+    ``data`` is stored as given, so it must already be a C-contiguous float64
+    array; ``leaf`` and ``constant`` coerce theirs.
+    """
 
     __slots__ = ("data", "grad", "op", "name", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, name: str = "",
-                 op: str = "leaf", parents: tuple = (),
+                 op: str = "leaf", parents: Sequence["Tensor"] = (),
                  backward: Callable[[np.ndarray], None] | None = None):
-        self.data = _as_array(data)
+        self.data = data
         self.grad: np.ndarray | None = None
         self.op = op
         self.name = name
@@ -73,13 +91,13 @@ class Tensor:
 
     @staticmethod
     def leaf(data, name: str = "") -> "Tensor":
-        t = Tensor(data, requires_grad=True, name=name)
+        t = Tensor(_as_array(data), requires_grad=True, name=name)
         _check_finite(t.data, f"leaf '{name}'")
         return t
 
     @staticmethod
     def constant(data) -> "Tensor":
-        return Tensor(data, requires_grad=False, op="const")
+        return Tensor(_as_array(data), requires_grad=False, op="const")
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -94,46 +112,48 @@ class Tensor:
         """Accumulate gradients of this scalar into all upstream tensors."""
         if self.data.size != 1:
             raise ShapeError("backward() requires a scalar output")
+        # post-order depth-first walk; _node keeps only parents that need a gradient
         order: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        seen: set[Tensor] = set()
+        stack: list[tuple[Tensor, bool]] = [(self, False)] if self.requires_grad else []
         while stack:
             node, expanded = stack.pop()
             if expanded:
                 order.append(node)
-                continue
-            if id(node) in seen or not node.requires_grad:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                stack.append((p, False))
+            elif node not in seen:
+                seen.add(node)
+                stack.append((node, True))
+                stack.extend([(p, False) for p in node._parents])
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
     def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        self.grad = g if self.grad is None else self.grad + g
 
 
 def _coerce(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor.constant(x)
 
 
-def _is_tape(*xs) -> bool:
-    return any(isinstance(x, Tensor) for x in xs)
+def _is_tape(a, b=None) -> bool:
+    return isinstance(a, Tensor) or isinstance(b, Tensor)
 
 
-def _node(data: np.ndarray, op: str, parents: Iterable[Tensor],
+def _node(data: np.ndarray, op: str, parents: Sequence[Tensor],
           backward: Callable[[np.ndarray], None]) -> Tensor:
-    _check_finite(data, op)
-    parents = tuple(p for p in parents if p.requires_grad)
-    if not parents:
-        return Tensor(data, requires_grad=False, op=op)
-    return Tensor(data, requires_grad=True, op=op, parents=parents, backward=backward)
+    if data.dtype != np.float64 or not data.flags.c_contiguous:
+        data = _as_array(data)
+    parents = [p for p in parents if p.requires_grad]
+    if parents:
+        node = Tensor(data, requires_grad=True, op=op, parents=parents, backward=backward)
+    else:
+        node = Tensor(data, requires_grad=False, op=op)
+    trail = _trail.get()
+    if trail is not None:
+        trail.append(node)
+    return node
 
 
 # -- elementwise binary ops ------------------------------------------------------
@@ -160,7 +180,19 @@ def add(a, b):
 def sub(a, b):
     if not _is_tape(a, b):
         return np.asarray(a) - np.asarray(b)
-    return add(a, mul(b, -1.0))
+    a, b = _coerce(a), _coerce(b)
+    try:
+        data = a.data - b.data
+    except ValueError as exc:
+        raise ShapeError(f"sub: incompatible shapes {a.data.shape} and {b.data.shape}") from exc
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(-g, b.data.shape))
+
+    return _node(data, "sub", (a, b), backward)
 
 
 def mul(a, b):
@@ -296,23 +328,29 @@ def reshape(a, shape):
 
 
 def take_cols(a, idx):
-    """Gather columns of a 2-D (or entries of a 1-D) array along the last axis."""
+    """Gather columns of a 2-D (or entries of a 1-D) array along the last axis.
+
+    On the tape the columns must be distinct, so that the backward pass can
+    scatter the gradient by assignment.
+    """
     idx = np.asarray(idx, dtype=np.intp)
     if not _is_tape(a):
         return np.asarray(a)[..., idx]
     a = _coerce(a)
     data = a.data[..., idx]
+    if len(set((idx % a.data.shape[-1]).tolist())) < idx.size:
+        raise ValueError(f"take_cols: repeated column indices {idx.tolist()} on the tape")
 
     def backward(g):
         full = np.zeros_like(a.data)
-        np.add.at(full, (..., idx), g)
+        full[..., idx] = g
         a._accumulate(full)
 
     return _node(data, "take_cols", (a,), backward)
 
 
 def concat(parts: Sequence, axis: int = -1):
-    if not _is_tape(*parts):
+    if not any(isinstance(p, Tensor) for p in parts):
         return np.concatenate([np.asarray(p) for p in parts], axis=axis)
     parts = [_coerce(p) for p in parts]
     data = np.concatenate([p.data for p in parts], axis=axis)
@@ -394,19 +432,33 @@ def evaluate_with_gradients(program: Callable, params: Mapping[str, np.ndarray]
     ``params`` is any name-to-array mapping (a ParamStore works); each entry
     becomes a leaf tensor.  Gradients are exact reverse-mode derivatives of the
     scalar output with respect to every entry; parameters the program never
-    touches get zero gradients.
+    touches get zero gradients.  Two entries may get the same gradient array,
+    so callers must not update a returned gradient in place.
+
+    A NaN or Inf in the value or in any gradient raises NonFiniteError naming
+    the op of the first node, in evaluation order, that holds one; if no node
+    does, it names the first non-finite gradient.
     """
     leaves = {name: Tensor.leaf(arr, name=name) for name, arr in params.items()}
-    out = program(leaves)
-    if not isinstance(out, Tensor):
-        out = Tensor.constant(out)
-    if out.data.size != 1:
-        raise ShapeError(f"program must return a scalar, got shape {out.data.shape}")
-    value = float(out.data.reshape(()))
-    if out.requires_grad:
-        out.backward()
-    grads = {}
-    for name, leaf in leaves.items():
-        grads[name] = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
-        _check_finite(grads[name], f"gradient of '{name}'")
+    trail: list[Tensor] = []
+    token = _trail.set(trail)
+    try:
+        out = program(leaves)
+        if not isinstance(out, Tensor):
+            out = Tensor.constant(out)
+        if out.data.size != 1:
+            raise ShapeError(f"program must return a scalar, got shape {out.data.shape}")
+        value = float(out.data.reshape(()))
+        if out.requires_grad:
+            out.backward()
+    finally:
+        _trail.reset(token)
+    grads = {name: leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
+             for name, leaf in leaves.items()}
+    if not (math.isfinite(value) and all(np.isfinite(g).all() for g in grads.values())):
+        for node in trail:
+            _check_finite(node.data, node.op)
+        for name, g in grads.items():
+            _check_finite(g, f"gradient of '{name}'")
+        _check_finite(out.data, "program output")
     return value, grads

@@ -2,10 +2,11 @@
 
 Every section and key is declared in the schema below; unknown or missing
 entries are errors, so typos cannot silently fall back to defaults, and a
-value outside its type (``decoder_sampling`` names its choices) fails here,
-before any stage runs.  The sections are also the trainers' settings:
-``train_vae``, ``train_surrogate`` and ``train_posterior_flow`` take
-``vae``, ``surrogate`` and ``inference`` as they are.  Values render with
+value outside its type (``decoder_sampling`` names its choices) or its range
+(``mcmc.retained`` and the ``flow`` shape) fails here, before any stage
+runs.  The sections are also the trainers' settings: ``train_vae``,
+``train_surrogate`` and ``train_posterior_flow`` take ``vae``,
+``surrogate`` and ``inference`` as they are.  Values render with
 ``repr`` and the canonical dump is stable, which makes the config hash well
 defined and lets files round-trip losslessly.
 """
@@ -197,7 +198,26 @@ def parse_config(text: str) -> ExperimentConfig:
             except ValueError as exc:
                 raise ConfigError(f"bad value for {name}.{key}: {exc}") from exc
         built[name] = cls(**values)
-    return ExperimentConfig(**built)
+    config = ExperimentConfig(**built)
+    _check_ranges(config)
+    return config
+
+
+def _check_ranges(config: ExperimentConfig) -> None:
+    """Reject values that parse but that a later stage could not use."""
+    mcmc, flow, latent_dim = config.mcmc, config.flow, config.vae.latent_dim
+    checks = (
+        ("mcmc.retained", 1 <= mcmc.retained <= mcmc.steps,
+         f"{mcmc.retained} is outside [1, mcmc.steps = {mcmc.steps}]"),
+        ("flow.n_groups", flow.n_groups >= 2 and latent_dim % flow.n_groups == 0,
+         f"{flow.n_groups} must be at least 2 and divide vae.latent_dim = {latent_dim}"),
+        ("flow.layers_per_stage", flow.layers_per_stage >= 1,
+         f"{flow.layers_per_stage} must be at least 1"),
+        ("flow.scale_bound", flow.scale_bound > 0, f"{flow.scale_bound!r} must be positive"),
+    )
+    for key, ok, why in checks:
+        if not ok:
+            raise ConfigError(f"bad value for {key}: {why}")
 
 
 def render_config(config: ExperimentConfig) -> str:

@@ -36,10 +36,10 @@ from .report import read_json, write_json
 class FlowConfig:
     dim: int
     n_groups: int
-    layers_per_stage: int = 8
-    hidden_width: int = 48
-    hidden_depth: int = 2
-    scale_bound: float = 2.0
+    layers_per_stage: int
+    hidden_width: int
+    hidden_depth: int
+    scale_bound: float
 
     def __post_init__(self):
         if self.n_groups < 2 or self.dim % self.n_groups != 0:

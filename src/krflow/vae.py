@@ -148,10 +148,7 @@ def elbo_batch(batch: np.ndarray, vae: VaeParams,
         raise ValueError("batch must be a nonempty (B, H, W) array")
     y_flat = batch.reshape(batch.shape[0], -1)
     eps = rng.standard_normal((batch.shape[0], vae.latent_dim))
-    try:
-        recon, log_p, log_q = _elbo_terms(vae.store, y_flat, eps, vae)
-    except ad.NonFiniteError as exc:
-        raise ad.NonFiniteError(f"ELBO evaluation failed: {exc}") from exc
+    recon, log_p, log_q = _elbo_terms(vae.store, y_flat, eps, vae)
     breakdown = ElboBreakdown(
         reconstruction_term=float(recon),
         prior_term=float(log_p),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from krflow import autodiff as ad
 from krflow.autodiff import Tensor, evaluate_with_gradients, fixed_conv2d
@@ -77,17 +79,19 @@ def test_unary_op_gradients(op):
     assert relative_error(grads["x"], fd["x"]) < 1e-6
 
 
-def test_broadcast_bias_gradient():
+@pytest.mark.parametrize("op", ["add", "sub"])
+def test_broadcast_bias_gradient(op):
     rng = np.random.default_rng(11)
-    params = ParamStore({"b": rng.standard_normal(4)})
-    x = rng.standard_normal((5, 4))
+    params = ParamStore({"x": rng.standard_normal((5, 4)), "b": rng.standard_normal(4)})
+    fn = getattr(ad, op)
 
     def program(t):
-        return ad.sum_(ad.square(ad.add(x, t["b"])))
+        return ad.sum_(ad.square(fn(t["x"], t["b"])))
 
     _, grads = evaluate_with_gradients(program, params)
     fd = finite_difference_grads(program, params)
-    assert relative_error(grads["b"], fd["b"]) < 1e-6
+    for name in params:
+        assert relative_error(grads[name], fd[name]) < 1e-6, name
 
 
 def test_structural_op_gradients():
@@ -104,6 +108,48 @@ def test_structural_op_gradients():
     _, grads = evaluate_with_gradients(program, params)
     fd = finite_difference_grads(program, params)
     assert relative_error(grads["x"], fd["x"]) < 1e-6
+
+
+def test_take_cols_permutation_gradient():
+    rng = np.random.default_rng(17)
+    params = ParamStore({"x": rng.standard_normal((3, 5))})
+    w = rng.standard_normal((3, 4))
+
+    def program(t):
+        return ad.sum_(ad.mul(ad.take_cols(t["x"], [3, 0, 4, 1]), w))
+
+    _, grads = evaluate_with_gradients(program, params)
+    expected = np.zeros((3, 5))
+    expected[:, [3, 0, 4, 1]] = w
+    np.testing.assert_array_equal(grads["x"], expected)
+
+
+@pytest.mark.parametrize("idx", [[0, 2, 0], [1, -4]], ids=["repeat", "negative-alias"])
+def test_take_cols_rejects_repeated_columns_on_the_tape(idx):
+    x = np.arange(10.0).reshape(2, 5)
+    np.testing.assert_array_equal(ad.take_cols(x, idx), x[:, idx])
+    with pytest.raises(ValueError, match="take_cols"):
+        evaluate_with_gradients(lambda t: ad.sum_(ad.take_cols(t["x"], idx)),
+                                ParamStore({"x": x}))
+
+
+@pytest.mark.parametrize("a_first", [True, False])
+def test_leaves_sharing_one_add_get_independent_gradients(a_first):
+    # add hands one gradient array to both operands; a later contribution to
+    # either leaf must not show up in the other's gradient
+    params = ParamStore({"a": np.array([1.0, 2.0]), "b": np.array([3.0, 4.0])})
+    w = np.array([0.5, -2.0])
+
+    def program(t):
+        shared = ad.sum_(ad.mul(ad.add(t["a"], t["b"]), w))
+        a_only = ad.sum_(ad.mul(t["a"], 3.0))
+        b_only = ad.sum_(ad.mul(t["b"], 5.0))
+        return ad.add(ad.add(shared, a_only), b_only) if a_first \
+            else ad.add(b_only, ad.add(a_only, shared))
+
+    _, grads = evaluate_with_gradients(program, params)
+    np.testing.assert_array_equal(grads["a"], w + 3.0)
+    np.testing.assert_array_equal(grads["b"], w + 5.0)
 
 
 def test_gaussian_logpdf_gradient():
@@ -189,6 +235,54 @@ def test_nonfinite_intermediate_reports_op():
     params = ParamStore({"x": np.array([800.0])})
     with pytest.raises(ad.NonFiniteError, match="exp"):
         evaluate_with_gradients(lambda t: ad.sum_(ad.exp(t["x"])), params)
+
+
+@pytest.mark.parametrize("program", [
+    # 30 * 15 + 30 * 15 = 900 overflows exp; mul and sum only carry the Inf on
+    lambda t: ad.sum_(ad.mul(ad.exp(ad.matmul(np.full((1, 2), 30.0), t["w"])), 2.0)),
+    # exp of a constant is a node without a gradient, and it still gets named
+    lambda t: ad.sum_(ad.add(t["w"], ad.exp(Tensor.constant(np.full((2, 1), 900.0))))),
+    # the loss is finite (clip cuts the Inf to 1); the gradient 0 * Inf is not
+    lambda t: ad.sum_(ad.clip(ad.exp(ad.mul(t["w"], 800.0 / 15.0)), 0.0, 1.0)),
+], ids=["mid-graph", "constant-inputs", "finite-loss"])
+def test_nonfinite_names_the_op_that_produced_it(program):
+    params = ParamStore({"w": np.full((2, 1), 15.0)})
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ad.NonFiniteError, match=r"^non-finite values produced by op 'exp'$"):
+        evaluate_with_gradients(program, params)
+
+
+def test_nonfinite_gradient_alone_names_the_gradient():
+    # every node is finite (1e308 * w**2 at w = 1), but the gradient 2e308 is not
+    params = ParamStore({"w": np.array([1.0])})
+    with np.errstate(over="ignore"), pytest.raises(
+            ad.NonFiniteError, match=r"^non-finite values produced by op 'gradient of 'w''$"):
+        evaluate_with_gradients(lambda t: ad.sum_(ad.mul(ad.square(t["w"]), 1e308)), params)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(hidden=st.lists(st.integers(1, 5), min_size=0, max_size=2),
+       n_in=st.integers(1, 4), n_out=st.integers(1, 3), batch=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_tape_gradients_match_central_differences(hidden, n_in, n_out, batch, seed):
+    # a small dense stack read out as a Gaussian, as the VAE and the flow do:
+    # matmul, add, relu, take_cols, clip, sub, exp, mul, sum_ and mean_
+    rng = np.random.default_rng(seed)
+    raw = init_mlp(rng, [n_in, *hidden, 2 * n_out])
+    params = ParamStore({k: v + 0.1 * rng.standard_normal(v.shape) for k, v in raw.items()})
+    x = rng.standard_normal((batch, n_in))
+    target = rng.standard_normal((batch, n_out))
+
+    def program(t):
+        out = mlp_forward(t, x)
+        mean = ad.take_cols(out, np.arange(n_out))
+        logvar = ad.clip(ad.take_cols(out, np.arange(n_out, 2 * n_out)), -5.0, 5.0)
+        return ad.mean_(diag_gaussian_logpdf(target, mean, logvar))
+
+    _, grads = evaluate_with_gradients(program, params)
+    fd = finite_difference_grads(program, params)
+    for name in params:
+        assert relative_error(grads[name], fd[name]) < 1e-5, name
 
 
 def test_numpy_fast_path_matches_tape():

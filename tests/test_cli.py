@@ -208,6 +208,18 @@ class TestDependencyGates:
         assert "inference.decoder_sampling" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("section,key,value", [("mcmc", "retained", 0),
+                                                   ("flow", "n_groups", 3)])
+    def test_range_error_stops_the_first_stage(self, tmp_path, capsys, section, key, value):
+        cfg = tiny_config()
+        setattr(getattr(cfg, section), key, value)
+        cfg_path = tmp_path / "range.ini"
+        save_config(cfg_path, cfg)
+        assert main(["generate-data", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "x")]) == 1
+        assert f"bad value for {section}.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
 
 class TestDeterminism:
     def test_regenerated_outputs_byte_identical(self, run_dir, tmp_path):

@@ -66,6 +66,16 @@ def test_bad_value_reported_with_location():
         parse_config(text)
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("mcmc", "retained", 0), ("mcmc", "retained", 10001), ("flow", "n_groups", 1),
+    ("flow", "n_groups", 3), ("flow", "layers_per_stage", 0), ("flow", "scale_bound", 0.0)])
+def test_value_outside_its_range_names_its_key(section, key, value):
+    cfg = desk_config()
+    setattr(getattr(cfg, section), key, value)
+    with pytest.raises(ConfigError, match=rf"^bad value for {section}\.{key}: "):
+        parse_config(render_config(cfg))
+
+
 def test_hash_changes_with_any_field():
     a = desk_config()
     b = desk_config()
@@ -103,9 +113,20 @@ def test_schema_uses_only_generated_field_types():
     assert used == set(FIELD_VALUES)
 
 
+def into_range(cfg):
+    """Move the values that parse_config range-checks into their ranges."""
+    cfg.mcmc.steps = max(cfg.mcmc.steps, 1)
+    cfg.mcmc.retained = 1 + cfg.mcmc.retained % cfg.mcmc.steps
+    cfg.flow.n_groups = 2 + cfg.flow.n_groups % 15
+    cfg.vae.latent_dim = cfg.flow.n_groups * (1 + cfg.vae.latent_dim % 64)
+    cfg.flow.layers_per_stage = max(cfg.flow.layers_per_stage, 1)
+    cfg.flow.scale_bound = abs(cfg.flow.scale_bound) or 1.0
+    return cfg
+
+
 configs = st.builds(ExperimentConfig, **{
     name: st.builds(cls, **{key: FIELD_VALUES[t] for key, t in get_type_hints(cls).items()})
-    for name, cls in SECTIONS.items()})
+    for name, cls in SECTIONS.items()}).map(into_range)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

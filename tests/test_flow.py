@@ -56,7 +56,8 @@ def numerical_jacobian(fn, x, h=1e-6):
 
 
 class TestCouplingLayer:
-    CFG = FlowConfig(dim=6, n_groups=3, layers_per_stage=1, hidden_width=8, hidden_depth=2)
+    CFG = FlowConfig(dim=6, n_groups=3, layers_per_stage=1, hidden_width=8,
+                     hidden_depth=2, scale_bound=2.0)
 
     def _layer(self, seed=0, zero=True):
         flow = init_flow(self.CFG, seed) if zero else random_flow(self.CFG, seed)
@@ -112,7 +113,8 @@ class TestCouplingLayer:
 
 class TestKrnetMap:
     def test_identity_at_init(self):
-        config = FlowConfig(dim=8, n_groups=4, layers_per_stage=2, hidden_width=8)
+        config = FlowConfig(dim=8, n_groups=4, layers_per_stage=2, hidden_width=8,
+                            hidden_depth=2, scale_bound=2.0)
         flow = init_flow(config, 0)
         x = np.random.default_rng(0).standard_normal((5, 8))
         z, logdet = krnet_forward(x, flow)
@@ -122,7 +124,8 @@ class TestKrnetMap:
     def test_hand_composed_single_layer(self):
         # d=4, K=2, L=1: one coupling layer on all 4 coords, then freeze the
         # last group; plant constant (s, t) and compose by hand
-        config = FlowConfig(dim=4, n_groups=2, layers_per_stage=1, hidden_width=4)
+        config = FlowConfig(dim=4, n_groups=2, layers_per_stage=1, hidden_width=4,
+                            hidden_depth=2, scale_bound=2.0)
         flow = init_flow(config, 0)
         kept, trans = _split(4, 0)          # kept = [0, 2], trans = [1, 3]
         s_const, t_const = 0.3, -0.7
@@ -139,7 +142,8 @@ class TestKrnetMap:
 
     @pytest.mark.parametrize("dim,k", [(8, 4), (12, 3), (36, 6), (64, 8)])
     def test_round_trip_random_points(self, dim, k):
-        config = FlowConfig(dim=dim, n_groups=k, layers_per_stage=4, hidden_width=16)
+        config = FlowConfig(dim=dim, n_groups=k, layers_per_stage=4, hidden_width=16,
+                            hidden_depth=2, scale_bound=2.0)
         flow = random_flow(config, seed=dim + k, scale=0.05)
         x = np.random.default_rng(9).standard_normal((1000, dim))
         z, _ = krnet_forward(x, flow)
@@ -167,7 +171,8 @@ class TestKrnetMap:
         np.testing.assert_allclose(logdet_inv, -logdet_fwd, rtol=0, atol=1e-12)
 
     def test_frozen_coordinates_bitwise_preserved(self):
-        config = FlowConfig(dim=9, n_groups=3, layers_per_stage=3, hidden_width=8)
+        config = FlowConfig(dim=9, n_groups=3, layers_per_stage=3, hidden_width=8,
+                            hidden_depth=2, scale_bound=2.0)
         flow = random_flow(config, seed=2)
         x = np.random.default_rng(3).standard_normal((7, 9))
         z, _ = krnet_forward(x, flow)
@@ -181,7 +186,8 @@ class TestKrnetMap:
         np.testing.assert_array_equal(z[:, 6:9], cur[:, 6:9])
 
     def test_logdet_matches_numerical_jacobian(self):
-        config = FlowConfig(dim=8, n_groups=4, layers_per_stage=2, hidden_width=12)
+        config = FlowConfig(dim=8, n_groups=4, layers_per_stage=2, hidden_width=12,
+                            hidden_depth=2, scale_bound=2.0)
         flow = random_flow(config, seed=11)
         rng = np.random.default_rng(12)
         for _ in range(3):
@@ -197,7 +203,8 @@ class TestKrnetMap:
             assert abs(float(logdet) - ref) < 1e-5
 
     def test_inverse_logdet_is_negated_forward(self):
-        config = FlowConfig(dim=6, n_groups=3, layers_per_stage=2, hidden_width=8)
+        config = FlowConfig(dim=6, n_groups=3, layers_per_stage=2, hidden_width=8,
+                            hidden_depth=2, scale_bound=2.0)
         flow = random_flow(config, seed=13)
         z = np.random.default_rng(14).standard_normal((20, 6))
         x, logdet_inv = krnet_inverse(z, flow, with_logdet=True)
@@ -205,7 +212,8 @@ class TestKrnetMap:
         np.testing.assert_allclose(logdet_inv, -logdet_fwd, atol=1e-12)
 
     def test_logdet_additive_over_layers(self):
-        config = FlowConfig(dim=6, n_groups=3, layers_per_stage=2, hidden_width=8)
+        config = FlowConfig(dim=6, n_groups=3, layers_per_stage=2, hidden_width=8,
+                            hidden_depth=2, scale_bound=2.0)
         flow = random_flow(config, seed=15)
         store = dict(flow.store.items())
         x = np.random.default_rng(16).standard_normal((4, 6))
@@ -223,7 +231,8 @@ class TestKrnetMap:
 
     def test_dependency_mask_matches_jacobian_sparsity(self):
         # single layer per stage keeps the schedule's mask genuinely sparse
-        config = FlowConfig(dim=8, n_groups=4, layers_per_stage=1, hidden_width=8)
+        config = FlowConfig(dim=8, n_groups=4, layers_per_stage=1, hidden_width=8,
+                            hidden_depth=2, scale_bound=2.0)
         flow = random_flow(config, seed=17)
         mask = dependency_mask(config)
         x = np.random.default_rng(18).standard_normal(8)
@@ -238,7 +247,8 @@ class TestKrnetMap:
         assert (~mask).sum() > 0
 
     def test_dimension_mismatch_rejected(self):
-        config = FlowConfig(dim=8, n_groups=4)
+        config = FlowConfig(dim=8, n_groups=4, layers_per_stage=8, hidden_width=48,
+                            hidden_depth=2, scale_bound=2.0)
         flow = init_flow(config, 0)
         with pytest.raises(ad.ShapeError, match="dimension"):
             krnet_forward(np.zeros(7), flow)
@@ -246,7 +256,8 @@ class TestKrnetMap:
 
 class TestLogDensity:
     def test_identity_flow_is_standard_normal(self):
-        config = FlowConfig(dim=2, n_groups=2, layers_per_stage=1, hidden_width=4)
+        config = FlowConfig(dim=2, n_groups=2, layers_per_stage=1, hidden_width=4,
+                            hidden_depth=2, scale_bound=2.0)
         flow = init_flow(config, 0)
         val = float(log_density(np.zeros(2), flow))
         assert val == pytest.approx(-np.log(2 * np.pi), rel=1e-12)
@@ -254,7 +265,8 @@ class TestLogDensity:
 
     def test_importance_sampling_normalization(self):
         # int q dx == 1, estimated by importance sampling from N(0, 4I) on d=2
-        config = FlowConfig(dim=2, n_groups=2, layers_per_stage=3, hidden_width=8)
+        config = FlowConfig(dim=2, n_groups=2, layers_per_stage=3, hidden_width=8,
+                            hidden_depth=2, scale_bound=2.0)
         flow = random_flow(config, seed=21, scale=0.15)
         rng = np.random.default_rng(22)
         n = 200_000
@@ -267,7 +279,8 @@ class TestLogDensity:
         assert weights.mean() == pytest.approx(1.0, abs=0.02)
 
     def test_sampling_matches_density_histogram(self):
-        config = FlowConfig(dim=2, n_groups=2, layers_per_stage=3, hidden_width=8)
+        config = FlowConfig(dim=2, n_groups=2, layers_per_stage=3, hidden_width=8,
+                            hidden_depth=2, scale_bound=2.0)
         flow = random_flow(config, seed=23, scale=0.3)
         rng = np.random.default_rng(24)
         draws = sample_latent(flow, 400_000, rng)
@@ -291,7 +304,8 @@ class TestLogDensity:
                 assert abs(mass_mc - mass_q) < max(5 * se, 0.004), (i, j)
 
     def test_gradient_matches_finite_differences(self):
-        config = FlowConfig(dim=4, n_groups=2, layers_per_stage=2, hidden_width=6)
+        config = FlowConfig(dim=4, n_groups=2, layers_per_stage=2, hidden_width=6,
+                            hidden_depth=2, scale_bound=2.0)
         flow = random_flow(config, seed=25, scale=0.4)
         x = np.random.default_rng(26).standard_normal((3, 4))
 
@@ -316,7 +330,8 @@ class TestLogDensity:
 
 
 def test_checkpoint_roundtrip(tmp_path):
-    config = FlowConfig(dim=8, n_groups=4, layers_per_stage=2, hidden_width=8)
+    config = FlowConfig(dim=8, n_groups=4, layers_per_stage=2, hidden_width=8,
+                        hidden_depth=2, scale_bound=2.0)
     flow = random_flow(config, seed=31)
     prefix = str(tmp_path / "flow")
     save_flow(prefix, flow, seed=31, extra={"final_loss": 1.25})
@@ -333,6 +348,8 @@ def test_checkpoint_roundtrip(tmp_path):
 
 def test_flow_config_validation():
     with pytest.raises(ValueError, match="divide"):
-        FlowConfig(dim=10, n_groups=4)
+        FlowConfig(dim=10, n_groups=4, layers_per_stage=8, hidden_width=48,
+                   hidden_depth=2, scale_bound=2.0)
     with pytest.raises(ValueError, match="layers_per_stage"):
-        FlowConfig(dim=8, n_groups=2, layers_per_stage=0)
+        FlowConfig(dim=8, n_groups=2, layers_per_stage=0, hidden_width=48,
+                   hidden_depth=2, scale_bound=2.0)

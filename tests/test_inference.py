@@ -55,7 +55,8 @@ def obs():
 
 @pytest.fixture
 def flow_config():
-    return FlowConfig(dim=D, n_groups=2, layers_per_stage=2, hidden_width=8)
+    return FlowConfig(dim=D, n_groups=2, layers_per_stage=2, hidden_width=8,
+                      hidden_depth=2, scale_bound=2.0)
 
 
 class TestFlowLoss:

@@ -169,7 +169,8 @@ def _train_flow(epochs):
                          NoiseModel(level=0.05, per_sensor_std=np.full(4, 0.01), floor=0.01))
     config = InferenceSection(sample_size=8, epochs=epochs, batch_size=4, learning_rate=1e-2,
                               posterior_samples=0, decoder_sampling="sample")
-    flow_config = FlowConfig(dim=4, n_groups=2, layers_per_stage=2, hidden_width=4)
+    flow_config = FlowConfig(dim=4, n_groups=2, layers_per_stage=2, hidden_width=4,
+                             hidden_depth=2, scale_bound=2.0)
     return train_posterior_flow(flow_config, vae, sp, obs, config, seed=3).store
 
 
