@@ -137,15 +137,30 @@ def _coerce(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor.constant(x)
 
 
+def _operand(x):
+    """Binary-op operand: a Tensor or a Python float as given, anything else a constant."""
+    return x if isinstance(x, (Tensor, float)) else Tensor.constant(x)
+
+
+def _value(x):
+    return x.data if isinstance(x, Tensor) else x
+
+
+def _wants_grad(x) -> bool:
+    return isinstance(x, Tensor) and x.requires_grad
+
+
 def _is_tape(a, b=None) -> bool:
     return isinstance(a, Tensor) or isinstance(b, Tensor)
 
 
 def _node(data: np.ndarray, op: str, parents: Sequence[Tensor],
           backward: Callable[[np.ndarray], None]) -> Tensor:
-    if data.dtype != np.float64 or not data.flags.c_contiguous:
+    if type(data) is not np.ndarray:
+        data = np.asarray(data, dtype=np.float64)   # numpy returns 0-d results as scalars
+    elif data.dtype != np.float64 or not data.flags.c_contiguous:
         data = _as_array(data)
-    parents = [p for p in parents if p.requires_grad]
+    parents = [p for p in parents if _wants_grad(p)]
     if parents:
         node = Tensor(data, requires_grad=True, op=op, parents=parents, backward=backward)
     else:
@@ -162,17 +177,18 @@ def _node(data: np.ndarray, op: str, parents: Sequence[Tensor],
 def add(a, b):
     if not _is_tape(a, b):
         return np.asarray(a) + np.asarray(b)
-    a, b = _coerce(a), _coerce(b)
+    a, b = _operand(a), _operand(b)
+    av, bv = _value(a), _value(b)
     try:
-        data = a.data + b.data
+        data = av + bv
     except ValueError as exc:
-        raise ShapeError(f"add: incompatible shapes {a.data.shape} and {b.data.shape}") from exc
+        raise ShapeError(f"add: incompatible shapes {av.shape} and {bv.shape}") from exc
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
+        if _wants_grad(a):
+            a._accumulate(_unbroadcast(g, av.shape))
+        if _wants_grad(b):
+            b._accumulate(_unbroadcast(g, bv.shape))
 
     return _node(data, "add", (a, b), backward)
 
@@ -180,17 +196,18 @@ def add(a, b):
 def sub(a, b):
     if not _is_tape(a, b):
         return np.asarray(a) - np.asarray(b)
-    a, b = _coerce(a), _coerce(b)
+    a, b = _operand(a), _operand(b)
+    av, bv = _value(a), _value(b)
     try:
-        data = a.data - b.data
+        data = av - bv
     except ValueError as exc:
-        raise ShapeError(f"sub: incompatible shapes {a.data.shape} and {b.data.shape}") from exc
+        raise ShapeError(f"sub: incompatible shapes {av.shape} and {bv.shape}") from exc
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.data.shape))
+        if _wants_grad(a):
+            a._accumulate(_unbroadcast(g, av.shape))
+        if _wants_grad(b):
+            b._accumulate(_unbroadcast(-g, bv.shape))
 
     return _node(data, "sub", (a, b), backward)
 
@@ -198,17 +215,18 @@ def sub(a, b):
 def mul(a, b):
     if not _is_tape(a, b):
         return np.asarray(a) * np.asarray(b)
-    a, b = _coerce(a), _coerce(b)
+    a, b = _operand(a), _operand(b)
+    av, bv = _value(a), _value(b)
     try:
-        data = a.data * b.data
+        data = av * bv
     except ValueError as exc:
-        raise ShapeError(f"mul: incompatible shapes {a.data.shape} and {b.data.shape}") from exc
+        raise ShapeError(f"mul: incompatible shapes {av.shape} and {bv.shape}") from exc
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+        if _wants_grad(a):
+            a._accumulate(_unbroadcast(g * bv, av.shape))
+        if _wants_grad(b):
+            b._accumulate(_unbroadcast(g * av, bv.shape))
 
     return _node(data, "mul", (a, b), backward)
 
@@ -236,7 +254,6 @@ def matmul(a, b):
 def sum_(a, axis: int | None = None):
     if not _is_tape(a):
         return np.sum(a, axis=axis)
-    a = _coerce(a)
     data = np.sum(a.data, axis=axis)
 
     def backward(g):
@@ -245,13 +262,12 @@ def sum_(a, axis: int | None = None):
         else:
             a._accumulate(np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy())
 
-    return _node(np.asarray(data), "sum", (a,), backward)
+    return _node(data, "sum", (a,), backward)
 
 
 def mean_(a, axis: int | None = None):
     if not _is_tape(a):
         return np.mean(a, axis=axis)
-    a = _coerce(a)
     n = a.data.size if axis is None else a.data.shape[axis]
     return mul(sum_(a, axis), 1.0 / n)
 
@@ -262,7 +278,6 @@ def mean_(a, axis: int | None = None):
 def exp(a):
     if not _is_tape(a):
         return np.exp(a)
-    a = _coerce(a)
     data = np.exp(a.data)
 
     def backward(g):
@@ -274,7 +289,6 @@ def exp(a):
 def tanh(a):
     if not _is_tape(a):
         return np.tanh(a)
-    a = _coerce(a)
     data = np.tanh(a.data)
 
     def backward(g):
@@ -286,7 +300,6 @@ def tanh(a):
 def relu(a):
     if not _is_tape(a):
         return np.maximum(a, 0.0)
-    a = _coerce(a)
     data = np.maximum(a.data, 0.0)
 
     def backward(g):
@@ -303,7 +316,6 @@ def clip(a, lo: float, hi: float):
     """Hard clamp; gradient is passed through inside [lo, hi] and zero outside."""
     if not _is_tape(a):
         return np.clip(a, lo, hi)
-    a = _coerce(a)
     data = np.clip(a.data, lo, hi)
 
     def backward(g):
@@ -318,7 +330,6 @@ def clip(a, lo: float, hi: float):
 def reshape(a, shape):
     if not _is_tape(a):
         return np.reshape(a, shape)
-    a = _coerce(a)
     data = a.data.reshape(shape)
 
     def backward(g):
@@ -336,7 +347,6 @@ def take_cols(a, idx):
     idx = np.asarray(idx, dtype=np.intp)
     if not _is_tape(a):
         return np.asarray(a)[..., idx]
-    a = _coerce(a)
     data = a.data[..., idx]
     if len(set((idx % a.data.shape[-1]).tolist())) < idx.size:
         raise ValueError(f"take_cols: repeated column indices {idx.tolist()} on the tape")

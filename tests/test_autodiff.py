@@ -94,6 +94,33 @@ def test_broadcast_bias_gradient(op):
         assert relative_error(grads[name], fd[name]) < 1e-6, name
 
 
+@pytest.mark.parametrize("op", ["add", "sub", "mul"])
+@pytest.mark.parametrize("float_first", [False, True])
+def test_float_operand_stays_a_float(op, float_first, monkeypatch):
+    # a Python float joins the node as a scalar: no constant Tensor is built
+    x = Tensor.leaf(np.array([[1.5, -2.0], [0.25, 3.0]]), "x")
+    monkeypatch.setattr(Tensor, "constant", staticmethod(lambda data: pytest.fail("wrapped")))
+    fn = getattr(ad, op)
+    out = fn(-0.5, x) if float_first else fn(x, -0.5)
+    expected = getattr(np, {"add": "add", "sub": "subtract", "mul": "multiply"}[op])(
+        *((-0.5, x.data) if float_first else (x.data, -0.5)))
+    np.testing.assert_array_equal(out.data, expected)
+    assert out._parents == [x]
+    total = ad.sum_(out)
+    total.backward()
+    slope = {"add": 1.0, "sub": -1.0 if float_first else 1.0, "mul": -0.5}[op]
+    np.testing.assert_array_equal(x.grad, np.full((2, 2), slope))
+
+
+def test_mean_of_all_entries_is_0d_like_sum():
+    x = Tensor.leaf(np.arange(6.0).reshape(2, 3), "x")
+    assert ad.sum_(x).data.shape == ()
+    mean = ad.mean_(x)
+    assert mean.data.shape == () and mean.data == 2.5
+    mean.backward()
+    np.testing.assert_array_equal(x.grad, np.full((2, 3), 1.0 / 6.0))
+
+
 def test_structural_op_gradients():
     rng = np.random.default_rng(13)
     params = ParamStore({"x": rng.standard_normal((4, 6))})
