@@ -8,9 +8,15 @@ Dirichlet data on the left/right columns (s1 = 0 and s1 = 1, zero by
 default) and zero normal flux is imposed on the top/bottom rows, which get
 half-height control volumes.
 
-The resulting system is symmetric positive definite; it is solved by a
-sparse direct factorization and the contract is a relative residual below
-1e-10.
+The resulting system is symmetric positive definite.  Numbering the
+H x (W-2) unknowns (the interior columns) row by row makes it a band matrix
+with half-bandwidth W-2, which is assembled straight into LAPACK band
+storage and solved by one banded LU (``gbsv``).  Banded Cholesky (``pbsv``)
+would halve the arithmetic, but below LAPACK's block size it falls back to
+one small rank-1 update per row, and at 2 OpenBLAS threads each of those
+pays a thread hand-off: 2.5 ms against 0.8 ms per 32x32 solve (2-CPU Xeon,
+OpenBLAS 0.3.31).  The contract is unchanged: a relative residual, from the
+5-point stencil applied to the solution, below 1e-10, or DarcySolveError.
 """
 
 from __future__ import annotations
@@ -20,8 +26,7 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.linalg import spsolve
+from scipy.linalg.lapack import dgbsv
 
 from .grf import Grid
 from .report import read_csv_floats
@@ -103,6 +108,17 @@ def _transmissibilities(log_perm: np.ndarray, grid: Grid):
     return t_h, t_v, heights
 
 
+def _dirichlet(values, name: str, rows: int) -> np.ndarray:
+    """One Dirichlet column: None means zeros, a scalar is broadcast."""
+    g = np.zeros(rows) if values is None else np.asarray(values, dtype=np.float64)
+    if g.ndim == 0:
+        g = np.full(rows, g)
+    if g.shape != (rows,):
+        raise ValueError(f"{name} has shape {g.shape}, expected ({rows},): "
+                         f"one value per grid row (grid.height = {rows})")
+    return g
+
+
 def solve_darcy(log_perm: np.ndarray, grid: Grid,
                 source: float | Callable[[np.ndarray, np.ndarray], np.ndarray] = 3.0,
                 dirichlet_left: np.ndarray | None = None,
@@ -111,7 +127,8 @@ def solve_darcy(log_perm: np.ndarray, grid: Grid,
 
     ``source`` may be a constant or a callable h(s1, s2) evaluated at the
     nodes.  Nonzero Dirichlet columns are supported for diagnostics; the
-    physical setup uses the default homogeneous data.
+    physical setup uses the default homogeneous data.  Each Dirichlet column
+    is a scalar or one value per grid row.
     """
     log_perm = np.asarray(log_perm, dtype=np.float64)
     if log_perm.shape != (grid.height, grid.width):
@@ -122,92 +139,62 @@ def solve_darcy(log_perm: np.ndarray, grid: Grid,
 
     h_rows, w_cols = grid.height, grid.width
     d1 = grid.spacing_1
-    g_left = np.zeros(h_rows) if dirichlet_left is None else np.asarray(dirichlet_left, float)
-    g_right = np.zeros(h_rows) if dirichlet_right is None else np.asarray(dirichlet_right, float)
+    g_left = _dirichlet(dirichlet_left, "dirichlet_left", h_rows)
+    g_right = _dirichlet(dirichlet_right, "dirichlet_right", h_rows)
 
     t_h, t_v, heights = _transmissibilities(log_perm, grid)
 
     if callable(source):
-        pts1 = np.linspace(0.0, 1.0, w_cols)
-        pts2 = np.linspace(0.0, 1.0, h_rows)
-        g1, g2 = np.meshgrid(pts1, pts2)
+        g1, g2 = grid.points().T.reshape(2, h_rows, w_cols)
         h_val = np.asarray(source(g1, g2), dtype=np.float64)
     else:
         h_val = np.full((h_rows, w_cols), float(source))
 
-    n_unknown_cols = w_cols - 2
-    n = h_rows * n_unknown_cols
+    # unknowns are the interior columns, numbered row by row
+    m = w_cols - 2
+    n = h_rows * m
+    t_e = t_h[:, 1:-1]     # faces between neighbouring unknowns in a row
+    t_n = t_v[:, 1:-1]     # faces between neighbouring unknowns in a column
+    diag = t_h[:, :-1] + t_h[:, 1:]   # west and east faces
+    diag[1:] += t_n        # south faces; none on the top Neumann row
+    diag[:-1] += t_n       # north faces; none on the bottom Neumann row
 
-    def uid(i, j):
-        return i * n_unknown_cols + (j - 1)
+    rhs = h_val[:, 1:-1] * (heights[:, None] * d1)
+    rhs[:, 0] += t_h[:, 0] * g_left
+    rhs[:, -1] += t_h[:, -1] * g_right
 
-    rows_ix: list[np.ndarray] = []
-    cols_ix: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    diag = np.zeros(n)
-    rhs = (h_val[:, 1:-1] * (heights[:, None] * d1)).ravel()
+    # LAPACK general band storage, A[i, j] at ab[2m + i - j, j]; rows 0..m-1
+    # are room for the fill-in of partial pivoting.  Fortran order lets
+    # dgbsv factor it in place instead of copying it.  The off-diagonals are
+    # subtracted, not assigned: with one unknown column (m = 1) the rows for
+    # offsets +-1 and +-m coincide, and the +-1 couplings are all zero.
+    east = np.zeros((h_rows, m))
+    east[:, :-1] = t_e
+    east = east.ravel()[:-1]
+    ab = np.zeros((3 * m + 1, n), order="F")
+    ab[2 * m] = diag.ravel()
+    ab[2 * m - 1, 1:] -= east
+    ab[2 * m + 1, :-1] -= east
+    ab[m, m:] -= t_n.ravel()
+    ab[3 * m, :-m] -= t_n.ravel()
+    _, _, u_inner, info = dgbsv(m, m, ab, rhs.ravel(), overwrite_ab=True)
+    u_inner = u_inner.reshape(h_rows, m)
 
-    ii, jj = np.meshgrid(np.arange(h_rows), np.arange(1, w_cols - 1), indexing="ij")
-    ids = uid(ii, jj)
-
-    # west faces (between j-1 and j)
-    tw = t_h[:, : n_unknown_cols]
-    diag += tw.ravel()
-    west_interior = jj >= 2
-    rows_ix.append(ids[west_interior])
-    cols_ix.append(uid(ii[west_interior], jj[west_interior] - 1))
-    vals.append(-tw[west_interior])
-    rhs_w = np.zeros((h_rows, n_unknown_cols))
-    rhs_w[:, 0] = t_h[:, 0] * g_left
-    rhs += rhs_w.ravel()
-
-    # east faces (between j and j+1)
-    te = t_h[:, 1:]
-    diag += te.ravel()
-    east_interior = jj <= w_cols - 3
-    rows_ix.append(ids[east_interior])
-    cols_ix.append(uid(ii[east_interior], jj[east_interior] + 1))
-    vals.append(-te[east_interior])
-    rhs_e = np.zeros((h_rows, n_unknown_cols))
-    rhs_e[:, -1] = t_h[:, -1] * g_right
-    rhs += rhs_e.ravel()
-
-    # south faces (between i-1 and i); none on the top Neumann row i = 0
-    ts = np.zeros((h_rows, n_unknown_cols))
-    ts[1:, :] = t_v[:, 1:-1]
-    diag += ts.ravel()
-    south = ii >= 1
-    rows_ix.append(ids[south])
-    cols_ix.append(uid(ii[south] - 1, jj[south]))
-    vals.append(-ts[south])
-
-    # north faces (between i and i+1); none on the bottom Neumann row
-    tn = np.zeros((h_rows, n_unknown_cols))
-    tn[:-1, :] = t_v[:, 1:-1]
-    diag += tn.ravel()
-    north = ii <= h_rows - 2
-    rows_ix.append(ids[north])
-    cols_ix.append(uid(ii[north] + 1, jj[north]))
-    vals.append(-tn[north])
-
-    rows_all = np.concatenate([np.arange(n)] + rows_ix)
-    cols_all = np.concatenate([np.arange(n)] + cols_ix)
-    vals_all = np.concatenate([diag] + vals)
-    mat = coo_matrix((vals_all, (rows_all, cols_all)), shape=(n, n)).tocsr()
-
-    u_inner = spsolve(mat, rhs)
-    residual = np.linalg.norm(mat @ u_inner - rhs)
-    scale = max(np.linalg.norm(rhs), 1e-300)
-    if not np.isfinite(u_inner).all() or residual / scale > 1e-10:
+    rel = np.inf
+    if info == 0 and np.isfinite(u_inner).all():
+        # the residual by the 5-point stencil on the (H, W-2) grid of unknowns
+        res = diag * u_inner - rhs
+        res[:, :-1] -= t_e * u_inner[:, 1:]
+        res[:, 1:] -= t_e * u_inner[:, :-1]
+        res[:-1] -= t_n * u_inner[1:]
+        res[1:] -= t_n * u_inner[:-1]
+        rel = np.linalg.norm(res) / max(np.linalg.norm(rhs), 1e-300)
+    if not rel <= 1e-10:
         raise DarcySolveError(
-            f"linear solve failed: relative residual {residual / scale:.3e}, "
+            f"linear solve failed: relative residual {rel:.3e}, "
             f"diagonal range [{diag.min():.3e}, {diag.max():.3e}]")
 
-    u = np.zeros((h_rows, w_cols))
-    u[:, 0] = g_left
-    u[:, -1] = g_right
-    u[:, 1:-1] = u_inner.reshape(h_rows, n_unknown_cols)
-    return PressureField(values=u, grid=grid)
+    return PressureField(values=np.column_stack([g_left, u_inner, g_right]), grid=grid)
 
 
 def boundary_flux_total(pressure: PressureField, log_perm: np.ndarray,

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from krflow.darcy import (
     DarcySolveError,
@@ -16,6 +18,7 @@ from krflow.darcy import (
     observe,
     save_observations_csv,
     solve_darcy,
+    _transmissibilities,
 )
 from krflow.grf import Grid
 
@@ -23,6 +26,31 @@ from krflow.grf import Grid
 def quadratic_exact(grid: Grid) -> np.ndarray:
     s1 = np.linspace(0.0, 1.0, grid.width)
     return np.tile(1.5 * s1 * (1.0 - s1), (grid.height, 1))
+
+
+def dense_system(y, grid, source, g_left, g_right):
+    """The FV system by the stencil definition: a dense matrix, one row per
+    unknown node (interior columns), one term per face of its control volume."""
+    t_h, t_v, heights = _transmissibilities(y, grid)
+    h_rows, w_cols = grid.height, grid.width
+    unknowns = [(i, j) for i in range(h_rows) for j in range(1, w_cols - 1)]
+    index = {node: k for k, node in enumerate(unknowns)}
+    mat = np.zeros((len(unknowns), len(unknowns)))
+    rhs = np.zeros(len(unknowns))
+    for (i, j), k in index.items():
+        rhs[k] = source * heights[i] * grid.spacing_1
+        faces = [((i, j - 1), t_h[i, j - 1]), ((i, j + 1), t_h[i, j])]
+        if i > 0:
+            faces.append(((i - 1, j), t_v[i - 1, j]))
+        if i < h_rows - 1:
+            faces.append(((i + 1, j), t_v[i, j]))
+        for (ni, nj), t in faces:
+            mat[k, k] += t
+            if (ni, nj) in index:
+                mat[k, index[ni, nj]] -= t
+            else:   # a Dirichlet node
+                rhs[k] += t * (g_left if nj == 0 else g_right)[ni]
+    return mat, rhs
 
 
 class TestSolver:
@@ -113,6 +141,62 @@ class TestSolver:
         y[2, 2] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             solve_darcy(y, grid)
+
+    @pytest.mark.parametrize("grid", [Grid(3, 3), Grid(9, 9), Grid(12, 20), Grid(20, 12)],
+                             ids=lambda g: f"{g.height}x{g.width}")
+    def test_matches_dense_reference_solve(self, grid):
+        rng = np.random.default_rng(grid.height * 100 + grid.width)
+        y = rng.standard_normal((grid.height, grid.width))
+        g_left, g_right = rng.standard_normal(grid.height), rng.standard_normal(grid.height)
+        mat, rhs = dense_system(y, grid, 3.0, g_left, g_right)
+        expected = np.linalg.solve(mat, rhs).reshape(grid.height, grid.width - 2)
+        sol = solve_darcy(y, grid, source=3.0, dirichlet_left=g_left, dirichlet_right=g_right)
+        inner = sol.values[:, 1:-1]
+        assert np.abs(inner - expected).max() <= 1e-12 * np.abs(expected).max()
+        np.testing.assert_array_equal(sol.values[:, 0], g_left)
+        np.testing.assert_array_equal(sol.values[:, -1], g_right)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("value,where", [(800.0, "all"), (-800.0, "all"),
+                                             (800.0, "node"), (-800.0, "node")])
+    def test_overflowing_or_underflowing_permeability_raises(self, value, where):
+        # exp(800) is inf and exp(-800) is 0: harmonic means turn into NaN, or
+        # an isolated interior node leaves a zero row
+        grid = Grid(8, 8)
+        y = np.full((8, 8), value) if where == "all" else np.zeros((8, 8))
+        y[3, 4] = value
+        with pytest.raises(DarcySolveError, match="linear solve failed"):
+            solve_darcy(y, grid)
+
+    @pytest.mark.parametrize("side", ["dirichlet_left", "dirichlet_right"])
+    def test_dirichlet_data_of_wrong_length_rejected(self, side):
+        grid = Grid(8, 8)
+        with pytest.raises(ValueError, match=rf"{side} has shape \(5,\), expected \(8,\)"
+                                             r".*grid\.height = 8"):
+            solve_darcy(np.zeros((8, 8)), grid, **{side: np.zeros(5)})
+
+    def test_scalar_dirichlet_data_broadcast(self):
+        grid = Grid(6, 7)
+        y = np.random.default_rng(9).standard_normal((6, 7)) * 0.5
+        scalar = solve_darcy(y, grid, dirichlet_left=1.5, dirichlet_right=-0.5)
+        full = solve_darcy(y, grid, dirichlet_left=np.full(6, 1.5),
+                           dirichlet_right=np.full(6, -0.5))
+        np.testing.assert_array_equal(scalar.values, full.values)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(height=st.integers(3, 12), width=st.integers(3, 12),
+       amplitude=st.floats(0.0, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_solution_satisfies_the_stencil(height, width, amplitude, seed):
+    grid = Grid(height, width)
+    rng = np.random.default_rng(seed)
+    y = amplitude * rng.standard_normal((height, width))
+    g_left, g_right = rng.standard_normal(height), rng.standard_normal(height)
+    sol = solve_darcy(y, grid, source=3.0, dirichlet_left=g_left, dirichlet_right=g_right)
+    assert (sol.values[:, 0] == g_left).all() and (sol.values[:, -1] == g_right).all()
+    mat, rhs = dense_system(y, grid, 3.0, g_left, g_right)
+    residual = np.linalg.norm(mat @ sol.values[:, 1:-1].ravel() - rhs)
+    assert residual <= 1e-10 * np.linalg.norm(rhs)
 
 
 class TestObserve:
