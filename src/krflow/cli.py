@@ -271,7 +271,8 @@ def cmd_infer_mcmc(config: ExperimentConfig, out_dir: Path) -> None:
     _write_posterior_outputs(stage_dir, summary, chash, "mcmc", vae.latent_dim,
                              {"acceptance_rate": chain.acceptance_rate,
                               "step_size": step,
-                              "total_steps": chain.total_steps})
+                              "total_steps": chain.total_steps,
+                              "likelihood_evaluations": chain.likelihood_evaluations})
     _write_timing(stage_dir, "infer_mcmc", time.perf_counter() - start)
     print(f"infer-mcmc: relative error {summary.relative_error:.4f}, "
           f"acceptance {chain.acceptance_rate:.2%}, step {step:.4f}")

@@ -10,6 +10,7 @@ from krflow.cli import main
 from krflow.config import desk_config, save_config
 from krflow.darcy import lattice_operator, observe, solve_darcy
 from krflow.grf import Grid
+from krflow.inference import PREFETCH_WIDTH
 from krflow.report import load_field_csv, read_json
 
 
@@ -104,6 +105,9 @@ class TestPipelineOutputs:
         summary = read_json(out / "mcmc" / "summary.json")
         assert summary["total_steps"] == 300
         assert 0.0 < summary["acceptance_rate"] <= 1.0
+        # every step's proposal is evaluated once, plus the initial state and
+        # the prefetched proposals the chain did not reach
+        assert 301 <= summary["likelihood_evaluations"] <= 1 + PREFETCH_WIDTH * 300
 
     def test_report_matches_summaries(self, run_dir, tmp_path):
         _, _, out = run_dir

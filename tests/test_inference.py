@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from krflow import autodiff as ad
@@ -15,6 +17,7 @@ from krflow.darcy import (
 from krflow.flow import FlowConfig, init_flow, krnet_inverse
 from krflow.grf import Grid
 from krflow.inference import (
+    PREFETCH_WIDTH,
     KrnetLossBreakdown,
     McmcChain,
     make_surrogate_loglike,
@@ -445,3 +448,105 @@ def test_pcn_with_folded_loglike_reproduces_reference_chain(structured):
     assert chains[0].states.tobytes() == chains[1].states.tobytes()
     np.testing.assert_allclose(chains[0].log_likelihoods, chains[1].log_likelihoods,
                                rtol=1e-12)
+
+
+def _sequential_pcn(log_like, dim, steps, step_size, seed, burn_keep):
+    """The one-proposal-per-step pCN loop, the reference for prefetching."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(dim)
+    current_ll = float(log_like(x))
+    contraction = np.sqrt(1.0 - step_size ** 2)
+    kept_states = np.empty((burn_keep, dim))
+    kept_ll = np.empty(burn_keep)
+    accepted = 0
+    for step in range(steps):
+        proposal = contraction * x + step_size * rng.standard_normal(dim)
+        proposal_ll = float(log_like(proposal))
+        if np.log(rng.uniform()) < proposal_ll - current_ll:
+            x, current_ll = proposal, proposal_ll
+            accepted += 1
+        tail = step - (steps - burn_keep)
+        if tail >= 0:
+            kept_states[tail] = x
+            kept_ll[tail] = current_ll
+    return kept_states, kept_ll, accepted
+
+
+def _vectorized_gaussian(center, precision, batch_rows):
+    """-precision/2 |x - center|^2 on (d,) or (n, d); records each batch's rows."""
+    def log_like(x):
+        r = x - center
+        value = -0.5 * precision * np.sum(r * r, axis=-1)
+        if x.ndim == 1:
+            return float(value)
+        batch_rows.append(len(x))
+        return value
+
+    log_like.vectorized = True
+    return log_like
+
+
+@st.composite
+def _pcn_cases(draw):
+    # chains shorter than a prefetch tree are as likely as longer ones
+    steps = draw(st.one_of(st.integers(1, 2 * PREFETCH_WIDTH), st.integers(1, 300)))
+    step_size = draw(st.sampled_from([0.6, 0.3, 0.05]))
+    # acceptance falls with precision * step_size^2: at step 0.6, 10^-2.5 gives
+    # about 0.95 and 10^3 about 0.02 (test_prefetch_cases_span_acceptance)
+    log_scale = draw(st.sampled_from([3.0, -2.5, 2.0, -1.5, 1.0, -0.5, 0.5, 0.0]))
+    return dict(dim=draw(st.integers(1, 6)), steps=steps,
+                burn_keep=draw(st.integers(1, steps)), step_size=step_size,
+                precision=10.0 ** log_scale / step_size ** 2,
+                seed=draw(st.integers(0, 10_000)))
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(_pcn_cases())
+def test_prefetching_pcn_reproduces_sequential_chain(case):
+    dim, steps, burn_keep = case["dim"], case["steps"], case["burn_keep"]
+    step_size, seed = case["step_size"], case["seed"]
+    center = np.linspace(-1.0, 1.5, dim)
+    rows = []
+    log_like = _vectorized_gaussian(center, case["precision"], rows)
+    chain = pcn_mcmc(log_like, dim, steps, step_size, seed, burn_keep)
+    states, log_likelihoods, accepted = _sequential_pcn(log_like, dim, steps, step_size,
+                                                        seed, burn_keep)
+    assert chain.accepted_count == accepted
+    assert chain.states.tobytes() == states.tobytes()
+    np.testing.assert_allclose(chain.log_likelihoods, log_likelihoods, rtol=1e-12, atol=0)
+    assert rows and max(rows) <= PREFETCH_WIDTH
+    assert chain.likelihood_evaluations == 1 + sum(rows)
+    assert chain.likelihood_evaluations >= 1 + steps
+
+
+@pytest.mark.parametrize("log_scale,low,high", [(3.0, 0.0, 0.03), (-2.5, 0.94, 1.0)])
+def test_prefetch_cases_span_acceptance(log_scale, low, high):
+    log_like = _vectorized_gaussian(np.linspace(-1.0, 1.5, 6), 10.0 ** log_scale / 0.36, [])
+    assert low <= pcn_mcmc(log_like, 6, 2000, 0.6, 3, 1).acceptance_rate <= high
+
+
+def test_plain_loglike_is_called_once_per_step_with_one_state():
+    shapes = []
+
+    def log_like(x):
+        shapes.append(x.shape)
+        return -0.5 * float(x @ x)
+
+    chain = pcn_mcmc(log_like, dim=3, steps=250, step_size=0.4, seed=2, burn_keep=10)
+    assert shapes == [(3,)] * 251
+    assert chain.likelihood_evaluations == 251
+
+
+@pytest.mark.parametrize("structured", [True, False])
+@pytest.mark.parametrize("decoder_hidden,surrogate_hidden", [((12,), (16, 8)), ((), ())])
+def test_surrogate_loglike_batch_rows_match_single_calls(structured, decoder_hidden,
+                                                         surrogate_hidden):
+    vae, sp = _random_model(structured, decoder_hidden, surrogate_hidden, seed=5)
+    obs = _noisy_obs(vae, sp, sigma=0.05, seed=5)
+    log_like = make_surrogate_loglike(vae, sp, obs)
+    assert log_like.vectorized is True
+    xs = np.random.default_rng(9).standard_normal((PREFETCH_WIDTH, D))
+    batch = log_like(xs)
+    assert batch.shape == (PREFETCH_WIDTH,)
+    single = np.array([log_like(x) for x in xs])
+    np.testing.assert_allclose(batch, single, rtol=1e-15, atol=0)
