@@ -131,7 +131,11 @@ def read_exact(fh, size: int, path) -> bytes:
 
 @dataclass
 class AdamState:
-    """Per-parameter first/second moments plus the optimizer hyperparameters."""
+    """Per-parameter first/second moments plus the optimizer hyperparameters.
+
+    ``scratch`` holds two work arrays per parameter, so that
+    :func:`adam_step` allocates nothing.
+    """
 
     first_moment: dict[str, np.ndarray]
     second_moment: dict[str, np.ndarray]
@@ -140,6 +144,7 @@ class AdamState:
     beta2: float
     epsilon: float
     learning_rate: float
+    scratch: dict[str, tuple[np.ndarray, np.ndarray]]
 
     @classmethod
     def fresh(cls, params: ParamStore, learning_rate: float,
@@ -151,30 +156,52 @@ class AdamState:
             step_count=0,
             beta1=beta1, beta2=beta2, epsilon=epsilon,
             learning_rate=learning_rate,
+            scratch={k: (np.empty_like(v), np.empty_like(v)) for k, v in params.items()},
         )
 
 
 def adam_step(params: ParamStore, gradients: Mapping[str, np.ndarray],
               state: AdamState) -> tuple[ParamStore, AdamState]:
-    """One bias-corrected Adam update; pure function of its inputs."""
-    new_params = ParamStore(rng_seed=params.rng_seed)
-    new_m: dict[str, np.ndarray] = {}
-    new_v: dict[str, np.ndarray] = {}
-    t = state.step_count + 1
+    """One bias-corrected Adam update, in place; returns ``params`` and ``state``.
+
+    The parameters, both moments and the step count are updated in place
+    through ``out=`` ufuncs and the state's scratch arrays.  The operations
+    and their order are those of the textbook formula
+
+        m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
+        p = p - (lr * m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps)
+
+    so the result is the same to the bit.  An updated parameter that is not
+    finite raises ValueError naming it.
+    """
+    state.step_count += 1
+    t = state.step_count
     b1, b2 = state.beta1, state.beta2
+    m_scale, v_scale = 1.0 - b1 ** t, 1.0 - b2 ** t
     for name, p in params.items():
         g = np.asarray(gradients[name], dtype=np.float64)
         if g.shape != p.shape:
             raise ValueError(
                 f"adam_step: gradient for '{name}' has shape {g.shape}, expected {p.shape}")
-        m = b1 * state.first_moment[name] + (1.0 - b1) * g
-        v = b2 * state.second_moment[name] + (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        new_params[name] = p - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
-        new_m[name] = m
-        new_v[name] = v
-    return new_params, AdamState(new_m, new_v, t, b1, b2, state.epsilon, state.learning_rate)
+        m, v = state.first_moment[name], state.second_moment[name]
+        a, b = state.scratch[name]
+        m *= b1
+        np.multiply(g, 1.0 - b1, out=a)
+        m += a
+        v *= b2
+        np.multiply(g, 1.0 - b2, out=a)
+        a *= g
+        v += a
+        np.divide(m, m_scale, out=a)
+        a *= state.learning_rate
+        np.divide(v, v_scale, out=b)
+        np.sqrt(b, out=b)
+        b += state.epsilon
+        a /= b
+        p -= a
+        if not np.isfinite(p).all():
+            raise ValueError(f"parameter '{name}' contains non-finite values")
+    return params, state
 
 
 class TrainingDiverged(RuntimeError):
@@ -191,7 +218,8 @@ def fit(what: str, store: ParamStore, data: np.ndarray, batch_size: int, epochs:
     """Mini-batch Adam over fixed batches of ``data``; returns the final store
     and the ``(epoch, mean batch loss)`` curve.
 
-    Training starts from a fresh Adam state.  ``data`` is cut once, in order,
+    Training starts from a fresh Adam state and from a copy of ``store``,
+    which ``update`` may change in place; the caller's store is not changed.  ``data`` is cut once, in order,
     into batches of ``batch_size`` rows that every epoch sweeps in the same
     order.  ``program_for(batch)`` returns the loss program of one step
     (drawing that step's noise, if any); ``update(store, grads, state)``
@@ -201,6 +229,7 @@ def fit(what: str, store: ParamStore, data: np.ndarray, batch_size: int, epochs:
     the epoch.
     """
     batches = [data[lo:lo + batch_size] for lo in range(0, len(data), batch_size)]
+    store = ParamStore(((k, v.copy()) for k, v in store.items()), rng_seed=store.rng_seed)
     state = AdamState.fresh(store, learning_rate)
     curve: list[tuple[int, float]] = []
     for epoch in range(epochs):

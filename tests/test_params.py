@@ -12,7 +12,7 @@ from krflow.config import InferenceSection, SurrogateSection, VaeSection
 from krflow.darcy import NoiseModel, ObservationSet, lattice_operator
 from krflow.flow import FlowConfig
 from krflow.inference import train_posterior_flow
-from krflow.params import AdamState, ParamStore, TrainingDiverged, adam_step
+from krflow.params import AdamState, ParamStore, TrainingDiverged, adam_step, fit
 from krflow.surrogate import init_surrogate, train_surrogate
 from krflow.vae import init_vae, train_vae
 
@@ -97,9 +97,10 @@ class TestParamStore:
 class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
         params = ParamStore({"p": np.array([1.0, -2.0])})
+        before = params["p"].copy()
         state = AdamState.fresh(params, learning_rate=0.05)
         new_params, new_state = adam_step(params, {"p": np.zeros(2)}, state)
-        np.testing.assert_array_equal(new_params["p"], params["p"])
+        np.testing.assert_array_equal(new_params["p"], before)
         assert new_state.step_count == 1
 
     def test_first_step_with_bias_correction(self):
@@ -116,18 +117,23 @@ class TestAdam:
         params = ParamStore({"p": np.array([0.0])})
         state = AdamState.fresh(params, learning_rate=lr)
         g = {"p": np.array([1.0])}
-        params1, state = adam_step(params, g, state)
-        params2, state = adam_step(params1, g, state)
-        magnitude = abs(params2["p"][0] - params1["p"][0])
+        params, state = adam_step(params, g, state)
+        after_first = float(params["p"][0])
+        params, state = adam_step(params, g, state)
+        magnitude = abs(float(params["p"][0]) - after_first)
         assert 0.9 * lr <= magnitude <= lr
 
     def test_deterministic_bitwise(self):
+        # two separately built (params, state) pairs; the update is in place
         rng = np.random.default_rng(5)
-        params = ParamStore({"w": rng.standard_normal((4, 4))})
+        w = rng.standard_normal((4, 4))
         grads = {"w": rng.standard_normal((4, 4))}
-        state = AdamState.fresh(params, learning_rate=0.003)
-        out1, st1 = adam_step(params, grads, state)
-        out2, st2 = adam_step(params, grads, state)
+        pairs = []
+        for _ in range(2):
+            params = ParamStore({"w": w.copy()})
+            pairs.append(adam_step(params, grads, AdamState.fresh(params, learning_rate=0.003)))
+        (out1, st1), (out2, st2) = pairs
+        assert out1["w"] is not out2["w"]
         assert out1["w"].tobytes() == out2["w"].tobytes()
         assert st1.first_moment["w"].tobytes() == st2.first_moment["w"].tobytes()
         assert st1.second_moment["w"].tobytes() == st2.second_moment["w"].tobytes()
@@ -145,6 +151,53 @@ class TestAdam:
         for _ in range(5):
             params, state = adam_step(params, {"p": rng.standard_normal(6)}, state)
         assert (state.second_moment["p"] >= 0.0).all()
+
+    def test_in_place_update_matches_pure_formula_bitwise(self):
+        # the textbook update, written out with fresh arrays each step
+        rng = np.random.default_rng(12)
+        shapes = {"w": (5, 3), "b": (3,), "scale": (), "k": (2, 2, 2)}
+        start = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        grads = [{k: rng.standard_normal(s) for k, s in shapes.items()} for _ in range(5)]
+        lr, b1, b2, eps = 0.003, 0.9, 0.999, 1e-8
+        params = ParamStore({k: v.copy() for k, v in start.items()})
+        state = AdamState.fresh(params, learning_rate=lr)
+        arrays = {k: params[k] for k in params}
+        p = {k: v.copy() for k, v in start.items()}
+        m = {k: np.zeros_like(v) for k, v in start.items()}
+        v = {k: np.zeros_like(a) for k, a in start.items()}
+        for t, g in enumerate(grads, start=1):
+            params, state = adam_step(params, g, state)
+            for k in shapes:
+                m[k] = b1 * m[k] + (1.0 - b1) * g[k]
+                v[k] = b2 * v[k] + (1.0 - b2) * g[k] * g[k]
+                m_hat = m[k] / (1.0 - b1 ** t)
+                v_hat = v[k] / (1.0 - b2 ** t)
+                p[k] = p[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        assert state.step_count == 5
+        for k, shape in shapes.items():
+            assert params[k] is arrays[k]
+            assert params[k].shape == shape
+            assert params[k].tobytes() == p[k].tobytes()
+            assert state.first_moment[k].tobytes() == m[k].tobytes()
+            assert state.second_moment[k].tobytes() == v[k].tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_update_names_parameter(self):
+        params = ParamStore({"a": np.zeros(2), "big": np.array([1e308, 0.0])})
+        state = AdamState.fresh(params, learning_rate=-1e308)
+        with pytest.raises(ValueError, match=r"^parameter 'big' contains non-finite values$"):
+            adam_step(params, {"a": np.ones(2), "big": np.ones(2)}, state)
+
+    def test_fit_leaves_the_callers_store_unchanged(self):
+        store = ParamStore({"w": np.array([1.0, -2.0])})
+        before = store["w"].copy()
+
+        def program_for(batch):
+            return lambda leaves: ad.sum_(ad.mul(leaves["w"], batch[0]))
+
+        trained, _ = fit("test", store, np.ones((4, 2)), 2, 3, 0.1, program_for, adam_step)
+        np.testing.assert_array_equal(store["w"], before)
+        assert not np.array_equal(trained["w"], before)
 
 
 # each trainer at tiny shapes with two batches per epoch; returns the final store
