@@ -136,6 +136,15 @@ def solve_darcy(log_perm: np.ndarray, grid: Grid,
                          f"{grid.height}x{grid.width}")
     if not np.isfinite(log_perm).all():
         raise ValueError("log-permeability contains non-finite values")
+    # exp is monotone, so checking it at the extremes covers the field
+    low, high = log_perm.min(), log_perm.max()
+    with np.errstate(over="ignore", under="ignore"):
+        perm_range_ok = np.exp(low) > 0.0 and np.isfinite(np.exp(high))
+    if not perm_range_ok:
+        raise DarcySolveError(
+            f"permeability exp(y) is not finite and positive: log-permeability y "
+            f"ranges over [{low:.3e}, {high:.3e}], and exp(y) overflows above about "
+            f"709.8 and underflows to 0 below about -745.1")
 
     h_rows, w_cols = grid.height, grid.width
     d1 = grid.spacing_1
