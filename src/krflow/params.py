@@ -171,8 +171,10 @@ def adam_step(params: ParamStore, gradients: Mapping[str, np.ndarray],
         m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
         p = p - (lr * m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps)
 
-    so the result is the same to the bit.  An updated parameter that is not
-    finite raises ValueError naming it.
+    so the result is the same to the bit.  A gradient of the wrong shape or
+    an updated parameter that is not finite raises ValueError naming the
+    parameter; the parameters before it in the store are then already
+    updated.
     """
     state.step_count += 1
     t = state.step_count
@@ -219,14 +221,14 @@ def fit(what: str, store: ParamStore, data: np.ndarray, batch_size: int, epochs:
     and the ``(epoch, mean batch loss)`` curve.
 
     Training starts from a fresh Adam state and from a copy of ``store``,
-    which ``update`` may change in place; the caller's store is not changed.  ``data`` is cut once, in order,
-    into batches of ``batch_size`` rows that every epoch sweeps in the same
-    order.  ``program_for(batch)`` returns the loss program of one step
-    (drawing that step's noise, if any); ``update(store, grads, state)``
-    applies the optimizer step; callers pass their own module's ``adam_step``,
-    so rebinding that name in the caller's module reaches every step.  A
-    non-finite value on the tape raises TrainingDiverged naming ``what`` and
-    the epoch.
+    which ``update`` may change in place; the caller's store is not changed.
+    ``data`` is cut once, in order, into batches of ``batch_size`` rows that
+    every epoch sweeps in the same order.  ``program_for(batch)`` returns the
+    loss program of one step (drawing that step's noise, if any);
+    ``update(store, grads, state)`` applies the optimizer step; callers pass
+    their own module's ``adam_step``, so rebinding that name in the caller's
+    module reaches every step.  A non-finite value on the tape raises
+    TrainingDiverged naming ``what`` and the epoch.
     """
     batches = [data[lo:lo + batch_size] for lo in range(0, len(data), batch_size)]
     store = ParamStore(((k, v.copy()) for k, v in store.items()), rng_seed=store.rng_seed)
