@@ -1,13 +1,13 @@
 """Latent-space normalizing-flow inference for Darcy-flow inverse problems.
 
 The package trains a field prior (VAE) on Gaussian-random-field data, a
-physics-constrained surrogate of the Darcy pressure solve, and a coupling
+label-free surrogate of the Darcy pressure solve, and a coupling
 flow that transports a standard Gaussian to the latent posterior, with a
 pCN-MCMC baseline for comparison.  Everything runs on a small in-repo
 autodiff tape over numpy arrays.
 """
 
-from .autodiff import NonFiniteError, ShapeError, Tensor, evaluate_with_gradients, fixed_conv2d
+from .autodiff import NonFiniteError, ShapeError, Tensor, evaluate_with_gradients
 from .config import ExperimentConfig, config_hash, desk_config, load_config, save_config
 from .darcy import (
     ObservationOperator,
@@ -34,7 +34,7 @@ from .inference import (
 from .params import AdamState, ParamStore, adam_step
 from .surrogate import (
     SurrogateParams,
-    physics_loss,
+    energy_loss,
     surrogate_forward,
     surrogate_relative_error,
     train_surrogate,

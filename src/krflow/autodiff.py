@@ -2,15 +2,17 @@
 
 A ``Tensor`` wraps a numpy array and records the operation that produced it,
 so that ``backward()`` on a scalar output accumulates exact gradients into
-every upstream tensor that requires them.  The op set is exactly what the
-dense networks, coupling flows and Sobel-filter residuals in this package
-build, nothing more; each op, ``sub`` included, is one tape node:
+every upstream tensor that requires them.  The op set is what the dense
+networks, coupling flows and the surrogate's energy loss in this package
+build; each op, ``sub`` included, is one tape node:
 
 - elementwise: ``add``, ``sub``, ``mul``, ``exp``, ``tanh``, ``relu``,
   ``square`` and ``clip``;
 - linear algebra and reductions: ``matmul``, ``sum_`` and ``mean_``;
-- structural: ``reshape``, ``take_cols`` and ``concat``;
-- ``fixed_conv2d``, a 3x3 cross-correlation with a constant kernel.
+- structural: ``reshape``, ``take_cols`` and ``concat``.
+
+``fixed_conv2d`` (a 3x3 cross-correlation with a constant kernel) is also
+defined, though no model builds it any more.
 
 Ops are plain functions; ``Tensor`` has no operator overloads.
 
@@ -380,6 +382,7 @@ def concat(parts: Sequence, axis: int = -1):
 # -- fixed-kernel 2-D convolution ----------------------------------------------------
 
 
+# Unused by the models; kept only because the benchmark's tracer rebinds it by name.
 def fixed_conv2d(field, kernel) -> "Tensor | np.ndarray":
     """Cross-correlate an H-by-W field (or a batch of them) with a fixed 3x3 kernel.
 

@@ -68,8 +68,8 @@ from .report import (
     write_json,
 )
 from .surrogate import (
+    energy_loss,
     load_surrogate,
-    physics_loss,
     save_surrogate,
     surrogate_relative_error,
     train_surrogate,
@@ -170,13 +170,11 @@ def cmd_train_surrogate(config: ExperimentConfig, out_dir: Path) -> None:
     chash, grid, data = _load_stage_inputs(config, out_dir)
     sp = train_surrogate(data, config.surrogate, config.seeds.surrogate,
                          out_dir / "surrogate_loss_curve.csv")
-    final_loss, _ = physics_loss(data[: min(len(data), 128)], sp,
-                                 source=config.surrogate.source,
-                                 beta=config.surrogate.beta)
+    final_loss = energy_loss(data[: min(len(data), 128)], sp, source=config.surrogate.source)
     rel = surrogate_relative_error(sp, data[: min(len(data), 16)],
                                    source=config.surrogate.source)
     save_surrogate(str(out_dir / "surrogate"), sp, seed=config.seeds.surrogate,
-                   beta=config.surrogate.beta, final_loss=final_loss,
+                   final_loss=final_loss,
                    extra={"config_hash": chash, "relative_error_sample": rel})
     _write_timing(out_dir, "train_surrogate", time.perf_counter() - start)
     print(f"train-surrogate: final loss {final_loss:.5f}, "
@@ -315,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     add_stage("generate-data", "build the prior dataset, truth field and observations")
     add_stage("train-vae", "train the field prior (encoder/decoder)")
-    add_stage("train-surrogate", "train the physics-constrained pressure surrogate")
+    add_stage("train-surrogate", "train the energy-trained pressure surrogate")
     add_stage("infer-krnet", "fit the latent coupling flow to the posterior")
     add_stage("infer-mcmc", "run the pCN baseline in the latent space")
 

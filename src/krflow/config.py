@@ -73,7 +73,6 @@ class SurrogateSection:
     epochs: int
     batch_size: int
     learning_rate: float
-    beta: float
     source: float
 
 
@@ -260,7 +259,7 @@ def desk_config() -> ExperimentConfig:
                        decoder_hidden=(128, 256), epochs=400, batch_size=64,
                        learning_rate=0.002),
         surrogate=SurrogateSection(hidden=(512, 512), epochs=300, batch_size=64,
-                                   learning_rate=0.001, beta=100.0, source=3.0),
+                                   learning_rate=0.001, source=3.0),
         flow=FlowSection(n_groups=4, layers_per_stage=8, hidden_width=48,
                          hidden_depth=2, scale_bound=2.0),
         inference=InferenceSection(sample_size=2000, epochs=10, batch_size=100,

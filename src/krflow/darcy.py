@@ -93,19 +93,79 @@ def lattice_operator(rows: int, cols: int, origin: float, spacing: float) -> Obs
 
 
 def _transmissibilities(log_perm: np.ndarray, grid: Grid):
-    """Harmonic-mean interface conductivities times face-geometry factors."""
+    """Harmonic-mean interface conductivities times face-geometry factors.
+
+    ``log_perm`` is one (H, W) field or a (..., H, W) batch of them.
+    """
     a = np.exp(log_perm)
     d1, d2 = grid.spacing_1, grid.spacing_2
     # row heights of the control volumes: half cells on the Neumann rows
     heights = np.full(grid.height, d2)
     heights[0] = heights[-1] = 0.5 * d2
     # horizontal faces between (i, j) and (i, j+1)
-    ah = 2.0 * a[:, :-1] * a[:, 1:] / (a[:, :-1] + a[:, 1:])
+    ah = 2.0 * a[..., :, :-1] * a[..., :, 1:] / (a[..., :, :-1] + a[..., :, 1:])
     t_h = ah * heights[:, None] / d1
     # vertical faces between (i, j) and (i+1, j); interior columns have width d1
-    av = 2.0 * a[:-1, :] * a[1:, :] / (a[:-1, :] + a[1:, :])
+    av = 2.0 * a[..., :-1, :] * a[..., 1:, :] / (a[..., :-1, :] + a[..., 1:, :])
     t_v = av * d1 / d2
     return t_h, t_v, heights
+
+
+def _load(source, grid: Grid, heights: np.ndarray) -> np.ndarray:
+    """Source integral over each unknown's control volume, (H, W-2)."""
+    if callable(source):
+        g1, g2 = grid.points().T.reshape(2, grid.height, grid.width)
+        h_val = np.asarray(source(g1, g2), dtype=np.float64)
+    else:
+        h_val = np.full((grid.height, grid.width), float(source))
+    return h_val[:, 1:-1] * (heights[:, None] * grid.spacing_1)
+
+
+def energy_terms(log_perms: np.ndarray, grid: Grid, source: float = 3.0
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pieces of the discrete energy 1/2 u^T A(y) u - b^T u of a (B, H, W) batch.
+
+    ``u`` is the flat (H*(W-2),) vector of unknowns that :func:`solve_darcy`
+    solves for, with homogeneous Dirichlet columns; A(y) and b are its
+    system.  Returns ``(weights, differences, load)``: the (B, F)
+    transmissibilities of the F faces that touch an unknown, the constant
+    (H*(W-2), F) matrix taking u to the differences across those faces, so
+    that A(y) = differences @ diag(weights[k]) @ differences.T, and the load
+    b.  The energy's minimizer is the solve's interior; ``differences`` is
+    built once per grid and returned read-only.
+    """
+    log_perms = np.asarray(log_perms, dtype=np.float64)
+    if log_perms.ndim != 3 or log_perms.shape[1:] != (grid.height, grid.width):
+        raise ValueError(f"fields of shape {log_perms.shape} are not a (B, "
+                         f"{grid.height}, {grid.width}) batch")
+    t_h, t_v, heights = _transmissibilities(log_perms, grid)
+    weights = np.concatenate([t_h.reshape(len(t_h), -1),
+                              t_v[..., 1:-1].reshape(len(t_v), -1)], axis=1)
+    return weights, _face_differences(grid), _load(source, grid, heights).ravel()
+
+
+@lru_cache(maxsize=8)
+def interior_embedding(grid: Grid) -> np.ndarray:
+    """(H*(W-2), H*W) 0/1 matrix placing the unknowns between zero Dirichlet columns.
+
+    Built once per grid and returned read-only.
+    """
+    n = grid.height * (grid.width - 2)
+    images = np.pad(np.eye(n).reshape(n, grid.height, -1), ((0, 0), (0, 0), (1, 1)))
+    mat = images.reshape(n, -1)
+    mat.flags.writeable = False
+    return mat
+
+
+@lru_cache(maxsize=8)
+def _face_differences(grid: Grid) -> np.ndarray:
+    images = interior_embedding(grid).reshape(-1, grid.height, grid.width)
+    # the faces in the order of energy_terms' weights: horizontal, then vertical
+    mat = np.concatenate([np.diff(images, axis=2).reshape(len(images), -1),
+                          np.diff(images[:, :, 1:-1], axis=1).reshape(len(images), -1)],
+                         axis=1)
+    mat.flags.writeable = False
+    return mat
 
 
 def _dirichlet(values, name: str, rows: int) -> np.ndarray:
@@ -136,31 +196,26 @@ def solve_darcy(log_perm: np.ndarray, grid: Grid,
                          f"{grid.height}x{grid.width}")
     if not np.isfinite(log_perm).all():
         raise ValueError("log-permeability contains non-finite values")
-    # exp is monotone, so checking it at the extremes covers the field
+    # the harmonic means form 2 exp(y) exp(y'), which lies between its values
+    # at the two extremes of the field
     low, high = log_perm.min(), log_perm.max()
     with np.errstate(over="ignore", under="ignore"):
-        perm_range_ok = np.exp(low) > 0.0 and np.isfinite(np.exp(high))
+        e_low, e_high = np.exp(low), np.exp(high)
+        perm_range_ok = 2.0 * e_low * e_low > 0.0 and np.isfinite(2.0 * e_high * e_high)
     if not perm_range_ok:
         raise DarcySolveError(
-            f"permeability exp(y) is not finite and positive: log-permeability y "
-            f"ranges over [{low:.3e}, {high:.3e}], and exp(y) overflows above about "
-            f"709.8 and underflows to 0 below about -745.1")
+            f"permeability exp(y) is out of range: log-permeability y ranges over "
+            f"[{low:.3e}, {high:.3e}], and the harmonic means of exp(y) overflow above "
+            f"about 354.5 and underflow to 0 below about -372.9")
 
-    h_rows, w_cols = grid.height, grid.width
-    d1 = grid.spacing_1
+    h_rows = grid.height
     g_left = _dirichlet(dirichlet_left, "dirichlet_left", h_rows)
     g_right = _dirichlet(dirichlet_right, "dirichlet_right", h_rows)
 
     t_h, t_v, heights = _transmissibilities(log_perm, grid)
 
-    if callable(source):
-        g1, g2 = grid.points().T.reshape(2, h_rows, w_cols)
-        h_val = np.asarray(source(g1, g2), dtype=np.float64)
-    else:
-        h_val = np.full((h_rows, w_cols), float(source))
-
     # unknowns are the interior columns, numbered row by row
-    m = w_cols - 2
+    m = grid.width - 2
     n = h_rows * m
     t_e = t_h[:, 1:-1]     # faces between neighbouring unknowns in a row
     t_n = t_v[:, 1:-1]     # faces between neighbouring unknowns in a column
@@ -168,7 +223,7 @@ def solve_darcy(log_perm: np.ndarray, grid: Grid,
     diag[1:] += t_n        # south faces; none on the top Neumann row
     diag[:-1] += t_n       # north faces; none on the bottom Neumann row
 
-    rhs = h_val[:, 1:-1] * (heights[:, None] * d1)
+    rhs = _load(source, grid, heights)
     rhs[:, 0] += t_h[:, 0] * g_left
     rhs[:, -1] += t_h[:, -1] * g_right
 

@@ -137,10 +137,9 @@ def posterior_flow_terms(z_batch: np.ndarray, flow_params, flow_config: FlowConf
     if obs is None:
         log_lik = 0.0
     else:
-        u, _, _ = surrogate_forward_batch(y_flat, surrogate.store, surrogate)
+        u = surrogate_forward_batch(y_flat, surrogate.store, surrogate)
         u_flat = ad.reshape(u, (-1, surrogate.height * surrogate.width))
-        grid = Grid(surrogate.height, surrogate.width)
-        log_lik = ad.mean_(observed_log_likelihood_batch(u_flat, obs, grid))
+        log_lik = ad.mean_(observed_log_likelihood_batch(u_flat, obs, surrogate.grid))
     return entropy, log_lik, log_prior
 
 
@@ -259,10 +258,10 @@ def make_surrogate_loglike(vae: VaeParams, surrogate: SurrogateParams,
     - the decoder's mean head (its first H*W columns; the log-variance head
       is dropped), the map back to raw field units, the surrogate's input
       standardization and the surrogate's first layer become one layer;
-    - the surrogate's pressure head (the flux heads are dropped), the
-      bilinear upsampling of structured heads, the sensor interpolation and
-      the division by the noise standard deviations become one (hidden, m)
-      map to the whitened residual.
+    - the surrogate's output layer, the embedding of its pressure unknowns
+      between the zero Dirichlet columns, the sensor interpolation and the
+      division by the noise standard deviations become one (hidden, m) map
+      to the whitened residual.
 
     The hidden layers of both networks are kept as they are.  A call is a
     chain of relu(h @ W + b) and one affine map, with no tape dispatch.  The
@@ -270,10 +269,11 @@ def make_surrogate_loglike(vae: VaeParams, surrogate: SurrogateParams,
     decode_batch -> surrogate_forward_batch -> observation_matrix to 1e-12
     relative, not bit for bit.  A batch row goes through matrix-matrix
     products where a (d,) call goes through vector-matrix ones, so the two
-    agree to about 1e-16 relative, not bit for bit.
+    agree in the last bits only: typically 1e-15 relative, and up to about
+    1e-14 where the whitened residual is small against the terms it is the
+    difference of.
     """
-    obs_matrix, sigma, log_norm = _likelihood_terms(
-        obs, Grid(surrogate.height, surrogate.width))
+    obs_matrix, sigma, log_norm = _likelihood_terms(obs, surrogate.grid)
     decoder = decoder_mean_layers(vae)
     body = pressure_layers(surrogate, obs_matrix.T / sigma)
     layers = decoder[:-1] + [_compose(decoder[-1], body[0])] + body[1:]

@@ -13,6 +13,7 @@ from krflow.darcy import (
     PressureField,
     add_noise,
     boundary_flux_total,
+    energy_terms,
     lattice_operator,
     load_observations_csv,
     log_likelihood,
@@ -169,9 +170,27 @@ class TestSolver:
         y[3, 4] = value
         y_range = re.escape(f"[{y.min():.3e}, {y.max():.3e}]")
         with pytest.raises(DarcySolveError,
-                           match=r"^permeability exp\(y\) is not finite and positive: "
+                           match=r"^permeability exp\(y\) is out of range: "
                                  rf"log-permeability y ranges over {y_range}"):
             solve_darcy(y, grid)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [400.0, 709.0, -400.0])
+    def test_overflowing_harmonic_mean_raises(self, value):
+        # exp(y) is finite and positive, but the harmonic mean's product
+        # 2 exp(y) exp(y) overflows or underflows to 0
+        y = np.full((8, 8), value)
+        with pytest.raises(DarcySolveError, match=r"overflow above about 354\.5 and "
+                                                  r"underflow to 0 below about -372\.9$"):
+            solve_darcy(y, Grid(8, 8))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [350.0, -370.0])
+    def test_extreme_permeability_inside_the_range_solves(self, value):
+        # near the lower limit the transmissibilities are subnormal, so only
+        # the solve's own residual contract holds, not the exp(-y) scaling
+        sol = solve_darcy(np.full((8, 8), value), Grid(8, 8))
+        assert np.isfinite(sol.values).all() and (sol.values[:, 1:-1] > 0).all()
 
     @pytest.mark.parametrize("side", ["dirichlet_left", "dirichlet_right"])
     def test_dirichlet_data_of_wrong_length_rejected(self, side):
@@ -202,6 +221,63 @@ def test_solution_satisfies_the_stencil(height, width, amplitude, seed):
     mat, rhs = dense_system(y, grid, 3.0, g_left, g_right)
     residual = np.linalg.norm(mat @ sol.values[:, 1:-1].ravel() - rhs)
     assert residual <= 1e-10 * np.linalg.norm(rhs)
+
+
+def _energy_system(y, grid, source=3.0):
+    weights, differences, load = energy_terms(y[None], grid, source)
+    return (differences * weights[0]) @ differences.T, load
+
+
+class TestEnergyTerms:
+    @pytest.mark.parametrize("shape", [(3, 3), (9, 9), (12, 20), (20, 12)])
+    def test_pieces_assemble_the_stencil_system(self, shape):
+        grid = Grid(*shape)
+        y = np.random.default_rng(sum(shape)).standard_normal(shape)
+        mat, load = _energy_system(y, grid)
+        zeros = np.zeros(grid.height)
+        ref_mat, ref_rhs = dense_system(y, grid, 3.0, zeros, zeros)
+        np.testing.assert_allclose(mat, ref_mat, rtol=1e-14, atol=1e-14 * np.abs(ref_mat).max())
+        np.testing.assert_allclose(load, ref_rhs, rtol=1e-15)
+
+    def test_batched_transmissibilities_equal_single_calls_bitwise(self):
+        grid = Grid(6, 9)
+        ys = np.random.default_rng(4).standard_normal((3, 6, 9)) * 1.5
+        t_h, t_v, heights = _transmissibilities(ys, grid)
+        for k, y in enumerate(ys):
+            s_h, s_v, s_heights = _transmissibilities(y, grid)
+            assert t_h[k].tobytes() == s_h.tobytes() and t_v[k].tobytes() == s_v.tobytes()
+            assert heights.tobytes() == s_heights.tobytes()
+
+    def test_difference_matrix_built_once_and_read_only(self):
+        grid = Grid(5, 6)
+        ys = np.zeros((2, 5, 6))
+        _, first, _ = energy_terms(ys, grid)
+        _, second, _ = energy_terms(ys, grid)
+        assert first is second
+        with pytest.raises(ValueError):
+            first[0, 0] = 1.0
+
+    def test_non_batch_rejected(self):
+        with pytest.raises(ValueError, match=r"not a \(B, 4, 4\) batch"):
+            energy_terms(np.zeros((4, 4)), Grid(4, 4))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(height=st.integers(3, 12), width=st.integers(3, 12),
+       amplitude=st.floats(0.0, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_solution_minimizes_the_energy(height, width, amplitude, seed):
+    grid = Grid(height, width)
+    rng = np.random.default_rng(seed)
+    y = amplitude * rng.standard_normal((height, width))
+    u = solve_darcy(y, grid, source=3.0).values[:, 1:-1].ravel()
+    mat, load = _energy_system(y, grid)
+    assert np.linalg.norm(mat @ u - load) <= 1e-10 * np.linalg.norm(load)
+
+    def energy(v):
+        return 0.5 * v @ mat @ v - load @ v
+
+    for delta in rng.standard_normal((4, len(u))) * 1e-3 * np.abs(u).max():
+        assert energy(u + delta) > energy(u)
 
 
 class TestObserve:

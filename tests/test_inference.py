@@ -93,13 +93,12 @@ class TestFlowLoss:
         b_last[H * W:] = const_logvar
         vae.store["dec.b1"] = b_last
 
-        surrogate = init_surrogate(H, W, seed=1, hidden=(6,), structured=False)
+        surrogate = init_surrogate(H, W, seed=1, hidden=(6,))
         for name in list(surrogate.store.keys()):
             surrogate.store[name] = np.zeros_like(surrogate.store[name])
+        # every unknown at u_const; the sensor sits on an interior node
         u_const = 0.3
-        sb = np.zeros(3 * H * W)
-        sb[:H * W] = u_const
-        surrogate.store["b1"] = sb
+        surrogate.store["b1"] = np.full(H * (W - 2), u_const)
 
         op = ObservationOperator([[0.5, 0.5]])
         sigma = np.array([0.2])
@@ -389,19 +388,18 @@ def _reference_loglike(vae, surrogate, obs):
 
     def log_like(x):
         mu, _ = decode(x, vae)
-        u, _, _ = surrogate_forward(mu, surrogate)
+        u = surrogate_forward(mu, surrogate)
         return log_likelihood(obs, obs_matrix @ u.ravel())
 
     return log_like
 
 
-def _random_model(structured, decoder_hidden, surrogate_hidden, seed=0):
+def _random_model(decoder_hidden, surrogate_hidden, seed=0):
     """Decoder and surrogate with every weight and bias random and non-zero."""
     rng = np.random.default_rng(seed)
     vae = init_vae(H, W, D, seed, encoder_hidden=(12,), decoder_hidden=decoder_hidden,
                    offset=1.1, scale=0.6)
-    sp = init_surrogate(H, W, seed + 1, hidden=surrogate_hidden, structured=structured,
-                        offset=0.9, scale=0.7)
+    sp = init_surrogate(H, W, seed + 1, hidden=surrogate_hidden, offset=0.9, scale=0.7)
     for store, prefix in ((vae.store, "dec."), (sp.store, "")):
         for name, arr in store.items():
             if name.startswith(prefix):
@@ -414,19 +412,18 @@ def _noisy_obs(vae, sp, sigma, seed=0):
     rng = np.random.default_rng(seed)
     op = lattice_operator(3, 3, 0.1, 0.35)
     mu, _ = decode(rng.standard_normal(D), vae)
-    u, _, _ = surrogate_forward(mu, sp)
+    u = surrogate_forward(mu, sp)
     clean = observation_matrix(op, Grid(H, W)) @ u.ravel()
     values = clean + sigma * rng.standard_normal(op.n_sensors)
     noise = NoiseModel(level=0.05, per_sensor_std=np.full(op.n_sensors, sigma), floor=sigma)
     return ObservationSet(operator=op, values=values, noise=noise)
 
 
-@pytest.mark.parametrize("structured", [True, False])
 @pytest.mark.parametrize("decoder_hidden,surrogate_hidden",
                          [((12,), (16,)), ((12, 10), (16, 8)), ((), ()), ((12,), ())])
 def test_surrogate_loglike_matches_composition_with_random_weights(
-        structured, decoder_hidden, surrogate_hidden):
-    vae, sp = _random_model(structured, decoder_hidden, surrogate_hidden)
+        decoder_hidden, surrogate_hidden):
+    vae, sp = _random_model(decoder_hidden, surrogate_hidden)
     obs = _noisy_obs(vae, sp, sigma=0.05)
     log_like = make_surrogate_loglike(vae, sp, obs)
     reference = _reference_loglike(vae, sp, obs)
@@ -436,9 +433,8 @@ def test_surrogate_loglike_matches_composition_with_random_weights(
         assert isinstance(log_like(x), float)
 
 
-@pytest.mark.parametrize("structured", [True, False])
-def test_pcn_with_folded_loglike_reproduces_reference_chain(structured):
-    vae, sp = _random_model(structured, (12,), (16, 8), seed=3)
+def test_pcn_with_folded_loglike_reproduces_reference_chain():
+    vae, sp = _random_model((12,), (16, 8), seed=3)
     obs = _noisy_obs(vae, sp, sigma=0.5, seed=3)
     chains = [pcn_mcmc(f, D, steps=600, step_size=0.3, seed=11, burn_keep=200)
               for f in (make_surrogate_loglike(vae, sp, obs),
@@ -537,11 +533,9 @@ def test_plain_loglike_is_called_once_per_step_with_one_state():
     assert chain.likelihood_evaluations == 251
 
 
-@pytest.mark.parametrize("structured", [True, False])
 @pytest.mark.parametrize("decoder_hidden,surrogate_hidden", [((12,), (16, 8)), ((), ())])
-def test_surrogate_loglike_batch_rows_match_single_calls(structured, decoder_hidden,
-                                                         surrogate_hidden):
-    vae, sp = _random_model(structured, decoder_hidden, surrogate_hidden, seed=5)
+def test_surrogate_loglike_batch_rows_match_single_calls(decoder_hidden, surrogate_hidden):
+    vae, sp = _random_model(decoder_hidden, surrogate_hidden, seed=5)
     obs = _noisy_obs(vae, sp, sigma=0.05, seed=5)
     log_like = make_surrogate_loglike(vae, sp, obs)
     assert log_like.vectorized is True
@@ -549,4 +543,6 @@ def test_surrogate_loglike_batch_rows_match_single_calls(structured, decoder_hid
     batch = log_like(xs)
     assert batch.shape == (PREFETCH_WIDTH,)
     single = np.array([log_like(x) for x in xs])
-    np.testing.assert_allclose(batch, single, rtol=1e-15, atol=0)
+    # matrix-matrix against vector-matrix products: last bits, amplified
+    # where the whitened residual cancels (at most 2.3e-14 over 80 random models)
+    np.testing.assert_allclose(batch, single, rtol=1e-13, atol=0)

@@ -211,7 +211,7 @@ def _train_vae(epochs):
 def _train_surrogate(epochs):
     data = np.random.default_rng(0).normal(size=(8, 4, 4))
     config = SurrogateSection(hidden=(6,), epochs=epochs, batch_size=4, learning_rate=1e-2,
-                              beta=100.0, source=3.0)
+                              source=3.0)
     return train_surrogate(data, config, seed=1).store
 
 
