@@ -11,9 +11,6 @@ build; each op, ``sub`` included, is one tape node:
 - linear algebra and reductions: ``matmul``, ``sum_`` and ``mean_``;
 - structural: ``reshape``, ``take_cols`` and ``concat``.
 
-``fixed_conv2d`` (a 3x3 cross-correlation with a constant kernel) is also
-defined, though no model builds it any more.
-
 Ops are plain functions; ``Tensor`` has no operator overloads.
 
 Every op dispatches on its input type, so the same network code runs either

@@ -197,16 +197,18 @@ def solve_darcy(log_perm: np.ndarray, grid: Grid,
     if not np.isfinite(log_perm).all():
         raise ValueError("log-permeability contains non-finite values")
     # the harmonic means form 2 exp(y) exp(y'), which lies between its values
-    # at the two extremes of the field
+    # at the two extremes of the field; a subnormal product loses precision
+    # that the residual check, made with the same coefficients, cannot see
     low, high = log_perm.min(), log_perm.max()
     with np.errstate(over="ignore", under="ignore"):
         e_low, e_high = np.exp(low), np.exp(high)
-        perm_range_ok = 2.0 * e_low * e_low > 0.0 and np.isfinite(2.0 * e_high * e_high)
+        perm_range_ok = (2.0 * e_low * e_low >= np.finfo(np.float64).tiny
+                         and np.isfinite(2.0 * e_high * e_high))
     if not perm_range_ok:
         raise DarcySolveError(
             f"permeability exp(y) is out of range: log-permeability y ranges over "
             f"[{low:.3e}, {high:.3e}], and the harmonic means of exp(y) overflow above "
-            f"about 354.5 and underflow to 0 below about -372.9")
+            f"about 354.5 and underflow below about -354.5")
 
     h_rows = grid.height
     g_left = _dirichlet(dirichlet_left, "dirichlet_left", h_rows)

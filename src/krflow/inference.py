@@ -269,16 +269,11 @@ def make_surrogate_loglike(vae: VaeParams, surrogate: SurrogateParams,
     decode_batch -> surrogate_forward_batch -> observation_matrix to 1e-12
     relative, not bit for bit.  A batch row goes through matrix-matrix
     products where a (d,) call goes through vector-matrix ones, so the two
-    agree in the last bits only: typically 1e-15 relative, and up to about
-    1e-14 where the whitened residual is small against the terms it is the
-    difference of.
+    agree in the last bits only: within 1e-15 of sum |z| (|target| + |h| @
+    |w_out|), the size of the terms the whitened residual z is summed from.
+    That is about 1e-15 of the value, and up to 1e-14 where z cancels.
     """
-    obs_matrix, sigma, log_norm = _likelihood_terms(obs, surrogate.grid)
-    decoder = decoder_mean_layers(vae)
-    body = pressure_layers(surrogate, obs_matrix.T / sigma)
-    layers = decoder[:-1] + [_compose(decoder[-1], body[0])] + body[1:]
-    hidden, (w_out, b_out) = layers[:-1], layers[-1]
-    target = obs.values / sigma - b_out
+    hidden, w_out, target, log_norm = _folded_likelihood(vae, surrogate, obs)
 
     def log_like(x: np.ndarray):
         h = x
@@ -291,6 +286,18 @@ def make_surrogate_loglike(vae: VaeParams, surrogate: SurrogateParams,
 
     log_like.vectorized = True
     return log_like
+
+
+def _folded_likelihood(vae: VaeParams, surrogate: SurrogateParams, obs: ObservationSet):
+    """The folds of :func:`make_surrogate_loglike`: the hidden (W, b) layers,
+    the output map and target of the whitened residual z = target - h @ w_out,
+    and the log normalizer."""
+    obs_matrix, sigma, log_norm = _likelihood_terms(obs, surrogate.grid)
+    decoder = decoder_mean_layers(vae)
+    body = pressure_layers(surrogate, obs_matrix.T / sigma)
+    layers = decoder[:-1] + [_compose(decoder[-1], body[0])] + body[1:]
+    hidden, (w_out, b_out) = layers[:-1], layers[-1]
+    return hidden, w_out, obs.values / sigma - b_out, log_norm
 
 
 def _compose(first, second):

@@ -136,11 +136,16 @@ class TestTraining:
             assert a.store[k].tobytes() == b.store[k].tobytes()
 
     def test_tiny_surrogate_quality_gate(self):
-        # the tier-1 CLI shapes: 24 training fields, held-out prior draws
+        # the tier-1 CLI shapes: 24 training fields per seed, held out on
+        # prior draws from base seeds no training seed equals.  24 fields are
+        # fitted to 0.5% but generalize unevenly (0.20-0.47 over 40 seeds,
+        # a quarter above 0.35), so the gate is on the median of seeds 0-4
         config = SurrogateSection(hidden=(32,), epochs=300, batch_size=12,
                                   learning_rate=1e-3, source=3.0)
-        sp = train_surrogate(prior_fields(12, 101), config, seed=505)
-        assert surrogate_relative_error(sp, prior_fields(8, 7)) <= 0.35
+        errors = [surrogate_relative_error(train_surrogate(prior_fields(12, seed), config, seed),
+                                           prior_fields(8, 2 ** 32 + seed))
+                  for seed in range(5)]
+        assert np.median(errors) <= 0.35
 
 
 class TestRelativeError:
