@@ -22,11 +22,9 @@ from .darcy import (
 from .flow import FlowConfig, FlowParams, init_flow, krnet_forward, krnet_inverse, log_density
 from .grf import CovarianceSpec, FieldSample, Grid, KLBasis, generate_prior_dataset
 from .inference import (
-    KrnetLossBreakdown,
     McmcChain,
     PosteriorSummary,
     pcn_mcmc,
-    posterior_flow_loss,
     posterior_moments,
     relative_error,
     train_posterior_flow,

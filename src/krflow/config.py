@@ -1,14 +1,15 @@
 """Experiment configuration: a strict, sectioned key-value file.
 
 Every section and key is declared in the schema below; unknown or missing
-entries are errors, so typos cannot silently fall back to defaults, and a
-value outside its type (``decoder_sampling`` names its choices) or its range
-(``mcmc.retained`` and the ``flow`` shape) fails here, before any stage
-runs.  The sections are also the trainers' settings: ``train_vae``,
-``train_surrogate`` and ``train_posterior_flow`` take ``vae``,
-``surrogate`` and ``inference`` as they are.  Values render with
-``repr`` and the canonical dump is stable, which makes the config hash well
-defined and lets files round-trip losslessly.
+entries are errors, so typos and keys of older versions cannot silently
+fall back to defaults, and a value outside its type or its range (batch and
+sample sizes, the ``mcmc`` step and acceptance band, ``mcmc.retained`` and
+the ``flow`` shape) fails here, before any stage runs.  The sections are
+also the trainers' settings: ``train_vae``, ``train_surrogate`` and
+``train_posterior_flow`` take ``vae``, ``surrogate`` and ``inference`` as
+they are.  Values render with ``repr`` and the canonical dump is stable,
+which makes the config hash well defined and lets files round-trip
+losslessly.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import configparser
 import hashlib
 import io
 from dataclasses import dataclass, fields
-from typing import Literal, get_args, get_type_hints
+from typing import get_type_hints
 
 
 class ConfigError(ValueError):
@@ -30,16 +31,6 @@ def _float_tuple(text: str) -> tuple[float, ...]:
 
 def _int_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(",") if v.strip())
-
-
-# how the flow's likelihood reads the decoder: its mean, or one Gaussian draw
-DecoderSampling = Literal["mean", "sample"]
-
-
-def _decoder_sampling(text: str) -> str:
-    if text not in get_args(DecoderSampling):
-        raise ValueError(f"{text!r} is not one of {', '.join(get_args(DecoderSampling))}")
-    return text
 
 
 @dataclass
@@ -92,7 +83,6 @@ class InferenceSection:
     batch_size: int
     learning_rate: float
     posterior_samples: int
-    decoder_sampling: DecoderSampling
 
 
 @dataclass
@@ -156,7 +146,6 @@ _PARSERS = {
     float: float,
     tuple[float, ...]: _float_tuple,
     tuple[int, ...]: _int_tuple,
-    DecoderSampling: _decoder_sampling,
 }
 
 
@@ -205,15 +194,25 @@ def parse_config(text: str) -> ExperimentConfig:
 def _check_ranges(config: ExperimentConfig) -> None:
     """Reject values that parse but that a later stage could not use."""
     mcmc, flow, latent_dim = config.mcmc, config.flow, config.vae.latent_dim
-    checks = (
+    low, high = mcmc.target_acceptance_low, mcmc.target_acceptance_high
+    counts = [(f"{name}.{key}", getattr(getattr(config, name), key))
+              for name, key in (("vae", "batch_size"), ("surrogate", "batch_size"),
+                                ("inference", "batch_size"), ("inference", "sample_size"),
+                                ("inference", "posterior_samples"))]
+    checks = [(key, value >= 1, f"{value} must be at least 1") for key, value in counts] + [
         ("mcmc.retained", 1 <= mcmc.retained <= mcmc.steps,
          f"{mcmc.retained} is outside [1, mcmc.steps = {mcmc.steps}]"),
+        ("mcmc.step_size", 0.0 <= mcmc.step_size <= 1.0,
+         f"{mcmc.step_size!r} must be 0 (tune) or lie in (0, 1]"),
+        ("mcmc.target_acceptance_low", 0.0 < low < high,
+         f"{low!r} must lie in (0, mcmc.target_acceptance_high = {high!r})"),
+        ("mcmc.target_acceptance_high", high < 1.0, f"{high!r} must be below 1"),
         ("flow.n_groups", flow.n_groups >= 2 and latent_dim % flow.n_groups == 0,
          f"{flow.n_groups} must be at least 2 and divide vae.latent_dim = {latent_dim}"),
         ("flow.layers_per_stage", flow.layers_per_stage >= 1,
          f"{flow.layers_per_stage} must be at least 1"),
         ("flow.scale_bound", flow.scale_bound > 0, f"{flow.scale_bound!r} must be positive"),
-    )
+    ]
     for key, ok, why in checks:
         if not ok:
             raise ConfigError(f"bad value for {key}: {why}")
@@ -263,8 +262,7 @@ def desk_config() -> ExperimentConfig:
         flow=FlowSection(n_groups=4, layers_per_stage=8, hidden_width=48,
                          hidden_depth=2, scale_bound=2.0),
         inference=InferenceSection(sample_size=2000, epochs=10, batch_size=100,
-                                   learning_rate=0.01, posterior_samples=2000,
-                                   decoder_sampling="mean"),
+                                   learning_rate=0.01, posterior_samples=2000),
         observation=ObservationSection(sensor_rows=8, sensor_cols=8,
                                        sensor_origin=0.0625, sensor_spacing=0.125,
                                        noise_level=0.05, truth_scale=0.25),

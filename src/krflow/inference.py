@@ -1,15 +1,19 @@
 """Latent-space posterior approximation and the pCN-MCMC baseline.
 
 The trained decoder fixes a map from latents x to fields y, and the trained
-surrogate replaces the forward solve inside the likelihood.  The coupling
-flow is fitted by reverse KL: draw z ~ N(0, I), pull back through the flow
-inverse x = f^{-1}(z), and minimize
+surrogate replaces the forward solve inside the likelihood.  Both methods
+target pi(x | D) ~ pi(D | surrogate(mu_de(x))) N(x; 0, I) through one latent
+likelihood, the folded dense layers of :func:`make_surrogate_loglike`, which
+runs as plain numpy for pCN and on the tape for the flow.
 
-    mean log q(x)  -  mean log pi(D | y(x))  -  mean log N(x; 0, I),
+The coupling flow is fitted by reverse KL: draw z ~ N(0, I), pull back
+through the flow inverse x = f^{-1}(z), and minimize
+
+    mean log q(x)  -  mean log pi(D | x)  -  mean log N(x; 0, I),
 
 where log q(x) = log N(z; 0, I) + log|det dx/dz|^{-1} is exact.  Decoder and
 surrogate parameters stay frozen; gradients flow to the coupling networks
-through the inverse map, the decoder output and the surrogate prediction.
+through the inverse map and the folded likelihood.
 
 Posterior moments use the decoder-Gaussian estimators: the mean field is the
 average of decoder means over flow samples and the variance field is the
@@ -21,30 +25,31 @@ x' = sqrt(1 - beta^2) x + beta xi, whose acceptance ratio depends only on
 the likelihood, and pushes retained states through the same decoder.  Every
 step draws its xi and its uniform whether it accepts or not, so the
 proposals of the next few steps are fixed in advance along every
-accept/reject path.  When the likelihood takes a batch (its ``vectorized``
-attribute, as the folded surrogate likelihood has), pCN evaluates the most
-likely of them in one call and walks them with the pre-drawn uniforms:
-predictive prefetching (Brockwell 2006; Angelino et al. 2014).  The chain is
-the one the one-proposal-per-step loop gives; only the number of calls falls.
+accept/reject path.  pCN evaluates the most likely of them in one call and
+walks them with the pre-drawn uniforms: predictive prefetching (Brockwell
+2006; Angelino et al. 2014).  A likelihood that takes a batch (its
+``vectorized`` attribute) gets up to ``PREFETCH_WIDTH`` of them per call;
+any other gets one, which is the plain one-proposal-per-step loop.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, get_args
+from typing import Callable
 
 import numpy as np
 
 from . import autodiff as ad
-from .config import DecoderSampling, InferenceSection
+from .config import InferenceSection
 from .darcy import ObservationSet, observation_matrix
 from .flow import FlowConfig, FlowParams, init_flow, krnet_inverse
-from .grf import Grid
 from .nets import std_normal_logpdf
 from .params import adam_step, fit
 from .report import write_loss_curve
-from .surrogate import SurrogateParams, pressure_layers, surrogate_forward_batch
+from .surrogate import SurrogateParams, pressure_layers
+# No longer called here; kept because the benchmark's tracer rebinds it by name.
+from .surrogate import surrogate_forward_batch  # noqa: F401
 from .vae import VaeParams, decode_batch, decoder_mean_layers
 
 # Rows per batched likelihood call when pCN prefetches proposals.  A call of
@@ -56,18 +61,6 @@ from .vae import VaeParams, decode_batch, decoder_mean_layers
 # 0.12-0.54) took least time at 12 rows: 0.81-1.29 s against 1.8-2.3 s with
 # one proposal per step.
 PREFETCH_WIDTH = 12
-
-
-@dataclass
-class KrnetLossBreakdown:
-    flow_entropy_term: float        # mean log q(x)
-    neg_log_likelihood_term: float  # -mean log pi(D | y)
-    neg_log_prior_term: float       # -mean log N(x; 0, I)
-
-    @property
-    def total(self) -> float:
-        return (self.flow_entropy_term + self.neg_log_likelihood_term
-                + self.neg_log_prior_term)
 
 
 @dataclass
@@ -97,65 +90,21 @@ class McmcChain:
         return self.accepted_count / self.total_steps
 
 
-def _likelihood_terms(obs: ObservationSet, grid: Grid):
-    obs_matrix = observation_matrix(obs.operator, grid)      # (m, HW)
-    sigma = obs.noise.per_sensor_std
-    log_norm = float(np.sum(-np.log(sigma) - 0.5 * np.log(2.0 * np.pi)))
-    return obs_matrix, sigma, log_norm
-
-
-def observed_log_likelihood_batch(u_flat, obs: ObservationSet, grid: Grid):
-    """Row-wise log pi(D | u) for a (B, H*W) batch of pressure images."""
-    obs_matrix, sigma, log_norm = _likelihood_terms(obs, grid)
-    predicted = ad.matmul(u_flat, obs_matrix.T)
-    z = ad.mul(ad.sub(obs.values, predicted), 1.0 / sigma)
-    return ad.add(ad.mul(ad.sum_(ad.square(z), axis=-1), -0.5), log_norm)
-
-
 def posterior_flow_terms(z_batch: np.ndarray, flow_params, flow_config: FlowConfig,
-                         vae: VaeParams, surrogate: SurrogateParams,
-                         obs: ObservationSet | None,
-                         zeta: np.ndarray | None = None):
+                         log_like: Callable | None):
     """The three reverse-KL terms, batch-averaged (tape-compatible).
 
-    ``zeta`` activates sampled decoding: y = mu_de + sigma_de * zeta via the
-    reparameterization trick, so the likelihood stays differentiable in the
-    flow parameters.  With ``obs=None`` the likelihood term is identically
-    zero (flat-likelihood limit, used by sanity checks).
+    ``log_like`` is the latent likelihood of :func:`make_surrogate_loglike`;
+    with ``None`` the likelihood term is identically zero (flat-likelihood
+    limit, used by sanity checks).
     """
     x, logdet_inv = krnet_inverse(z_batch, flow_params, flow_config, with_logdet=True)
     # log q(x) at x = f^{-1}(z): base density of z minus the inverse logdet
     base = std_normal_logpdf(z_batch)
     entropy = ad.mean_(ad.sub(base, logdet_inv))
     log_prior = ad.mean_(std_normal_logpdf(x))
-
-    mu_de, logvar_de = decode_batch(x, vae.store, vae)
-    y_flat = mu_de
-    if zeta is not None:
-        y_flat = ad.add(mu_de, ad.mul(ad.exp(ad.mul(logvar_de, 0.5)), zeta))
-
-    if obs is None:
-        log_lik = 0.0
-    else:
-        u = surrogate_forward_batch(y_flat, surrogate.store, surrogate)
-        u_flat = ad.reshape(u, (-1, surrogate.height * surrogate.width))
-        log_lik = ad.mean_(observed_log_likelihood_batch(u_flat, obs, surrogate.grid))
+    log_lik = 0.0 if log_like is None else ad.mean_(log_like(x))
     return entropy, log_lik, log_prior
-
-
-def posterior_flow_loss(z_batch: np.ndarray, flow: FlowParams, vae: VaeParams,
-                        surrogate: SurrogateParams, obs: ObservationSet | None,
-                        zeta: np.ndarray | None = None
-                        ) -> tuple[float, KrnetLossBreakdown]:
-    """Reverse-KL objective value for a (B, d) batch of base draws."""
-    entropy, log_lik, log_prior = posterior_flow_terms(
-        z_batch, flow.store, flow.config, vae, surrogate, obs, zeta)
-    breakdown = KrnetLossBreakdown(
-        flow_entropy_term=float(entropy),
-        neg_log_likelihood_term=-float(log_lik),
-        neg_log_prior_term=-float(log_prior),
-    )
-    return breakdown.total, breakdown
 
 
 def train_posterior_flow(flow_config: FlowConfig, vae: VaeParams,
@@ -166,23 +115,17 @@ def train_posterior_flow(flow_config: FlowConfig, vae: VaeParams,
 
     The base dataset Z of ``config.sample_size`` standard-normal draws is
     generated once; every epoch sweeps its mini-batches.  Decoder and
-    surrogate are frozen throughout.  Returns the final-epoch parameters.
+    surrogate are frozen throughout, folded once into the likelihood pCN
+    uses.  Returns the final-epoch parameters.
     """
-    if config.decoder_sampling not in get_args(DecoderSampling):
-        raise ValueError(f"decoder_sampling must be one of {get_args(DecoderSampling)}")
     flow = init_flow(flow_config, seed)
-    rng = np.random.default_rng(seed)
-    z_data = rng.standard_normal((config.sample_size, flow_config.dim))
-    n_pixels = vae.height * vae.width
+    z_data = np.random.default_rng(seed).standard_normal((config.sample_size, flow_config.dim))
+    log_like = make_surrogate_loglike(vae, surrogate, obs)
 
     def program_for(z_batch):
-        zeta = None
-        if config.decoder_sampling == "sample":
-            zeta = rng.standard_normal((len(z_batch), n_pixels))
-
         def program(leaves):
             entropy, log_lik, log_prior = posterior_flow_terms(
-                z_batch, leaves, flow_config, vae, surrogate, obs, zeta)
+                z_batch, leaves, flow_config, log_like)
             return ad.sub(ad.sub(entropy, log_lik), log_prior)
 
         return program
@@ -197,38 +140,30 @@ def train_posterior_flow(flow_config: FlowConfig, vae: VaeParams,
 def posterior_moments(flow: FlowParams, vae: VaeParams, n_samples: int,
                       rng: np.random.Generator,
                       exact_field: np.ndarray | None = None) -> PosteriorSummary:
-    """Decoder-Gaussian posterior moments from flow samples.
-
-    mean_field averages decoder means; variance_field averages decoder
-    variances (exactly the headline estimator).  The across-sample spread of
-    decoder means is reported separately as ``mean_spread_field``.
-    """
+    """Decoder-Gaussian posterior moments of ``n_samples`` flow draws."""
     z = rng.standard_normal((n_samples, flow.config.dim))
-    x = krnet_inverse(z, flow)
-    return _moments_from_latents(x, vae, exact_field)
+    return posterior_moments_from_states(krnet_inverse(z, flow), vae, exact_field)
 
 
 def posterior_moments_from_states(states: np.ndarray, vae: VaeParams,
                                   exact_field: np.ndarray | None = None
                                   ) -> PosteriorSummary:
-    """Same decoder-Gaussian estimators with MCMC states in place of flow draws."""
-    return _moments_from_latents(np.asarray(states, dtype=np.float64), vae, exact_field)
+    """Decoder-Gaussian posterior moments of an (n, d) set of latents.
 
-
-def _moments_from_latents(x: np.ndarray, vae: VaeParams,
-                          exact_field: np.ndarray | None) -> PosteriorSummary:
-    mu, logvar = decode_batch(x, vae.store, vae)
+    mean_field averages decoder means; variance_field averages decoder
+    variances (exactly the headline estimator).  The across-sample spread of
+    decoder means is reported separately as ``mean_spread_field``.
+    """
+    mu, logvar = decode_batch(np.asarray(states, dtype=np.float64), vae.store, vae)
     shape = (vae.height, vae.width)
     mean_field = mu.mean(axis=0).reshape(shape)
-    variance_field = np.exp(logvar).mean(axis=0).reshape(shape)
-    spread = mu.var(axis=0).reshape(shape)
     err = float("nan") if exact_field is None else relative_error(mean_field, exact_field)
     return PosteriorSummary(
         mean_field=mean_field,
-        variance_field=variance_field,
+        variance_field=np.exp(logvar).mean(axis=0).reshape(shape),
         relative_error=err,
-        n_samples=len(x),
-        mean_spread_field=spread,
+        n_samples=len(mu),
+        mean_spread_field=mu.var(axis=0).reshape(shape),
     )
 
 
@@ -245,15 +180,17 @@ def relative_error(mean_field: np.ndarray, exact_field: np.ndarray) -> float:
 
 
 def make_surrogate_loglike(vae: VaeParams, surrogate: SurrogateParams,
-                           obs: ObservationSet) -> Callable[[np.ndarray], float]:
+                           obs: ObservationSet) -> Callable:
     """Latent-space log-likelihood x -> log pi(D | mu_de(x)) via the surrogate.
 
-    The returned function takes one (d,) latent and returns a ``float``, or
-    an (n, d) batch and returns an (n,) array; it carries ``vectorized =
-    True``, so :func:`pcn_mcmc` evaluates its prefetched proposals in one
-    call.  The weights are folded once, here, into plain dense layers that
-    keep only what the likelihood reads; everything between two ReLUs is
-    affine, so:
+    The one latent likelihood of the package: pCN calls it on ndarrays and
+    the flow on the tape.  The returned function takes one (d,) latent and
+    returns a ``float``, an (n, d) batch and returns an (n,) array, or an
+    (n, d) ``Tensor`` and returns an (n,) ``Tensor``; it carries
+    ``vectorized = True``, so :func:`pcn_mcmc` evaluates its prefetched
+    proposals in one call.  The weights are folded once, here, into dense
+    layers that keep only what the likelihood reads; everything between two
+    ReLUs is affine, so:
 
     - the decoder's mean head (its first H*W columns; the log-variance head
       is dropped), the map back to raw field units, the surrogate's input
@@ -264,22 +201,25 @@ def make_surrogate_loglike(vae: VaeParams, surrogate: SurrogateParams,
       to the whitened residual.
 
     The hidden layers of both networks are kept as they are.  A call is a
-    chain of relu(h @ W + b) and one affine map, with no tape dispatch.  The
-    folds reassociate sums, so the value matches the composition
-    decode_batch -> surrogate_forward_batch -> observation_matrix to 1e-12
-    relative, not bit for bit.  A batch row goes through matrix-matrix
-    products where a (d,) call goes through vector-matrix ones, so the two
-    agree in the last bits only: within 1e-15 of sum |z| (|target| + |h| @
-    |w_out|), the size of the terms the whitened residual z is summed from.
-    That is about 1e-15 of the value, and up to 1e-14 where z cancels.
+    chain of relu(h @ W + b) and one affine map.  The folds reassociate
+    sums, so the value matches the composition decode_batch ->
+    surrogate_forward_batch -> observation_matrix to 1e-12 relative, not bit
+    for bit.  A batch row goes through matrix-matrix products where a (d,)
+    call goes through vector-matrix ones, and the tape sums squares where
+    the ndarray batch uses ``einsum``, so these agree in the last bits only:
+    within 1e-15 of sum |z| (|target| + |h| @ |w_out|), the size of the
+    terms the whitened residual z is summed from.  That is about 1e-15 of
+    the value, and up to 1e-14 where z cancels.
     """
     hidden, w_out, target, log_norm = _folded_likelihood(vae, surrogate, obs)
 
-    def log_like(x: np.ndarray):
+    def log_like(x):
         h = x
         for w, b in hidden:
-            h = np.maximum(h @ w + b, 0.0)
-        z = target - h @ w_out
+            h = ad.relu(ad.add(ad.matmul(h, w), b))
+        z = ad.sub(target, ad.matmul(h, w_out))
+        if isinstance(z, ad.Tensor):
+            return ad.add(ad.mul(ad.sum_(ad.square(z), axis=-1), -0.5), log_norm)
         if z.ndim == 1:
             return float(-0.5 * (z @ z) + log_norm)
         return -0.5 * np.einsum("ij,ij->i", z, z) + log_norm
@@ -292,11 +232,13 @@ def _folded_likelihood(vae: VaeParams, surrogate: SurrogateParams, obs: Observat
     """The folds of :func:`make_surrogate_loglike`: the hidden (W, b) layers,
     the output map and target of the whitened residual z = target - h @ w_out,
     and the log normalizer."""
-    obs_matrix, sigma, log_norm = _likelihood_terms(obs, surrogate.grid)
+    obs_matrix = observation_matrix(obs.operator, surrogate.grid)      # (m, HW)
+    sigma = obs.noise.per_sensor_std
     decoder = decoder_mean_layers(vae)
     body = pressure_layers(surrogate, obs_matrix.T / sigma)
     layers = decoder[:-1] + [_compose(decoder[-1], body[0])] + body[1:]
     hidden, (w_out, b_out) = layers[:-1], layers[-1]
+    log_norm = float(np.sum(-np.log(sigma) - 0.5 * np.log(2.0 * np.pi)))
     return hidden, w_out, obs.values / sigma - b_out, log_norm
 
 
@@ -316,18 +258,18 @@ def pcn_mcmc(log_like: Callable[[np.ndarray], float], dim: int, steps: int,
     step draws ``standard_normal(dim)`` and then ``uniform()`` from one
     generator seeded by ``seed``, whether the step accepts or not.
 
+    Proposals are evaluated in prefetched trees (see :func:`_pcn_prefetch`).
     A ``log_like`` with a true ``vectorized`` attribute must also take an
     (n, d) array and return n values; it must not keep the array, which is
-    reused.  Such a likelihood is called on trees of at most
-    ``PREFETCH_WIDTH`` prefetched proposals (see :func:`_pcn_prefetch`).
+    reused.  It gets trees of at most ``PREFETCH_WIDTH`` proposals per call.
     Every step still sees its own xi and u and makes the same comparison, so
     the states and the accepted count are those of one call per step, as
     long as a batch row equals the (d,) value; where the two differ in the
     last bits, a decision could differ only when log u falls within that
-    difference of the log ratio.  Any other callable is called once per step
-    with a (d,) array.  ``likelihood_evaluations`` of the result counts the
-    rows evaluated, so its ratio to ``total_steps`` shows the prefetched
-    work that went unused.
+    difference of the log ratio.  Any other callable gets trees of one, so
+    it is called once per step with its own (d,) array.
+    ``likelihood_evaluations`` of the result counts the rows evaluated, so
+    its ratio to ``total_steps`` shows the prefetched work that went unused.
     """
     if not 0.0 < step_size <= 1.0:
         raise ValueError("step_size must lie in (0, 1]")
@@ -340,58 +282,46 @@ def pcn_mcmc(log_like: Callable[[np.ndarray], float], dim: int, steps: int,
     if not np.isfinite(current_ll):
         raise ValueError("log-likelihood is not finite at the initial state")
 
-    contraction = np.sqrt(1.0 - step_size ** 2)
     kept_states = np.empty((burn_keep, dim))
     kept_ll = np.empty(burn_keep)
-    if getattr(log_like, "vectorized", False):
-        accepted, evaluations = _pcn_prefetch(log_like, x, current_ll, steps, step_size,
-                                              contraction, rng, kept_states, kept_ll)
-    else:
-        accepted = 0
-        for step in range(steps):
-            proposal = contraction * x + step_size * rng.standard_normal(dim)
-            proposal_ll = float(log_like(proposal))
-            if np.log(rng.uniform()) < proposal_ll - current_ll:
-                x, current_ll = proposal, proposal_ll
-                accepted += 1
-            tail = step - (steps - burn_keep)
-            if tail >= 0:
-                kept_states[tail] = x
-                kept_ll[tail] = current_ll
-        evaluations = steps + 1
+    width = PREFETCH_WIDTH if getattr(log_like, "vectorized", False) else 1
+    accepted, evaluations = _pcn_prefetch(log_like, width, x, current_ll, steps, step_size,
+                                          rng, kept_states, kept_ll)
     return McmcChain(states=kept_states, log_likelihoods=kept_ll,
                      accepted_count=accepted, total_steps=steps,
                      step_size=step_size, likelihood_evaluations=evaluations)
 
 
-def _pcn_prefetch(log_like, x, current_ll, steps, step_size, contraction, rng,
+def _pcn_prefetch(log_like, width, x, current_ll, steps, step_size, rng,
                   kept_states, kept_ll) -> tuple[int, int]:
-    """The pCN loop of :func:`pcn_mcmc` with its likely proposals evaluated in batches.
+    """The pCN loop of :func:`pcn_mcmc`, its likely proposals evaluated in trees.
 
     Step t's proposal depends only on the state before it and on xi_t, and
     its decision only on the two log-likelihoods and u_t.  The draws do not
     depend on the decisions, so from the current state every accept/reject
     path of the next steps fixes its proposals in advance.  Each round
-    grows a tree of at most ``PREFETCH_WIDTH`` proposals best first: the
-    root is the next step's proposal, and a node at depth k, whose path
-    leaves state s, proposes contraction * s + step_size * xi_k; its
-    accept child continues from that proposal, its reject child from s.  A
-    node's weight is the product of a (accept) and 1 - a (reject) along its
-    path, with a = (accepted + 1) / (steps done + 2) from the chain so far.
-    The tree is evaluated in one call, then walked with the pre-drawn log u
-    values exactly as the sequential loop decides, until the walk reaches a
-    node outside the tree; the next round starts from there.  Draws of
-    steps not walked carry over, so every step sees the same xi and u as in
-    the sequential loop, and the chain is the same up to the difference
-    between batched and single evaluations of the likelihood.  Returns the
-    accepted count and the number of likelihood rows evaluated, the initial
-    state included.
+    grows a tree of at most ``width`` proposals best first: the root is the
+    next step's proposal, and a node at depth k, whose path leaves state s,
+    proposes contraction * s + step_size * xi_k; its accept child continues
+    from that proposal, its reject child from s.  A node's weight is the
+    product of a (accept) and 1 - a (reject) along its path, with
+    a = (accepted + 1) / (steps done + 2) from the chain so far.  The tree
+    is evaluated in one call, then walked with the pre-drawn log u values
+    exactly as one proposal per step decides, until the walk reaches a node
+    outside the tree; the next round starts from there.  Draws of steps not
+    walked carry over, so every step sees the same xi and u as with one
+    proposal per step, and the chain is the same up to the difference
+    between batched and single evaluations of the likelihood.  At width 1
+    the tree is the root alone, passed as a (d,) copy: the plain loop.
+    Returns the accepted count and the number of likelihood rows evaluated,
+    the initial state included.
     """
     dim = len(x)
     first_kept = steps - len(kept_ll)
-    proposals = np.empty((PREFETCH_WIDTH, dim))
-    depth = [0] * PREFETCH_WIDTH
-    children = [[-1, -1] for _ in range(PREFETCH_WIDTH)]
+    contraction = np.sqrt(1.0 - step_size ** 2)
+    proposals = np.empty((width, dim))
+    depth = [0] * width
+    children = [[-1, -1] for _ in range(width)]
     draws: list[tuple[np.ndarray, float]] = []   # (step_size * xi, log u), oldest first
     accepted, evaluations, step = 0, 1, 0
     while step < steps:
@@ -400,7 +330,7 @@ def _pcn_prefetch(log_like, x, current_ll, steps, step_size, contraction, rng,
         # state row -1 is the current state x, branch 0 accepts and 1 rejects
         heap = [(-1.0, 0, 0, -1, -1, 0)]
         pushed = n = 0
-        while heap and n < PREFETCH_WIDTH:
+        while heap and n < width:
             neg_weight, _, k, source, parent, branch = heapq.heappop(heap)
             while len(draws) <= k:
                 xi = rng.standard_normal(dim)
@@ -412,14 +342,15 @@ def _pcn_prefetch(log_like, x, current_ll, steps, step_size, contraction, rng,
             children[n][0] = children[n][1] = -1
             if parent >= 0:
                 children[parent][branch] = n
-            if step + k + 1 < steps:
+            if n + 1 < width and step + k + 1 < steps:   # room for a child, and a step
                 heapq.heappush(heap, (neg_weight * p_accept, pushed + 1, k + 1, n, n, 0))
                 heapq.heappush(heap, (neg_weight * (1.0 - p_accept), pushed + 2, k + 1,
                                       source, n, 1))
                 pushed += 2
             n += 1
 
-        lls = np.asarray(log_like(proposals[:n]), dtype=np.float64).tolist()
+        batch = proposals[:n] if width > 1 else proposals[0].copy()
+        lls = np.asarray(log_like(batch), dtype=np.float64).reshape(-1).tolist()
         evaluations += n
         node, source = 0, -1
         while node >= 0:

@@ -202,18 +202,20 @@ class TestDependencyGates:
         assert main(["generate-data", "--config", str(cfg_path),
                      "--out", str(tmp_path / "x")]) == 1
 
-    def test_decoder_sampling_typo_stops_the_first_stage(self, tmp_path, capsys):
-        cfg = tiny_config()
-        cfg.inference.decoder_sampling = "means"
-        cfg_path = tmp_path / "typo.ini"
-        save_config(cfg_path, cfg)
+    def test_removed_decoder_sampling_key_stops_the_first_stage(self, tmp_path, capsys):
+        cfg_path = tmp_path / "old.ini"
+        save_config(cfg_path, tiny_config())
+        text = cfg_path.read_text().replace("[inference]\n",
+                                            "[inference]\ndecoder_sampling = mean\n")
+        cfg_path.write_text(text)
         assert main(["generate-data", "--config", str(cfg_path),
                      "--out", str(tmp_path / "x")]) == 1
-        assert "inference.decoder_sampling" in capsys.readouterr().err
+        assert "unknown keys in [inference]: ['decoder_sampling']" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("section,key,value", [("mcmc", "retained", 0),
-                                                   ("flow", "n_groups", 3)])
+                                                   ("flow", "n_groups", 3),
+                                                   ("mcmc", "step_size", -0.05)])
     def test_range_error_stops_the_first_stage(self, tmp_path, capsys, section, key, value):
         cfg = tiny_config()
         setattr(getattr(cfg, section), key, value)

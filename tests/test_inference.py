@@ -18,12 +18,9 @@ from krflow.flow import FlowConfig, init_flow, krnet_inverse
 from krflow.grf import Grid
 from krflow.inference import (
     PREFETCH_WIDTH,
-    KrnetLossBreakdown,
-    McmcChain,
     _folded_likelihood,
     make_surrogate_loglike,
     pcn_mcmc,
-    posterior_flow_loss,
     posterior_flow_terms,
     posterior_moments,
     posterior_moments_from_states,
@@ -63,23 +60,21 @@ def flow_config():
                       hidden_depth=2, scale_bound=2.0)
 
 
+def _tape_terms(z, flow_params, flow_config, log_like):
+    """posterior_flow_terms on tape leaves, so the likelihood gets a Tensor."""
+    leaves = {name: ad.Tensor.leaf(arr, name=name) for name, arr in flow_params.items()}
+    terms = posterior_flow_terms(z, leaves, flow_config, log_like)
+    return [float(t.data) if isinstance(t, ad.Tensor) else t for t in terms]
+
+
 class TestFlowLoss:
-    def test_identity_flow_flat_likelihood_cancels(self, vae, surrogate, flow_config):
+    def test_identity_flow_flat_likelihood_cancels(self, flow_config):
         # entropy and prior terms cancel exactly for the identity flow
         flow = init_flow(flow_config, 0)
         z = np.random.default_rng(2).standard_normal((50, D))
-        total, bd = posterior_flow_loss(z, flow, vae, surrogate, obs=None)
-        assert bd.neg_log_likelihood_term == 0.0
-        assert total == pytest.approx(0.0, abs=1e-12)
-        assert bd.flow_entropy_term == pytest.approx(-bd.neg_log_prior_term, abs=1e-12)
-
-    def test_breakdown_additive(self, vae, surrogate, obs, flow_config):
-        flow = init_flow(flow_config, 0)
-        z = np.random.default_rng(3).standard_normal((20, D))
-        total, bd = posterior_flow_loss(z, flow, vae, surrogate, obs)
-        assert total == pytest.approx(
-            bd.flow_entropy_term + bd.neg_log_likelihood_term + bd.neg_log_prior_term,
-            abs=1e-12)
+        entropy, log_lik, log_prior = _tape_terms(z, flow.store, flow_config, None)
+        assert log_lik == 0.0
+        assert entropy - log_prior == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_planted_single_draw(self, flow_config):
         # identity flow, decoder planted to constant outputs, constant sensors:
@@ -108,31 +103,31 @@ class TestFlowLoss:
 
         flow = init_flow(flow_config, 0)
         z = np.random.default_rng(4).standard_normal((1, D))
-        total, bd = posterior_flow_loss(z, flow, vae, surrogate, obs)
+        entropy, log_lik, log_prior = _tape_terms(
+            z, flow.store, flow_config, make_surrogate_loglike(vae, surrogate, obs))
 
         x = z[0]  # identity flow
         expected_prior = -0.5 * (x @ x) - (D / 2) * np.log(2 * np.pi)
         expected_entropy = expected_prior  # logdet = 0
         resid = (d_obs[0] - u_const) / sigma[0]
         expected_loglik = -0.5 * resid ** 2 - np.log(sigma[0]) - 0.5 * np.log(2 * np.pi)
-        assert bd.flow_entropy_term == pytest.approx(expected_entropy, rel=1e-12)
-        assert bd.neg_log_prior_term == pytest.approx(-expected_prior, rel=1e-12)
-        assert bd.neg_log_likelihood_term == pytest.approx(-expected_loglik, rel=1e-12)
-        assert total == pytest.approx(
-            expected_entropy - expected_loglik - expected_prior, rel=1e-10)
+        assert entropy == pytest.approx(expected_entropy, rel=1e-12)
+        assert log_prior == pytest.approx(expected_prior, rel=1e-12)
+        assert log_lik == pytest.approx(expected_loglik, rel=1e-12)
 
     def test_gradient_matches_finite_differences(self, vae, surrogate, obs, flow_config):
-        # full chain: flow inverse -> decoder -> surrogate -> likelihood
+        # full chain: flow inverse -> folded decoder and surrogate -> likelihood
         flow = init_flow(flow_config, 5)
         rng = np.random.default_rng(6)
         for name in flow.store:
             flow.store[name] = flow.store[name] + 0.02 * rng.standard_normal(
                 flow.store[name].shape)
         z = rng.standard_normal((3, D))
+        log_like = make_surrogate_loglike(vae, surrogate, obs)
 
         def program(leaves):
-            entropy, log_lik, log_prior = posterior_flow_terms(
-                z, leaves, flow_config, vae, surrogate, obs)
+            entropy, log_lik, log_prior = posterior_flow_terms(z, leaves, flow_config,
+                                                               log_like)
             return ad.sub(ad.sub(entropy, log_lik), log_prior)
 
         _, grads = ad.evaluate_with_gradients(program, flow.store)
@@ -155,21 +150,11 @@ class TestFlowLoss:
         assert checked > 0
         assert worst < 1e-4
 
-    def test_sampled_decoding_consistent_with_mean_mode(self, vae, surrogate, obs,
-                                                        flow_config):
-        # zeta = 0 reduces the sampled mode to the mean mode exactly
-        flow = init_flow(flow_config, 0)
-        z = np.random.default_rng(7).standard_normal((10, D))
-        t_mean, _ = posterior_flow_loss(z, flow, vae, surrogate, obs)
-        t_zeta0, _ = posterior_flow_loss(z, flow, vae, surrogate, obs,
-                                         zeta=np.zeros((10, H * W)))
-        assert t_mean == pytest.approx(t_zeta0, rel=1e-12)
-
 
 class TestTrainPosteriorFlow:
     def test_zero_epochs_identity(self, vae, surrogate, obs, flow_config):
         config = InferenceSection(sample_size=40, epochs=0, batch_size=20, learning_rate=0.01,
-                                  posterior_samples=0, decoder_sampling="mean")
+                                  posterior_samples=0)
         flow = train_posterior_flow(flow_config, vae, surrogate, obs, config, seed=3)
         fresh = init_flow(flow_config, 3)
         assert flow.store == fresh.store
@@ -177,7 +162,7 @@ class TestTrainPosteriorFlow:
     def test_loss_decreases(self, vae, surrogate, obs, flow_config, tmp_path):
         curve_path = tmp_path / "curve.csv"
         config = InferenceSection(sample_size=200, epochs=8, batch_size=50, learning_rate=0.01,
-                                  posterior_samples=0, decoder_sampling="mean")
+                                  posterior_samples=0)
         train_posterior_flow(flow_config, vae, surrogate, obs, config, seed=3,
                              curve_path=curve_path)
         rows = curve_path.read_text().strip().splitlines()[1:]
@@ -186,23 +171,11 @@ class TestTrainPosteriorFlow:
 
     def test_determinism(self, vae, surrogate, obs, flow_config):
         config = InferenceSection(sample_size=60, epochs=2, batch_size=30, learning_rate=0.01,
-                                  posterior_samples=0, decoder_sampling="mean")
+                                  posterior_samples=0)
         a = train_posterior_flow(flow_config, vae, surrogate, obs, config, seed=9)
         b = train_posterior_flow(flow_config, vae, surrogate, obs, config, seed=9)
         for k in a.store:
             assert a.store[k].tobytes() == b.store[k].tobytes()
-
-    def test_sampled_mode_runs(self, vae, surrogate, obs, flow_config):
-        config = InferenceSection(sample_size=30, epochs=1, batch_size=30, learning_rate=0.01,
-                                  posterior_samples=0, decoder_sampling="sample")
-        flow = train_posterior_flow(flow_config, vae, surrogate, obs, config, seed=4)
-        assert len(flow.store) > 0
-
-    def test_invalid_mode_rejected(self, vae, surrogate, obs, flow_config):
-        config = InferenceSection(sample_size=10, epochs=1, batch_size=10, learning_rate=0.01,
-                                  posterior_samples=0, decoder_sampling="bogus")
-        with pytest.raises(ValueError, match="decoder_sampling"):
-            train_posterior_flow(flow_config, vae, surrogate, obs, config, seed=4)
 
 
 class TestPosteriorMoments:
@@ -448,7 +421,7 @@ def test_pcn_with_folded_loglike_reproduces_reference_chain():
 
 
 def _sequential_pcn(log_like, dim, steps, step_size, seed, burn_keep):
-    """The one-proposal-per-step pCN loop, the reference for prefetching."""
+    """The one-proposal-per-step pCN loop, the reference for trees of any width."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(dim)
     current_ll = float(log_like(x))
@@ -469,17 +442,16 @@ def _sequential_pcn(log_like, dim, steps, step_size, seed, burn_keep):
     return kept_states, kept_ll, accepted
 
 
-def _vectorized_gaussian(center, precision, batch_rows):
-    """-precision/2 |x - center|^2 on (d,) or (n, d); records each batch's rows."""
+def _gaussian(center, precision, shapes, vectorized=True):
+    """-precision/2 |x - center|^2 on (d,) or (n, d); records each call's shape."""
     def log_like(x):
+        shapes.append(x.shape)
         r = x - center
         value = -0.5 * precision * np.sum(r * r, axis=-1)
-        if x.ndim == 1:
-            return float(value)
-        batch_rows.append(len(x))
-        return value
+        return float(value) if x.ndim == 1 else value
 
-    log_like.vectorized = True
+    if vectorized:
+        log_like.vectorized = True
     return log_like
 
 
@@ -497,41 +469,48 @@ def _pcn_cases(draw):
                 seed=draw(st.integers(0, 10_000)))
 
 
-@settings(max_examples=30, derandomize=True, database=None, deadline=None)
-@given(_pcn_cases())
-def test_prefetching_pcn_reproduces_sequential_chain(case):
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(_pcn_cases(), st.booleans())
+def test_prefetching_pcn_reproduces_sequential_chain(case, vectorized):
     dim, steps, burn_keep = case["dim"], case["steps"], case["burn_keep"]
     step_size, seed = case["step_size"], case["seed"]
     center = np.linspace(-1.0, 1.5, dim)
-    rows = []
-    log_like = _vectorized_gaussian(center, case["precision"], rows)
+    shapes = []
+    log_like = _gaussian(center, case["precision"], shapes, vectorized)
     chain = pcn_mcmc(log_like, dim, steps, step_size, seed, burn_keep)
+    rows = [shape[0] if len(shape) == 2 else 1 for shape in shapes]
     states, log_likelihoods, accepted = _sequential_pcn(log_like, dim, steps, step_size,
                                                         seed, burn_keep)
     assert chain.accepted_count == accepted
     assert chain.states.tobytes() == states.tobytes()
     np.testing.assert_allclose(chain.log_likelihoods, log_likelihoods, rtol=1e-12, atol=0)
-    assert rows and max(rows) <= PREFETCH_WIDTH
-    assert chain.likelihood_evaluations == 1 + sum(rows)
-    assert chain.likelihood_evaluations >= 1 + steps
+    # after the initial state, a vectorized likelihood gets only batches and
+    # a plain one only (d,) arrays
+    assert {len(shape) for shape in shapes[1:len(rows)]} == {2 if vectorized else 1}
+    assert max(rows) <= PREFETCH_WIDTH
+    assert chain.likelihood_evaluations == sum(rows) >= 1 + steps
 
 
 @pytest.mark.parametrize("log_scale,low,high", [(3.0, 0.0, 0.03), (-2.5, 0.94, 1.0)])
 def test_prefetch_cases_span_acceptance(log_scale, low, high):
-    log_like = _vectorized_gaussian(np.linspace(-1.0, 1.5, 6), 10.0 ** log_scale / 0.36, [])
+    log_like = _gaussian(np.linspace(-1.0, 1.5, 6), 10.0 ** log_scale / 0.36, [])
     assert low <= pcn_mcmc(log_like, 6, 2000, 0.6, 3, 1).acceptance_rate <= high
 
 
 def test_plain_loglike_is_called_once_per_step_with_one_state():
-    shapes = []
+    states = []
 
     def log_like(x):
-        shapes.append(x.shape)
+        states.append(x)
         return -0.5 * float(x @ x)
 
     chain = pcn_mcmc(log_like, dim=3, steps=250, step_size=0.4, seed=2, burn_keep=10)
-    assert shapes == [(3,)] * 251
+    assert [x.shape for x in states] == [(3,)] * 251
     assert chain.likelihood_evaluations == 251
+    # each call gets its own array, which the sampler never overwrites
+    assert len({id(x) for x in states}) == 251
+    seen = {x.tobytes() for x in states}
+    assert all(x.tobytes() in seen for x in chain.states)
 
 
 @pytest.mark.parametrize("decoder_hidden,surrogate_hidden", [((12,), (16, 8)), ((), ())])
@@ -553,3 +532,62 @@ def test_surrogate_loglike_batch_rows_match_single_calls(decoder_hidden, surroga
     z = target - h @ w_out
     term_size = np.einsum("ij,ij->i", np.abs(z), np.abs(target) + np.abs(h) @ np.abs(w_out))
     np.testing.assert_array_less(np.abs(batch - single), 1e-15 * (np.abs(single) + term_size))
+
+
+def _term_size(hidden, w_out, target, xs):
+    """sum |z| (|target| + |h| @ |w_out|) per row: the size of the terms of z's sums."""
+    h = xs
+    for w, b in hidden:
+        h = np.maximum(h @ w + b, 0.0)
+    z = target - h @ w_out
+    return np.einsum("ij,ij->i", np.abs(z), np.abs(target) + np.abs(h) @ np.abs(w_out))
+
+
+def _relu_pattern(hidden, x):
+    h, pattern = x, [np.zeros((len(x), 0), dtype=bool)]
+    for w, b in hidden:
+        pre = h @ w + b
+        pattern.append(pre > 0.0)
+        h = np.maximum(pre, 0.0)
+    return np.concatenate(pattern, axis=-1)
+
+
+HIDDEN_SHAPES = st.one_of(st.just(()), st.tuples(st.integers(1, 12)),
+                          st.tuples(st.integers(1, 12), st.integers(1, 12)))
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(HIDDEN_SHAPES, HIDDEN_SHAPES, st.integers(0, 1000))
+def test_tape_likelihood_matches_numpy_value_and_central_differences(
+        decoder_hidden, surrogate_hidden, seed):
+    vae, sp = _random_model(decoder_hidden, surrogate_hidden, seed=seed)
+    obs = _noisy_obs(vae, sp, sigma=0.05, seed=seed)
+    log_like = make_surrogate_loglike(vae, sp, obs)
+    hidden, w_out, target, _ = _folded_likelihood(vae, sp, obs)
+    xs = np.random.default_rng(seed + 1).standard_normal((6, D))
+
+    batch = log_like(xs)
+    tape = log_like(ad.Tensor.constant(xs))
+    assert isinstance(tape, ad.Tensor) and tape.shape == (6,)
+    np.testing.assert_array_less(np.abs(tape.data - batch),
+                                 1e-15 * (np.abs(batch) + _term_size(hidden, w_out, target, xs)))
+
+    _, grads = ad.evaluate_with_gradients(lambda leaves: ad.sum_(log_like(leaves["x"])),
+                                          {"x": xs})
+    h = 1e-3
+    pattern = _relu_pattern(hidden, xs)
+    checked = 0
+    for j in range(D):
+        step = np.zeros(D)
+        step[j] = h
+        up, down = xs + step, xs - step
+        # within one ReLU pattern the likelihood is quadratic in x, so the
+        # central difference is exact up to rounding, which a wide step keeps
+        # small (over 200 random models: 9e-8 relative at h = 1e-3, 2e-6 at 1e-5)
+        same = ((_relu_pattern(hidden, up) == pattern).all(axis=1)
+                & (_relu_pattern(hidden, down) == pattern).all(axis=1))
+        fd = (log_like(up) - log_like(down)) / (2 * h)
+        g = grads["x"][:, j]
+        np.testing.assert_allclose(g[same], fd[same], rtol=1e-6)
+        checked += same.sum()
+    assert checked > 0
