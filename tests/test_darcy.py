@@ -145,7 +145,11 @@ class TestSolver:
         with pytest.raises(ValueError, match="non-finite"):
             solve_darcy(y, grid)
 
-    @pytest.mark.parametrize("grid", [Grid(3, 3), Grid(9, 9), Grid(12, 20), Grid(20, 12)],
+    # the band LU pads kl on 20x12, 5x10, 5x13, 5x16, 4x17, 6x32 and 3x64, and
+    # not on 3x3, 9x9, 12x20 or 5x9 (m = 7, one short of the threshold)
+    @pytest.mark.parametrize("grid", [Grid(3, 3), Grid(9, 9), Grid(12, 20), Grid(20, 12),
+                                      Grid(5, 10), Grid(5, 13), Grid(5, 16), Grid(4, 17),
+                                      Grid(6, 32), Grid(3, 64), Grid(5, 9)],
                              ids=lambda g: f"{g.height}x{g.width}")
     def test_matches_dense_reference_solve(self, grid):
         rng = np.random.default_rng(grid.height * 100 + grid.width)
@@ -210,7 +214,7 @@ class TestSolver:
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
-@given(height=st.integers(3, 12), width=st.integers(3, 12),
+@given(height=st.integers(3, 12), width=st.integers(3, 18),
        amplitude=st.floats(0.0, 3.0), seed=st.integers(0, 2**32 - 1))
 def test_solution_satisfies_the_stencil(height, width, amplitude, seed):
     grid = Grid(height, width)
@@ -222,6 +226,37 @@ def test_solution_satisfies_the_stencil(height, width, amplitude, seed):
     mat, rhs = dense_system(y, grid, 3.0, g_left, g_right)
     residual = np.linalg.norm(mat @ sol.values[:, 1:-1].ravel() - rhs)
     assert residual <= 1e-10 * np.linalg.norm(rhs)
+
+
+def _solution_and_load(source):
+    """solve_darcy's pressure and energy_terms' load on one 8x8 field."""
+    y = np.random.default_rng(12).standard_normal((8, 8))
+    return (solve_darcy(y, Grid(8, 8), source=source).values,
+            energy_terms(y[None], Grid(8, 8), source)[2])
+
+
+class TestSource:
+    def test_constant_callable_matches_the_float_bitwise(self):
+        for got, want in zip(_solution_and_load(lambda s1, s2: 3.0), _solution_and_load(3.0)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_callable_value_broadcast_across_rows(self):
+        s1 = np.linspace(0.0, 1.0, 8)
+        for got, want in zip(_solution_and_load(lambda g1, g2: 1.0 + s1),
+                             _solution_and_load(lambda g1, g2: 1.0 + g1)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("call", [lambda y, source: solve_darcy(y, Grid(8, 8), source=source),
+                                      lambda y, source: energy_terms(y[None], Grid(8, 8), source)],
+                             ids=["solve_darcy", "energy_terms"])
+    @pytest.mark.parametrize("source,shape", [(lambda s1, s2: np.ones((2, 6)), r"\(2, 6\)"),
+                                              (np.ones((8, 8)), r"\(8, 8\)")],
+                             ids=["callable", "array"])
+    def test_misshapen_source_rejected(self, call, source, shape):
+        with pytest.raises(ValueError, match=rf"^source gave shape {shape}; expected a number "
+                                             r"or a callable h\(s1, s2\) whose value "
+                                             r"broadcasts to \(8, 8\)$"):
+            call(np.zeros((8, 8)), source)
 
 
 def _energy_system(y, grid, source=3.0):
