@@ -57,7 +57,6 @@ from .inference import (
     posterior_moments_from_states,
     relative_error,
     train_posterior_flow,
-    tune_pcn_step,
 )
 from .params import TrainingDiverged
 from .report import (
@@ -87,10 +86,11 @@ def _require(path: Path, producer: str) -> Path:
     return path
 
 
-def _check_hash(recorded: str, expected: str, artifact: str) -> None:
+def _check_hash(meta_path: Path, producer: str, expected: str) -> None:
+    recorded = read_json(_require(meta_path, producer), "config_hash")["config_hash"]
     if recorded != expected:
         raise DependencyError(
-            f"config hash mismatch for {artifact}: the run directory was built "
+            f"config hash mismatch for {meta_path.name}: the run directory was built "
             f"with a different configuration")
 
 
@@ -146,8 +146,7 @@ def cmd_generate_data(config: ExperimentConfig, out_dir: Path) -> None:
 
 def _load_stage_inputs(config: ExperimentConfig, out_dir: Path):
     chash = config_hash(config)
-    meta = read_json(_require(out_dir / "generate_data_meta.json", "generate-data"))
-    _check_hash(meta["config_hash"], chash, "dataset")
+    _check_hash(out_dir / "generate_data_meta.json", "generate-data", chash)
     samples, grid = load_dataset(out_dir / "dataset.bin")
     return chash, grid, dataset_to_array(samples)
 
@@ -183,14 +182,11 @@ def cmd_train_surrogate(config: ExperimentConfig, out_dir: Path) -> None:
 
 def _load_trained_components(config: ExperimentConfig, out_dir: Path):
     chash = config_hash(config)
-    gen_meta = read_json(_require(out_dir / "generate_data_meta.json", "generate-data"))
-    _check_hash(gen_meta["config_hash"], chash, "dataset")
-    vae_json = _require(out_dir / "vae.json", "train-vae")
-    sur_json = _require(out_dir / "surrogate.json", "train-surrogate")
-    vae, vae_meta = load_vae(str(out_dir / "vae"))
-    sp, sur_meta = load_surrogate(str(out_dir / "surrogate"))
-    _check_hash(vae_meta["config_hash"], chash, vae_json.name)
-    _check_hash(sur_meta["config_hash"], chash, sur_json.name)
+    for meta, producer in (("generate_data_meta.json", "generate-data"),
+                           ("vae.json", "train-vae"), ("surrogate.json", "train-surrogate")):
+        _check_hash(out_dir / meta, producer, chash)
+    vae, _ = load_vae(str(out_dir / "vae"))
+    sp, _ = load_surrogate(str(out_dir / "surrogate"))
     # a CSV cut exactly at a line end parses cleanly, so check the sizes
     obs_path = _require(out_dir / "observations.csv", "generate-data")
     obs = load_observations_csv(obs_path, level=config.observation.noise_level)
@@ -257,23 +253,18 @@ def cmd_infer_mcmc(config: ExperimentConfig, out_dir: Path) -> None:
     stage_dir = out_dir / "mcmc"
     stage_dir.mkdir(parents=True, exist_ok=True)
 
-    log_like = make_surrogate_loglike(vae, sp, obs)
-    step = config.mcmc.step_size
-    if step <= 0.0:
-        step = tune_pcn_step(log_like, vae.latent_dim, config.seeds.mcmc,
-                             target=(config.mcmc.target_acceptance_low,
-                                     config.mcmc.target_acceptance_high))
-    chain = pcn_mcmc(log_like, vae.latent_dim, config.mcmc.steps, step,
-                     config.seeds.mcmc, config.mcmc.retained)
+    chain = pcn_mcmc(make_surrogate_loglike(vae, sp, obs), vae.latent_dim,
+                     config.mcmc.steps, config.mcmc.step_size, config.seeds.mcmc,
+                     config.mcmc.retained)
     summary = posterior_moments_from_states(chain.states, vae, exact_field=truth)
     _write_posterior_outputs(stage_dir, summary, chash, "mcmc", vae.latent_dim,
                              {"acceptance_rate": chain.acceptance_rate,
-                              "step_size": step,
+                              "step_size": chain.step_size,
                               "total_steps": chain.total_steps,
                               "likelihood_evaluations": chain.likelihood_evaluations})
     _write_timing(stage_dir, "infer_mcmc", time.perf_counter() - start)
     print(f"infer-mcmc: relative error {summary.relative_error:.4f}, "
-          f"acceptance {chain.acceptance_rate:.2%}, step {step:.4f}")
+          f"acceptance {chain.acceptance_rate:.2%}, step {chain.step_size:.4f}")
 
 
 def cmd_report(run_dirs: list[Path], out_path: Path | None) -> None:

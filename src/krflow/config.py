@@ -3,13 +3,12 @@
 Every section and key is declared in the schema below; unknown or missing
 entries are errors, so typos and keys of older versions cannot silently
 fall back to defaults, and a value outside its type or its range (batch and
-sample sizes, the ``mcmc`` step and acceptance band, ``mcmc.retained`` and
-the ``flow`` shape) fails here, before any stage runs.  The sections are
-also the trainers' settings: ``train_vae``, ``train_surrogate`` and
-``train_posterior_flow`` take ``vae``, ``surrogate`` and ``inference`` as
-they are.  Values render with ``repr`` and the canonical dump is stable,
-which makes the config hash well defined and lets files round-trip
-losslessly.
+sample sizes, the ``mcmc`` step, ``mcmc.retained`` and the ``flow`` shape)
+fails here, before any stage runs.  The sections are also the trainers'
+settings: ``train_vae``, ``train_surrogate`` and ``train_posterior_flow``
+take ``vae``, ``surrogate`` and ``inference`` as they are.  Values render
+with ``repr`` and the canonical dump is stable, which makes the config hash
+well defined and lets files round-trip losslessly.
 """
 
 from __future__ import annotations
@@ -99,9 +98,7 @@ class ObservationSection:
 class McmcSection:
     steps: int
     retained: int
-    step_size: float          # 0 means tune automatically
-    target_acceptance_low: float
-    target_acceptance_high: float
+    step_size: float          # 0: pcn_mcmc adapts the step during burn-in
 
 
 @dataclass
@@ -194,7 +191,6 @@ def parse_config(text: str) -> ExperimentConfig:
 def _check_ranges(config: ExperimentConfig) -> None:
     """Reject values that parse but that a later stage could not use."""
     mcmc, flow, latent_dim = config.mcmc, config.flow, config.vae.latent_dim
-    low, high = mcmc.target_acceptance_low, mcmc.target_acceptance_high
     counts = [(f"{name}.{key}", getattr(getattr(config, name), key))
               for name, key in (("vae", "batch_size"), ("surrogate", "batch_size"),
                                 ("inference", "batch_size"), ("inference", "sample_size"),
@@ -203,10 +199,7 @@ def _check_ranges(config: ExperimentConfig) -> None:
         ("mcmc.retained", 1 <= mcmc.retained <= mcmc.steps,
          f"{mcmc.retained} is outside [1, mcmc.steps = {mcmc.steps}]"),
         ("mcmc.step_size", 0.0 <= mcmc.step_size <= 1.0,
-         f"{mcmc.step_size!r} must be 0 (tune) or lie in (0, 1]"),
-        ("mcmc.target_acceptance_low", 0.0 < low < high,
-         f"{low!r} must lie in (0, mcmc.target_acceptance_high = {high!r})"),
-        ("mcmc.target_acceptance_high", high < 1.0, f"{high!r} must be below 1"),
+         f"{mcmc.step_size!r} must be 0 (adapt during burn-in) or lie in (0, 1]"),
         ("flow.n_groups", flow.n_groups >= 2 and latent_dim % flow.n_groups == 0,
          f"{flow.n_groups} must be at least 2 and divide vae.latent_dim = {latent_dim}"),
         ("flow.layers_per_stage", flow.layers_per_stage >= 1,
@@ -266,8 +259,7 @@ def desk_config() -> ExperimentConfig:
         observation=ObservationSection(sensor_rows=8, sensor_cols=8,
                                        sensor_origin=0.0625, sensor_spacing=0.125,
                                        noise_level=0.05, truth_scale=0.25),
-        mcmc=McmcSection(steps=10000, retained=2000, step_size=0.0,
-                         target_acceptance_low=0.2, target_acceptance_high=0.35),
+        mcmc=McmcSection(steps=10000, retained=2000, step_size=0.0),
         seeds=SeedsSection(data=101, truth=202, noise=303, vae=404,
                            surrogate=505, flow=606, mcmc=707, posterior=808),
     )

@@ -265,7 +265,8 @@ def save_flow(path_prefix: str, flow: FlowParams, seed: int,
 
 
 def load_flow(path_prefix: str) -> tuple[FlowParams, dict]:
-    meta = read_json(f"{path_prefix}.json")
+    meta = read_json(f"{path_prefix}.json", "d", "K", "L", "hidden_width", "hidden_depth",
+                     "scale_bound")
     config = FlowConfig(dim=meta["d"], n_groups=meta["K"], layers_per_stage=meta["L"],
                         hidden_width=meta["hidden_width"], hidden_depth=meta["hidden_depth"],
                         scale_bound=meta["scale_bound"])

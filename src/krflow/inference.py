@@ -22,19 +22,21 @@ available separately as a diagnostic, not folded in).
 
 The pCN baseline samples the same latent posterior with the proposal
 x' = sqrt(1 - beta^2) x + beta xi, whose acceptance ratio depends only on
-the likelihood, and pushes retained states through the same decoder.  Every
-step draws its xi and its uniform whether it accepts or not, so the
-proposals of the next few steps are fixed in advance along every
-accept/reject path.  pCN evaluates the most likely of them in one call and
-walks them with the pre-drawn uniforms: predictive prefetching (Brockwell
-2006; Angelino et al. 2014).  A likelihood that takes a batch (its
-``vectorized`` attribute) gets up to ``PREFETCH_WIDTH`` of them per call;
-any other gets one, which is the plain one-proposal-per-step loop.
+the likelihood, and pushes retained states through the same decoder.  Given
+step 0, the chain adapts beta during burn-in and freezes it for the retained
+steps (Andrieu & Thoms 2008).  Every step draws its xi and its uniform
+whether it accepts or not, so the proposals of the next few steps are fixed
+in advance along every accept/reject path.  pCN evaluates the most likely
+of them in one call and walks them with the pre-drawn uniforms: predictive
+prefetching (Brockwell 2006; Angelino et al. 2014).  A likelihood that
+takes a batch (its ``vectorized`` attribute) gets up to ``PREFETCH_WIDTH``
+of them per call; any other gets one, the plain one-proposal-per-step loop.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -61,6 +63,10 @@ from .vae import VaeParams, decode_batch, decoder_mean_layers
 # 0.12-0.54) took least time at 12 rows: 0.81-1.29 s against 1.8-2.3 s with
 # one proposal per step.
 PREFETCH_WIDTH = 12
+
+# pcn_mcmc(step_size=0): burn-in steps per step update, and the target acceptance
+ADAPT_BLOCK = 50
+ADAPT_TARGET = 0.25
 
 
 @dataclass
@@ -258,6 +264,12 @@ def pcn_mcmc(log_like: Callable[[np.ndarray], float], dim: int, steps: int,
     step draws ``standard_normal(dim)`` and then ``uniform()`` from one
     generator seeded by ``seed``, whether the step accepts or not.
 
+    ``step_size`` is beta in (0, 1], or 0 to adapt beta during burn-in, the
+    first ``steps - burn_keep`` steps: from 0.2, each whole block n of
+    ``ADAPT_BLOCK`` burn-in steps with acceptance a_n multiplies beta by
+    exp((a_n - ADAPT_TARGET) / sqrt(n)), clipped to [1e-4, 1].  The retained
+    steps run at the frozen beta, which the result reports as ``step_size``.
+
     Proposals are evaluated in prefetched trees (see :func:`_pcn_prefetch`).
     A ``log_like`` with a true ``vectorized`` attribute must also take an
     (n, d) array and return n values; it must not keep the array, which is
@@ -271,8 +283,8 @@ def pcn_mcmc(log_like: Callable[[np.ndarray], float], dim: int, steps: int,
     ``likelihood_evaluations`` of the result counts the rows evaluated, so
     its ratio to ``total_steps`` shows the prefetched work that went unused.
     """
-    if not 0.0 < step_size <= 1.0:
-        raise ValueError("step_size must lie in (0, 1]")
+    if not 0.0 <= step_size <= 1.0:
+        raise ValueError("step_size must be 0 (adapt during burn-in) or lie in (0, 1]")
     if not 1 <= burn_keep <= steps:
         raise ValueError(f"burn_keep must lie in [1, steps]: burn_keep={burn_keep}, "
                          f"steps={steps}")
@@ -285,15 +297,17 @@ def pcn_mcmc(log_like: Callable[[np.ndarray], float], dim: int, steps: int,
     kept_states = np.empty((burn_keep, dim))
     kept_ll = np.empty(burn_keep)
     width = PREFETCH_WIDTH if getattr(log_like, "vectorized", False) else 1
-    accepted, evaluations = _pcn_prefetch(log_like, width, x, current_ll, steps, step_size,
-                                          rng, kept_states, kept_ll)
+    adapt_steps = 0 if step_size else (steps - burn_keep) // ADAPT_BLOCK * ADAPT_BLOCK
+    accepted, evaluations, step_size = _pcn_prefetch(
+        log_like, width, x, current_ll, steps, step_size or 0.2, adapt_steps, rng,
+        kept_states, kept_ll)
     return McmcChain(states=kept_states, log_likelihoods=kept_ll,
                      accepted_count=accepted, total_steps=steps,
                      step_size=step_size, likelihood_evaluations=evaluations)
 
 
-def _pcn_prefetch(log_like, width, x, current_ll, steps, step_size, rng,
-                  kept_states, kept_ll) -> tuple[int, int]:
+def _pcn_prefetch(log_like, width, x, current_ll, steps, step_size, adapt_steps, rng,
+                  kept_states, kept_ll) -> tuple[int, int, float]:
     """The pCN loop of :func:`pcn_mcmc`, its likely proposals evaluated in trees.
 
     Step t's proposal depends only on the state before it and on xi_t, and
@@ -313,8 +327,10 @@ def _pcn_prefetch(log_like, width, x, current_ll, steps, step_size, rng,
     proposal per step, and the chain is the same up to the difference
     between batched and single evaluations of the likelihood.  At width 1
     the tree is the root alone, passed as a (d,) copy: the plain loop.
-    Returns the accepted count and the number of likelihood rows evaluated,
-    the initial state included.
+    In the first ``adapt_steps`` steps, where the step adapts, a tree stops
+    at the next block boundary, so no step_size * xi spans a step change.
+    Returns the accepted count, the likelihood rows evaluated (the initial
+    state included) and the final step.
     """
     dim = len(x)
     first_kept = steps - len(kept_ll)
@@ -323,9 +339,10 @@ def _pcn_prefetch(log_like, width, x, current_ll, steps, step_size, rng,
     depth = [0] * width
     children = [[-1, -1] for _ in range(width)]
     draws: list[tuple[np.ndarray, float]] = []   # (step_size * xi, log u), oldest first
-    accepted, evaluations, step = 0, 1, 0
+    accepted, evaluations, step, block_start_accepted = 0, 1, 0, 0
     while step < steps:
         p_accept = (accepted + 1) / (step + 2)
+        horizon = steps if step >= adapt_steps else (step // ADAPT_BLOCK + 1) * ADAPT_BLOCK
         # heap entries: (-weight, insertion order, depth, state row, parent, branch);
         # state row -1 is the current state x, branch 0 accepts and 1 rejects
         heap = [(-1.0, 0, 0, -1, -1, 0)]
@@ -342,7 +359,7 @@ def _pcn_prefetch(log_like, width, x, current_ll, steps, step_size, rng,
             children[n][0] = children[n][1] = -1
             if parent >= 0:
                 children[parent][branch] = n
-            if n + 1 < width and step + k + 1 < steps:   # room for a child, and a step
+            if n + 1 < width and step + k + 1 < horizon:   # room for a child, and a step
                 heapq.heappush(heap, (neg_weight * p_accept, pushed + 1, k + 1, n, n, 0))
                 heapq.heappush(heap, (neg_weight * (1.0 - p_accept), pushed + 2, k + 1,
                                       source, n, 1))
@@ -369,21 +386,10 @@ def _pcn_prefetch(log_like, width, x, current_ll, steps, step_size, rng,
             x = proposals[source].copy()
         del draws[:k + 1]
         step += k + 1
-    return accepted, evaluations
-
-
-def tune_pcn_step(log_like: Callable[[np.ndarray], float], dim: int, seed: int,
-                  initial: float = 0.2, target: tuple[float, float] = (0.20, 0.35),
-                  pilot_steps: int = 500, max_rounds: int = 12) -> float:
-    """Double/halve the pCN step on pilot chains until acceptance hits the target."""
-    step = initial
-    for _ in range(max_rounds):
-        chain = pcn_mcmc(log_like, dim, pilot_steps, step, seed, burn_keep=1)
-        rate = chain.acceptance_rate
-        if rate < target[0]:
-            step = max(step / 2.0, 1e-4)
-        elif rate > target[1]:
-            step = min(step * 2.0, 1.0)
-        else:
-            return step
-    return step
+        if step <= adapt_steps and step % ADAPT_BLOCK == 0:
+            rate = (accepted - block_start_accepted) / ADAPT_BLOCK
+            scale = math.exp((rate - ADAPT_TARGET) / math.sqrt(step // ADAPT_BLOCK))
+            step_size = min(max(step_size * scale, 1e-4), 1.0)
+            contraction = np.sqrt(1.0 - step_size ** 2)
+            block_start_accepted = accepted
+    return accepted, evaluations, step_size

@@ -108,11 +108,14 @@ class ParamStore:
             end = os.fstat(fh.fileno()).st_size
             while fh.tell() < end:
                 (name_len,) = struct.unpack("<I", read_exact(fh, 4, path))
-                name = read_exact(fh, name_len, path).decode("utf-8")
+                name = read_exact(fh, name_len, path)
                 (rank,) = struct.unpack("<I", read_exact(fh, 4, path))
                 dims = struct.unpack(f"<{rank}Q", read_exact(fh, 8 * rank, path))
                 payload = read_exact(fh, 8 * math.prod(dims), path)
-                store[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
+                try:   # a name that is not utf-8, or a non-finite payload
+                    store[name.decode()] = np.frombuffer(payload, "<f8").reshape(dims).copy()
+                except ValueError as exc:
+                    raise ValueError(f"{path}: {exc}") from exc
         return store
 
 

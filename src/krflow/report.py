@@ -77,9 +77,14 @@ def write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def read_json(path) -> dict:
+def read_json(path, *required: str) -> dict:
+    """The JSON in ``path``; ValueError naming it if bad or lacking a ``required`` key."""
     with open(path) as fh:
         try:
-            return json.load(fh)
+            payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: {exc}") from exc
+    for key in required:
+        if not isinstance(payload, dict) or key not in payload:
+            raise ValueError(f"{path}: missing key {key!r}")
+    return payload

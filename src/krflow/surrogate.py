@@ -158,7 +158,7 @@ def save_surrogate(path_prefix: str, sp: SurrogateParams, seed: int,
 
 
 def load_surrogate(path_prefix: str) -> tuple[SurrogateParams, dict]:
-    meta = read_json(f"{path_prefix}.json")
+    meta = read_json(f"{path_prefix}.json", "H", "W", "hidden", "offset", "scale")
     store = ParamStore.load(f"{path_prefix}.bin")
     return SurrogateParams(store, meta["H"], meta["W"], tuple(meta["hidden"]),
                            meta["offset"], meta["scale"]), meta

@@ -220,7 +220,8 @@ def save_vae(path_prefix: str, vae: VaeParams, seed: int, epochs: int,
 
 
 def load_vae(path_prefix: str) -> tuple[VaeParams, dict]:
-    meta = read_json(f"{path_prefix}.json")
+    meta = read_json(f"{path_prefix}.json", "d", "H", "W", "encoder_hidden",
+                     "decoder_hidden", "offset", "scale")
     vae = VaeParams(ParamStore.load(f"{path_prefix}.bin"), meta["d"], meta["H"], meta["W"],
                     tuple(meta["encoder_hidden"]), tuple(meta["decoder_hidden"]),
                     meta["offset"], meta["scale"])

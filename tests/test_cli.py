@@ -11,7 +11,7 @@ from krflow.config import desk_config, save_config
 from krflow.darcy import lattice_operator, observe, solve_darcy
 from krflow.grf import Grid
 from krflow.inference import PREFETCH_WIDTH
-from krflow.report import load_field_csv, read_json
+from krflow.report import load_field_csv, read_json, write_json
 
 
 def tiny_config():
@@ -169,6 +169,29 @@ class TestDependencyGates:
                   ".json": r".* line \d+ column \d+"}[Path(artifact).suffix]
         assert re.search(rf"{re.escape(artifact)}: {reason}", capsys.readouterr().err)
 
+    @pytest.mark.parametrize("artifact,key,stage", [
+        ("generate_data_meta.json", "config_hash", "train-vae"),
+        ("vae.json", "H", "infer-mcmc"), ("vae.json", "config_hash", "infer-mcmc"),
+        ("surrogate.json", "hidden", "infer-mcmc")])
+    def test_sidecar_missing_a_key_exits_1_naming_it(self, run_dir, tmp_path, capsys,
+                                                     artifact, key, stage):
+        _, cfg_path, out = run_dir
+        copy = tmp_path / "run"
+        shutil.copytree(out, copy)
+        meta = read_json(copy / artifact)
+        del meta[key]
+        write_json(copy / artifact, meta)
+        assert main([stage, "--config", str(cfg_path), "--out", str(copy)]) == 1
+        assert f"{artifact}: missing key '{key}'" in capsys.readouterr().err
+
+    def test_sidecar_that_is_not_an_object_exits_1_naming_it(self, run_dir, tmp_path, capsys):
+        _, cfg_path, out = run_dir
+        copy = tmp_path / "run"
+        shutil.copytree(out, copy)
+        (copy / "vae.json").write_text("3\n")
+        assert main(["infer-mcmc", "--config", str(cfg_path), "--out", str(copy)]) == 1
+        assert "vae.json: missing key 'config_hash'" in capsys.readouterr().err
+
     # a cut at a line end leaves a well-formed CSV with fewer rows
     @pytest.mark.parametrize("artifact,reason", [
         ("observations.csv", r"4 observations, expected 9"),
@@ -211,6 +234,17 @@ class TestDependencyGates:
         assert main(["generate-data", "--config", str(cfg_path),
                      "--out", str(tmp_path / "x")]) == 1
         assert "unknown keys in [inference]: ['decoder_sampling']" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("key", ["target_acceptance_low", "target_acceptance_high"])
+    def test_removed_acceptance_band_key_stops_the_first_stage(self, tmp_path, capsys, key):
+        cfg_path = tmp_path / "old.ini"
+        save_config(cfg_path, tiny_config())
+        text = cfg_path.read_text().replace("[mcmc]\n", f"[mcmc]\n{key} = 0.2\n")
+        cfg_path.write_text(text)
+        assert main(["generate-data", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "x")]) == 1
+        assert f"unknown keys in [mcmc]: ['{key}']" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("section,key,value", [("mcmc", "retained", 0),

@@ -68,9 +68,7 @@ def test_bad_value_reported_with_location():
 @pytest.mark.parametrize("section,key,value", [
     ("mcmc", "retained", 0), ("mcmc", "retained", 10001), ("flow", "n_groups", 1),
     ("flow", "n_groups", 3), ("flow", "layers_per_stage", 0), ("flow", "scale_bound", 0.0),
-    ("mcmc", "step_size", -0.05), ("mcmc", "step_size", 1.5),
-    ("mcmc", "target_acceptance_low", 0.0), ("mcmc", "target_acceptance_low", 0.35),
-    ("mcmc", "target_acceptance_high", 1.0), ("vae", "batch_size", 0),
+    ("mcmc", "step_size", -0.05), ("mcmc", "step_size", 1.5), ("vae", "batch_size", 0),
     ("surrogate", "batch_size", 0), ("inference", "batch_size", 0),
     ("inference", "sample_size", 0), ("inference", "posterior_samples", 0)])
 def test_value_outside_its_range_names_its_key(section, key, value):
@@ -127,9 +125,6 @@ def into_range(cfg):
     cfg.inference.sample_size = max(cfg.inference.sample_size, 1)
     cfg.inference.posterior_samples = max(cfg.inference.posterior_samples, 1)
     cfg.mcmc.step_size = min(abs(cfg.mcmc.step_size), 1.0)
-    # low in (0, 0.4] and high in [0.5, 0.99], so 0 < low < high < 1
-    cfg.mcmc.target_acceptance_low = min(abs(cfg.mcmc.target_acceptance_low), 0.4) or 0.2
-    cfg.mcmc.target_acceptance_high = 0.5 + min(abs(cfg.mcmc.target_acceptance_high), 0.49)
     return cfg
 
 

@@ -21,6 +21,7 @@ from krflow.flow import (
     _split,
 )
 from krflow.params import ParamStore
+from krflow.report import read_json, write_json
 
 
 def random_flow(config: FlowConfig, seed: int, scale: float = 0.1) -> FlowParams:
@@ -327,6 +328,18 @@ class TestLogDensity:
                 fd = (up - down) / (2 * h)
                 scale = max(abs(fd), abs(grads[name].ravel()[k]), 1e-8)
                 assert abs(grads[name].ravel()[k] - fd) / scale < 1e-5, (name, k)
+
+
+def test_checkpoint_missing_a_key_names_the_sidecar(tmp_path):
+    config = FlowConfig(dim=4, n_groups=2, layers_per_stage=1, hidden_width=4,
+                        hidden_depth=1, scale_bound=2.0)
+    prefix = str(tmp_path / "flow")
+    save_flow(prefix, init_flow(config, seed=3), seed=3)
+    meta = read_json(f"{prefix}.json")
+    del meta["hidden_width"]
+    write_json(f"{prefix}.json", meta)
+    with pytest.raises(ValueError, match=r"flow\.json: missing key 'hidden_width'"):
+        load_flow(prefix)
 
 
 def test_checkpoint_roundtrip(tmp_path):

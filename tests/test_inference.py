@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -26,7 +28,6 @@ from krflow.inference import (
     posterior_moments_from_states,
     relative_error,
     train_posterior_flow,
-    tune_pcn_step,
 )
 from krflow.nets import std_normal_logpdf
 from krflow.surrogate import init_surrogate, surrogate_forward
@@ -316,15 +317,28 @@ class TestPcnMcmc:
             pcn_mcmc(lambda x: 0.0, dim=2, steps=10, step_size=1.5, seed=0,
                      burn_keep=5)
 
-    def test_tuner_reaches_target_band(self):
-        # sharply concentrated likelihood forces small steps
+    def test_adapted_step_holds_retained_acceptance_in_band(self):
+        # sharply concentrated likelihood forces steps well below the initial 0.2
         def log_like(x):
             return float(-50.0 * (x @ x))
 
-        step = tune_pcn_step(log_like, dim=6, seed=10, initial=0.8)
-        chain = pcn_mcmc(log_like, dim=6, steps=2000, step_size=step, seed=11,
+        chain = pcn_mcmc(log_like, dim=6, steps=2000, step_size=0.0, seed=11,
                          burn_keep=500)
-        assert 0.12 < chain.acceptance_rate < 0.45
+        assert chain.step_size < 0.2
+        # proposals are continuous, so a kept state differs from the one
+        # before it exactly when that step accepted
+        moves = np.any(chain.states[1:] != chain.states[:-1], axis=1).sum()
+        assert 0.20 <= moves / (len(chain.states) - 1) <= 0.35
+
+    def test_burn_in_shorter_than_a_block_keeps_the_initial_step(self):
+        def log_like(x):
+            return float(-50.0 * (x @ x))
+
+        adapted = pcn_mcmc(log_like, dim=3, steps=100, step_size=0.0, seed=4, burn_keep=51)
+        fixed = pcn_mcmc(log_like, dim=3, steps=100, step_size=0.2, seed=4, burn_keep=51)
+        assert adapted.step_size == 0.2
+        assert adapted.states.tobytes() == fixed.states.tobytes()
+        assert adapted.accepted_count == fixed.accepted_count
 
 
 class TestRelativeError:
@@ -421,14 +435,20 @@ def test_pcn_with_folded_loglike_reproduces_reference_chain():
 
 
 def _sequential_pcn(log_like, dim, steps, step_size, seed, burn_keep):
-    """The one-proposal-per-step pCN loop, the reference for trees of any width."""
+    """The one-proposal-per-step pCN loop, the reference for trees of any width.
+
+    Step 0 starts at 0.2 and rescales the step by exp((a_n - 0.25) / sqrt(n))
+    after each whole 50-step block n of burn-in, a_n being its acceptance.
+    """
+    adapt = step_size == 0.0
+    step_size = step_size or 0.2
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(dim)
     current_ll = float(log_like(x))
     contraction = np.sqrt(1.0 - step_size ** 2)
     kept_states = np.empty((burn_keep, dim))
     kept_ll = np.empty(burn_keep)
-    accepted = 0
+    accepted = block_accepted = 0
     for step in range(steps):
         proposal = contraction * x + step_size * rng.standard_normal(dim)
         proposal_ll = float(log_like(proposal))
@@ -439,7 +459,13 @@ def _sequential_pcn(log_like, dim, steps, step_size, seed, burn_keep):
         if tail >= 0:
             kept_states[tail] = x
             kept_ll[tail] = current_ll
-    return kept_states, kept_ll, accepted
+        if adapt and (step + 1) % 50 == 0 and step + 1 <= steps - burn_keep:
+            rate = (accepted - block_accepted) / 50
+            step_size *= math.exp((rate - 0.25) / math.sqrt((step + 1) // 50))
+            step_size = min(max(step_size, 1e-4), 1.0)
+            contraction = np.sqrt(1.0 - step_size ** 2)
+            block_accepted = accepted
+    return kept_states, kept_ll, accepted, step_size
 
 
 def _gaussian(center, precision, shapes, vectorized=True):
@@ -459,18 +485,30 @@ def _gaussian(center, precision, shapes, vectorized=True):
 def _pcn_cases(draw):
     # chains shorter than a prefetch tree are as likely as longer ones
     steps = draw(st.one_of(st.integers(1, 2 * PREFETCH_WIDTH), st.integers(1, 300)))
-    step_size = draw(st.sampled_from([0.6, 0.3, 0.05]))
+    # 0 adapts the step from 0.2 during burn-in
+    step_size = draw(st.sampled_from([0.6, 0.3, 0.05, 0.0]))
     # acceptance falls with precision * step_size^2: at step 0.6, 10^-2.5 gives
     # about 0.95 and 10^3 about 0.02 (test_prefetch_cases_span_acceptance)
     log_scale = draw(st.sampled_from([3.0, -2.5, 2.0, -1.5, 1.0, -0.5, 0.5, 0.0]))
     return dict(dim=draw(st.integers(1, 6)), steps=steps,
                 burn_keep=draw(st.integers(1, steps)), step_size=step_size,
-                precision=10.0 ** log_scale / step_size ** 2,
+                precision=10.0 ** log_scale / (step_size or 0.2) ** 2,
                 seed=draw(st.integers(0, 10_000)))
+
+
+# adapting chains with 3 and 7 whole burn-in blocks and then a cut-short one;
+# the first lowers the step and the second raises it
+_ADAPTING = [dict(dim=3, steps=260, burn_keep=100, step_size=0.0, precision=2500.0,
+                  seed=17),
+             dict(dim=5, steps=420, burn_keep=40, step_size=0.0, precision=10.0, seed=5)]
 
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
 @given(_pcn_cases(), st.booleans())
+@example(_ADAPTING[0], True)
+@example(_ADAPTING[0], False)
+@example(_ADAPTING[1], True)
+@example(_ADAPTING[1], False)
 def test_prefetching_pcn_reproduces_sequential_chain(case, vectorized):
     dim, steps, burn_keep = case["dim"], case["steps"], case["burn_keep"]
     step_size, seed = case["step_size"], case["seed"]
@@ -479,9 +517,10 @@ def test_prefetching_pcn_reproduces_sequential_chain(case, vectorized):
     log_like = _gaussian(center, case["precision"], shapes, vectorized)
     chain = pcn_mcmc(log_like, dim, steps, step_size, seed, burn_keep)
     rows = [shape[0] if len(shape) == 2 else 1 for shape in shapes]
-    states, log_likelihoods, accepted = _sequential_pcn(log_like, dim, steps, step_size,
-                                                        seed, burn_keep)
+    states, log_likelihoods, accepted, final_step = _sequential_pcn(
+        log_like, dim, steps, step_size, seed, burn_keep)
     assert chain.accepted_count == accepted
+    assert chain.step_size == final_step
     assert chain.states.tobytes() == states.tobytes()
     np.testing.assert_allclose(chain.log_likelihoods, log_likelihoods, rtol=1e-12, atol=0)
     # after the initial state, a vectorized likelihood gets only batches and

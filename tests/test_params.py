@@ -1,3 +1,4 @@
+import struct
 import tempfile
 from pathlib import Path
 
@@ -91,6 +92,24 @@ class TestParamStore:
         data[18:26] = (2 ** 62).to_bytes(8, "little")   # first dim of W0
         path.write_bytes(bytes(data))
         with pytest.raises(ValueError, match=r"vae\.bin: truncated"):
+            ParamStore.load(path)
+
+    def test_name_that_is_not_utf8_names_path(self, tmp_path):
+        path = tmp_path / "vae.bin"
+        ParamStore({"W0": np.ones((2, 2))}).save(path)
+        data = bytearray(path.read_bytes())
+        data[12] = 0xFF                                  # first byte of the name
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=r"vae\.bin: 'utf-8' codec can't decode byte 0xff"):
+            ParamStore.load(path)
+
+    def test_non_finite_payload_names_path(self, tmp_path):
+        path = tmp_path / "vae.bin"
+        ParamStore({"W0": np.ones((2, 2)), "b2": np.ones(2)}).save(path)
+        data = path.read_bytes()
+        path.write_bytes(data[:-8] + struct.pack("<d", float("nan")))
+        with pytest.raises(ValueError,
+                           match=r"vae\.bin: parameter 'b2' contains non-finite values"):
             ParamStore.load(path)
 
 
