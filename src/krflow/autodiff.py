@@ -16,6 +16,9 @@ Ops are plain functions; ``Tensor`` has no operator overloads.
 Every op dispatches on its input type, so the same network code runs either
 on the tape (``Tensor`` inputs, gradients available) or as plain numpy
 (``ndarray`` inputs, no tape overhead) for sampling and MCMC hot loops.
+On the tape, a float or ndarray operand of ``add``, ``sub``, ``mul``,
+``matmul`` or ``concat`` is read as it is and never wrapped in a constant
+``Tensor``.
 
 Finiteness is checked once per ``evaluate_with_gradients`` (see there), not
 on every node.  A gradient reaches a tensor by assignment the first time and
@@ -132,15 +135,6 @@ class Tensor:
         self.grad = g if self.grad is None else self.grad + g
 
 
-def _coerce(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor.constant(x)
-
-
-def _operand(x):
-    """Binary-op operand: a Tensor or a Python float as given, anything else a constant."""
-    return x if isinstance(x, (Tensor, float)) else Tensor.constant(x)
-
-
 def _value(x):
     return x.data if isinstance(x, Tensor) else x
 
@@ -176,12 +170,11 @@ def _node(data: np.ndarray, op: str, parents: Sequence[Tensor],
 def add(a, b):
     if not _is_tape(a, b):
         return np.asarray(a) + np.asarray(b)
-    a, b = _operand(a), _operand(b)
     av, bv = _value(a), _value(b)
     try:
         data = av + bv
     except ValueError as exc:
-        raise ShapeError(f"add: incompatible shapes {av.shape} and {bv.shape}") from exc
+        raise ShapeError(f"add: incompatible shapes {np.shape(av)} and {np.shape(bv)}") from exc
 
     def backward(g):
         if _wants_grad(a):
@@ -195,12 +188,11 @@ def add(a, b):
 def sub(a, b):
     if not _is_tape(a, b):
         return np.asarray(a) - np.asarray(b)
-    a, b = _operand(a), _operand(b)
     av, bv = _value(a), _value(b)
     try:
         data = av - bv
     except ValueError as exc:
-        raise ShapeError(f"sub: incompatible shapes {av.shape} and {bv.shape}") from exc
+        raise ShapeError(f"sub: incompatible shapes {np.shape(av)} and {np.shape(bv)}") from exc
 
     def backward(g):
         if _wants_grad(a):
@@ -214,12 +206,11 @@ def sub(a, b):
 def mul(a, b):
     if not _is_tape(a, b):
         return np.asarray(a) * np.asarray(b)
-    a, b = _operand(a), _operand(b)
     av, bv = _value(a), _value(b)
     try:
         data = av * bv
     except ValueError as exc:
-        raise ShapeError(f"mul: incompatible shapes {av.shape} and {bv.shape}") from exc
+        raise ShapeError(f"mul: incompatible shapes {np.shape(av)} and {np.shape(bv)}") from exc
 
     def backward(g):
         if _wants_grad(a):
@@ -233,16 +224,16 @@ def mul(a, b):
 def matmul(a, b):
     if not _is_tape(a, b):
         return np.asarray(a) @ np.asarray(b)
-    a, b = _coerce(a), _coerce(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.data.shape} and {b.data.shape}")
-    data = a.data @ b.data
+    av, bv = np.asarray(_value(a)), np.asarray(_value(b))
+    if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
+        raise ShapeError(f"matmul: incompatible shapes {av.shape} and {bv.shape}")
+    data = av @ bv
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(g @ b.data.T)
-        if b.requires_grad:
-            b._accumulate(a.data.T @ g)
+        if _wants_grad(a):
+            a._accumulate(g @ bv.T)
+        if _wants_grad(b):
+            b._accumulate(av.T @ g)
 
     return _node(data, "matmul", (a, b), backward)
 
@@ -361,14 +352,13 @@ def take_cols(a, idx):
 def concat(parts: Sequence, axis: int = -1):
     if not any(isinstance(p, Tensor) for p in parts):
         return np.concatenate([np.asarray(p) for p in parts], axis=axis)
-    parts = [_coerce(p) for p in parts]
-    data = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    values = [_value(p) for p in parts]
+    data = np.concatenate(values, axis=axis)
+    offsets = np.cumsum([0] + [np.shape(v)[axis] for v in values])
 
     def backward(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
+            if _wants_grad(p):
                 idx = [slice(None)] * g.ndim
                 idx[axis] = slice(lo, hi)
                 p._accumulate(g[tuple(idx)])

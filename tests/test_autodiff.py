@@ -112,6 +112,34 @@ def test_float_operand_stays_a_float(op, float_first, monkeypatch):
     np.testing.assert_array_equal(x.grad, np.full((2, 2), slope))
 
 
+@pytest.mark.parametrize("op", ["add", "sub", "mul", "matmul", "concat"])
+@pytest.mark.parametrize("array_first", [False, True])
+def test_array_operand_is_not_wrapped(op, array_first, monkeypatch):
+    # an ndarray operand is read as it is: no constant Tensor is built
+    params = ParamStore({"x": np.array([[1.5, -2.0], [0.25, 3.0]])})
+    c = np.array([[0.5, -1.0], [2.0, 0.75]])
+    w = np.array([[1.0, -3.0, 0.5, 2.0], [0.25, 1.5, -1.0, 4.0]])
+    fn, ref = {
+        "add": (ad.add, np.add), "sub": (ad.sub, np.subtract), "mul": (ad.mul, np.multiply),
+        "matmul": (ad.matmul, np.matmul),
+        "concat": (lambda a, b: ad.concat([a, b], axis=-1),
+                   lambda a, b: np.concatenate([a, b], axis=-1)),
+    }[op]
+    monkeypatch.setattr(Tensor, "constant", staticmethod(lambda data: pytest.fail("wrapped")))
+    seen = {}
+
+    def program(t):
+        out = fn(c, t["x"]) if array_first else fn(t["x"], c)
+        seen["data"] = out.data
+        return ad.sum_(ad.mul(out, w[:, :out.data.shape[1]]))
+
+    _, grads = evaluate_with_gradients(program, params)
+    x = params["x"]
+    np.testing.assert_array_equal(seen["data"], ref(c, x) if array_first else ref(x, c))
+    fd = finite_difference_grads(program, params)
+    assert relative_error(grads["x"], fd["x"]) < 1e-8
+
+
 def test_mean_of_all_entries_is_0d_like_sum():
     x = Tensor.leaf(np.arange(6.0).reshape(2, 3), "x")
     assert ad.sum_(x).data.shape == ()
