@@ -1,10 +1,11 @@
 """Reverse-mode automatic differentiation on dense float64 arrays.
 
-A ``Tensor`` wraps a numpy array and records the operation that produced it,
-so that ``backward()`` on a scalar output accumulates exact gradients into
-every upstream tensor that requires them.  The op set is what the dense
-networks, coupling flows and the surrogate's energy loss in this package
-build; each op, ``sub`` included, is one tape node:
+A ``Tensor`` wraps a numpy array and the backward function of the operation
+that produced it.  ``evaluate_with_gradients`` records every node in build
+order (the trail), and ``backward`` replays that trail in reverse, so each
+node holds its whole gradient before it passes it on to its operands.  The
+op set is what the dense networks, coupling flows and the surrogate's energy
+loss in this package build; each op, ``sub`` included, is one tape node:
 
 - elementwise: ``add``, ``sub``, ``mul``, ``exp``, ``tanh``, ``relu``,
   ``square`` and ``clip``;
@@ -76,17 +77,15 @@ class Tensor:
     array; ``leaf`` and ``constant`` coerce theirs.
     """
 
-    __slots__ = ("data", "grad", "op", "name", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "op", "name", "requires_grad", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, name: str = "",
-                 op: str = "leaf", parents: Sequence["Tensor"] = (),
-                 backward: Callable[[np.ndarray], None] | None = None):
+                 op: str = "leaf", backward: Callable[[np.ndarray], None] | None = None):
         self.data = data
         self.grad: np.ndarray | None = None
         self.op = op
         self.name = name
         self.requires_grad = requires_grad
-        self._parents = parents
         self._backward = backward
 
     # -- construction helpers -------------------------------------------------
@@ -110,24 +109,16 @@ class Tensor:
 
     # -- backprop -------------------------------------------------------------
 
-    def backward(self) -> None:
-        """Accumulate gradients of this scalar into all upstream tensors."""
+    def backward(self, trail: Sequence["Tensor"]) -> None:
+        """Accumulate gradients of this scalar into all upstream tensors.
+
+        ``trail`` must hold every node built since the leaves, in build order;
+        it is walked in reverse, and nodes that got no gradient are skipped.
+        """
         if self.data.size != 1:
             raise ShapeError("backward() requires a scalar output")
-        # post-order depth-first walk; _node keeps only parents that need a gradient
-        order: list[Tensor] = []
-        seen: set[Tensor] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)] if self.requires_grad else []
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-            elif node not in seen:
-                seen.add(node)
-                stack.append((node, True))
-                stack.extend([(p, False) for p in node._parents])
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
+        for node in reversed(trail):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
@@ -147,15 +138,14 @@ def _is_tape(a, b=None) -> bool:
     return isinstance(a, Tensor) or isinstance(b, Tensor)
 
 
-def _node(data: np.ndarray, op: str, parents: Sequence[Tensor],
+def _node(data: np.ndarray, op: str, parents: Sequence,
           backward: Callable[[np.ndarray], None]) -> Tensor:
     if type(data) is not np.ndarray:
         data = np.asarray(data, dtype=np.float64)   # numpy returns 0-d results as scalars
     elif data.dtype != np.float64 or not data.flags.c_contiguous:
         data = _as_array(data)
-    parents = [p for p in parents if _wants_grad(p)]
-    if parents:
-        node = Tensor(data, requires_grad=True, op=op, parents=parents, backward=backward)
+    if any(_wants_grad(p) for p in parents):
+        node = Tensor(data, requires_grad=True, op=op, backward=backward)
     else:
         node = Tensor(data, requires_grad=False, op=op)
     trail = _trail.get()
@@ -450,7 +440,7 @@ def evaluate_with_gradients(program: Callable, params: Mapping[str, np.ndarray]
             raise ShapeError(f"program must return a scalar, got shape {out.data.shape}")
         value = float(out.data.reshape(()))
         if out.requires_grad:
-            out.backward()
+            out.backward(trail)
     finally:
         _trail.reset(token)
     grads = {name: leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)

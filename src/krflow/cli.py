@@ -270,9 +270,10 @@ def cmd_infer_mcmc(config: ExperimentConfig, out_dir: Path) -> None:
 def cmd_report(run_dirs: list[Path], out_path: Path | None) -> None:
     rows = []
     for run_dir in run_dirs:
-        summary = read_json(_require(run_dir / "summary.json", "an inference stage"))
+        summary = read_json(_require(run_dir / "summary.json", "an inference stage"),
+                            "method", "d", "relative_error")
         timing_files = sorted(run_dir.glob("*_timing.json"))
-        wall = sum(read_json(p)["wall_time_seconds"] for p in timing_files)
+        wall = sum(read_json(p, "wall_time_seconds")["wall_time_seconds"] for p in timing_files)
         acc = summary.get("acceptance_rate")
         rows.append((summary["method"], summary["d"], summary["relative_error"],
                      wall, "" if acc is None else acc))

@@ -98,18 +98,23 @@ def test_broadcast_bias_gradient(op):
 @pytest.mark.parametrize("float_first", [False, True])
 def test_float_operand_stays_a_float(op, float_first, monkeypatch):
     # a Python float joins the node as a scalar: no constant Tensor is built
-    x = Tensor.leaf(np.array([[1.5, -2.0], [0.25, 3.0]]), "x")
+    params = ParamStore({"x": np.array([[1.5, -2.0], [0.25, 3.0]])})
     monkeypatch.setattr(Tensor, "constant", staticmethod(lambda data: pytest.fail("wrapped")))
     fn = getattr(ad, op)
-    out = fn(-0.5, x) if float_first else fn(x, -0.5)
+    seen = {}
+
+    def program(t):
+        seen["out"] = fn(-0.5, t["x"]) if float_first else fn(t["x"], -0.5)
+        return ad.sum_(seen["out"])
+
+    _, grads = evaluate_with_gradients(program, params)
+    x = params["x"]
     expected = getattr(np, {"add": "add", "sub": "subtract", "mul": "multiply"}[op])(
-        *((-0.5, x.data) if float_first else (x.data, -0.5)))
-    np.testing.assert_array_equal(out.data, expected)
-    assert out._parents == [x]
-    total = ad.sum_(out)
-    total.backward()
+        *((-0.5, x) if float_first else (x, -0.5)))
+    np.testing.assert_array_equal(seen["out"].data, expected)
+    assert seen["out"].requires_grad
     slope = {"add": 1.0, "sub": -1.0 if float_first else 1.0, "mul": -0.5}[op]
-    np.testing.assert_array_equal(x.grad, np.full((2, 2), slope))
+    np.testing.assert_array_equal(grads["x"], np.full((2, 2), slope))
 
 
 @pytest.mark.parametrize("op", ["add", "sub", "mul", "matmul", "concat"])
@@ -118,7 +123,6 @@ def test_array_operand_is_not_wrapped(op, array_first, monkeypatch):
     # an ndarray operand is read as it is: no constant Tensor is built
     params = ParamStore({"x": np.array([[1.5, -2.0], [0.25, 3.0]])})
     c = np.array([[0.5, -1.0], [2.0, 0.75]])
-    w = np.array([[1.0, -3.0, 0.5, 2.0], [0.25, 1.5, -1.0, 4.0]])
     fn, ref = {
         "add": (ad.add, np.add), "sub": (ad.sub, np.subtract), "mul": (ad.mul, np.multiply),
         "matmul": (ad.matmul, np.matmul),
@@ -131,7 +135,7 @@ def test_array_operand_is_not_wrapped(op, array_first, monkeypatch):
     def program(t):
         out = fn(c, t["x"]) if array_first else fn(t["x"], c)
         seen["data"] = out.data
-        return ad.sum_(ad.mul(out, w[:, :out.data.shape[1]]))
+        return ad.sum_(out)
 
     _, grads = evaluate_with_gradients(program, params)
     x = params["x"]
@@ -141,12 +145,18 @@ def test_array_operand_is_not_wrapped(op, array_first, monkeypatch):
 
 
 def test_mean_of_all_entries_is_0d_like_sum():
-    x = Tensor.leaf(np.arange(6.0).reshape(2, 3), "x")
-    assert ad.sum_(x).data.shape == ()
-    mean = ad.mean_(x)
-    assert mean.data.shape == () and mean.data == 2.5
-    mean.backward()
-    np.testing.assert_array_equal(x.grad, np.full((2, 3), 1.0 / 6.0))
+    params = ParamStore({"x": np.arange(6.0).reshape(2, 3)})
+    shapes = {}
+
+    def program(t):
+        shapes["sum"] = ad.sum_(t["x"]).data.shape
+        mean = ad.mean_(t["x"])
+        shapes["mean"] = mean.data.shape
+        return mean
+
+    value, grads = evaluate_with_gradients(program, params)
+    assert shapes == {"sum": (), "mean": ()} and value == 2.5
+    np.testing.assert_array_equal(grads["x"], np.full((2, 3), 1.0 / 6.0))
 
 
 def test_structural_op_gradients():
@@ -350,3 +360,53 @@ def test_numpy_fast_path_matches_tape():
     taped = mlp_forward(leaves, Tensor.constant(x))
     assert isinstance(fast, np.ndarray)
     np.testing.assert_allclose(fast, taped.data)
+
+
+_BINARY_OPS = ["add", "sub", "mul", "matmul", "concat"]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1),
+       steps=st.lists(st.tuples(st.sampled_from(_BINARY_OPS + ["square", "tanh"]),
+                                st.integers(0, 99), st.integers(0, 99)), min_size=1, max_size=6))
+def test_shared_nodes_dead_branches_and_array_operands(n, seed, steps):
+    # a random program over n-by-n nodes, each step an op on one or two earlier
+    # nodes (possibly the same one twice); the output reads every node again,
+    # the last node s five more times, and each binary op once with an ndarray
+    # on the left and once on the right
+    rng = np.random.default_rng(seed)
+    params = ParamStore({name: 0.5 * rng.standard_normal((n, n))
+                         for name in ("a", "b", "dead", "unused")})
+    arrays = 0.5 * rng.standard_normal((2 * len(_BINARY_OPS), n, n))
+    picks = rng.integers(0, 99, size=len(arrays))
+    cols = rng.permutation(2 * n)[:n]
+    weights = rng.standard_normal((1 + len(arrays) + len(steps) + 2, n, n))
+
+    def apply(op, x, y):
+        if op == "concat":
+            return ad.take_cols(ad.concat([x, y], axis=-1), cols)
+        return getattr(ad, op)(x) if op in ("square", "tanh") else getattr(ad, op)(x, y)
+
+    def program(t):
+        nodes = [t["a"], t["b"]]
+        for op, i, j in steps:
+            nodes.append(apply(op, nodes[i % len(nodes)], nodes[j % len(nodes)]))
+        s = nodes[-1]
+        ad.tanh(ad.matmul(t["dead"], s))                        # built, never used
+        terms = [ad.add(ad.add(ad.mul(s, s), ad.square(s)), s)]
+        for k, arr in enumerate(arrays):
+            node = nodes[picks[k] % len(nodes)]
+            op = _BINARY_OPS[k // 2]
+            terms.append(apply(op, arr, node) if k % 2 else apply(op, node, arr))
+        out = ad.sum_(ad.mul(terms[0], weights[0]))
+        for term, w in zip(terms[1:] + nodes, weights[1:]):
+            out = ad.add(out, ad.sum_(ad.mul(term, w)))
+        ad.exp(ad.mul(t["dead"], out))                          # built after the output
+        return out
+
+    _, grads = evaluate_with_gradients(program, params)
+    fd = finite_difference_grads(program, params)
+    for name in ("a", "b"):
+        assert relative_error(grads[name], fd[name]) < 1e-6, name
+    for name in ("dead", "unused"):
+        np.testing.assert_array_equal(grads[name], np.zeros((n, n)))

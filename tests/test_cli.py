@@ -184,6 +184,19 @@ class TestDependencyGates:
         assert main([stage, "--config", str(cfg_path), "--out", str(copy)]) == 1
         assert f"{artifact}: missing key '{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("artifact,key", [
+        ("mcmc/summary.json", "method"), ("mcmc/infer_mcmc_timing.json", "wall_time_seconds")])
+    def test_report_input_missing_a_key_exits_1_naming_it(self, run_dir, tmp_path, capsys,
+                                                          artifact, key):
+        _, _, out = run_dir
+        copy = tmp_path / "run"
+        shutil.copytree(out, copy)
+        payload = read_json(copy / artifact)
+        del payload[key]
+        write_json(copy / artifact, payload)
+        assert main(["report", str(copy / "krnet"), str(copy / "mcmc")]) == 1
+        assert f"{copy / artifact}: missing key '{key}'" in capsys.readouterr().err
+
     def test_sidecar_that_is_not_an_object_exits_1_naming_it(self, run_dir, tmp_path, capsys):
         _, cfg_path, out = run_dir
         copy = tmp_path / "run"
