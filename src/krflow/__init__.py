@@ -33,7 +33,6 @@ from .params import AdamState, ParamStore, adam_step
 from .surrogate import (
     SurrogateParams,
     energy_loss,
-    surrogate_forward,
     surrogate_relative_error,
     train_surrogate,
 )

@@ -77,14 +77,13 @@ class Tensor:
     array; ``leaf`` and ``constant`` coerce theirs.
     """
 
-    __slots__ = ("data", "grad", "op", "name", "requires_grad", "_backward")
+    __slots__ = ("data", "grad", "op", "requires_grad", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, name: str = "",
-                 op: str = "leaf", backward: Callable[[np.ndarray], None] | None = None):
+    def __init__(self, data, requires_grad: bool = False, op: str = "leaf",
+                 backward: Callable[[np.ndarray], None] | None = None):
         self.data = data
         self.grad: np.ndarray | None = None
         self.op = op
-        self.name = name
         self.requires_grad = requires_grad
         self._backward = backward
 
@@ -92,7 +91,7 @@ class Tensor:
 
     @staticmethod
     def leaf(data, name: str = "") -> "Tensor":
-        t = Tensor(_as_array(data), requires_grad=True, name=name)
+        t = Tensor(_as_array(data), requires_grad=True)
         _check_finite(t.data, f"leaf '{name}'")
         return t
 

@@ -189,7 +189,7 @@ def _load_trained_components(config: ExperimentConfig, out_dir: Path):
     sp, _ = load_surrogate(str(out_dir / "surrogate"))
     # a CSV cut exactly at a line end parses cleanly, so check the sizes
     obs_path = _require(out_dir / "observations.csv", "generate-data")
-    obs = load_observations_csv(obs_path, level=config.observation.noise_level)
+    obs = load_observations_csv(obs_path)
     n_sensors = config.observation.sensor_rows * config.observation.sensor_cols
     if obs.operator.n_sensors != n_sensors:
         raise ValueError(f"{obs_path}: {obs.operator.n_sensors} observations, "

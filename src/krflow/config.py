@@ -126,17 +126,7 @@ class ExperimentConfig:
     seeds: SeedsSection
 
 
-_SECTIONS = {
-    "grid": GridSection,
-    "kle": KleSection,
-    "vae": VaeSection,
-    "surrogate": SurrogateSection,
-    "flow": FlowSection,
-    "inference": InferenceSection,
-    "observation": ObservationSection,
-    "mcmc": McmcSection,
-    "seeds": SeedsSection,
-}
+_SECTIONS = get_type_hints(ExperimentConfig)   # section name -> its dataclass
 
 _PARSERS = {
     int: int,

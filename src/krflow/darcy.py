@@ -69,7 +69,6 @@ class ObservationOperator:
 
 @dataclass
 class NoiseModel:
-    level: float
     per_sensor_std: np.ndarray
     floor: float
 
@@ -264,19 +263,6 @@ def solve_darcy(log_perm: np.ndarray, grid: Grid,
     return PressureField(values=np.column_stack([g_left, u_inner, g_right]), grid=grid)
 
 
-def boundary_flux_total(pressure: PressureField, log_perm: np.ndarray,
-                        grid: Grid) -> float:
-    """Net discrete flux leaving through the Dirichlet columns.
-
-    Neumann faces carry no flux by construction, so in steady state this
-    equals the total source integral (and vanishes for zero source).
-    """
-    t_h, _, _ = _transmissibilities(np.asarray(log_perm, float), grid)
-    u = pressure.values
-    return float((t_h[:, 0] * (u[:, 1] - u[:, 0])).sum()
-                 + (t_h[:, -1] * (u[:, -2] - u[:, -1])).sum())
-
-
 def observe(pressure: PressureField, op: ObservationOperator) -> np.ndarray:
     """Bilinear interpolation of the pressure at each sensor location."""
     return observation_matrix(op, pressure.grid) @ pressure.values.ravel()
@@ -320,7 +306,7 @@ def add_noise(clean: np.ndarray, level: float, rng: np.random.Generator,
     sigma = np.maximum(level * np.abs(clean), floor)
     values = clean + sigma * rng.standard_normal(len(clean))
     return ObservationSet(operator=operator, values=values,
-                          noise=NoiseModel(level=level, per_sensor_std=sigma, floor=floor))
+                          noise=NoiseModel(per_sensor_std=sigma, floor=floor))
 
 
 def log_likelihood(obs: ObservationSet, predicted: np.ndarray) -> float:
@@ -349,11 +335,15 @@ def save_observations_csv(path, obs: ObservationSet) -> None:
             writer.writerow([repr(float(s1)), repr(float(s2)), repr(float(v)), repr(float(sig))])
 
 
-def load_observations_csv(path, level: float) -> ObservationSet:
+def load_observations_csv(path) -> ObservationSet:
+    """Read :func:`save_observations_csv`'s file; ValueError names it if bad."""
     table = read_csv_floats(path, header=OBSERVATION_COLUMNS)
     sigmas = table[:, 3]
-    return ObservationSet(
-        operator=ObservationOperator(table[:, :2]),
-        values=table[:, 2],
-        noise=NoiseModel(level=level, per_sensor_std=sigmas, floor=float(sigmas.min())),
-    )
+    try:
+        return ObservationSet(
+            operator=ObservationOperator(table[:, :2]),
+            values=table[:, 2],
+            noise=NoiseModel(per_sensor_std=sigmas, floor=float(sigmas.min())),
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

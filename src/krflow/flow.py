@@ -87,7 +87,7 @@ def layer_names(config: FlowConfig):
 
 def init_flow(config: FlowConfig, seed: int) -> FlowParams:
     rng = np.random.default_rng(seed)
-    store = ParamStore(rng_seed=seed)
+    store = ParamStore()
     for _t, _l, prefix, (kept, trans) in layer_names(config):
         sizes = _net_sizes(config, len(kept), len(trans))
         for name, arr in init_mlp(rng, sizes, prefix=prefix, zero_last=True).items():
@@ -135,20 +135,11 @@ def coupling_inverse(z_active, params: Mapping[str, object], config: FlowConfig,
     return out, ad.mul(ad.sum_(s, axis=-1), -1.0)
 
 
-def _as_batch(x):
-    arr = x.data if isinstance(x, ad.Tensor) else np.asarray(x, dtype=np.float64)
-    return arr.ndim == 1
-
-
 def krnet_forward(x, params: Mapping[str, object] | FlowParams, config: FlowConfig | None = None):
-    """Map x -> z through all stages; returns (z, total logdet).
-
-    Accepts a single d-vector or a (B, d) batch, as arrays or tape tensors.
-    """
+    """Map a (B, d) batch x -> z through all stages; returns (z, (B,) logdet)."""
     params, config = _unpack(params, config)
-    single = _as_batch(x)
-    cur = ad.reshape(x, (1, -1)) if single else x
-    _check_dim(cur, config)
+    _check_dim(x, config)
+    cur = x
     logdet = None
     frozen = []
     for t, m in enumerate(config.active_dims()):
@@ -160,56 +151,41 @@ def krnet_forward(x, params: Mapping[str, object] | FlowParams, config: FlowConf
         keep = m - config.group_size
         frozen.append(ad.take_cols(cur, np.arange(keep, m)))
         cur = ad.take_cols(cur, np.arange(keep))
-    z = ad.concat([cur, *reversed(frozen)], axis=-1)
-    if single:
-        return ad.reshape(z, (-1,)), ad.reshape(logdet, ())
-    return z, logdet
+    return ad.concat([cur, *reversed(frozen)], axis=-1), logdet
 
 
 def krnet_inverse(z, params: Mapping[str, object] | FlowParams, config: FlowConfig | None = None,
                   with_logdet: bool = False):
-    """Exact inverse of krnet_forward, applying stages and layers in reverse.
+    """Exact inverse of krnet_forward on a (B, d) batch, stages and layers reversed.
 
-    With ``with_logdet=True`` also returns log|det d(x)/d(z)|, which equals
-    minus the forward log-determinant at the same point.
+    With ``with_logdet=True`` also returns the (B,) log|det d(x)/d(z)|, which
+    equals minus the forward log-determinant at the same point.
     """
     params, config = _unpack(params, config)
-    single = _as_batch(z)
-    zb = ad.reshape(z, (1, -1)) if single else z
-    _check_dim(zb, config)
+    _check_dim(z, config)
     active_dims = config.active_dims()
     # thaw order is the reverse of the freeze order
-    cur = ad.take_cols(zb, np.arange(active_dims[-1] - config.group_size))
+    cur = ad.take_cols(z, np.arange(active_dims[-1] - config.group_size))
     offset = active_dims[-1] - config.group_size
     logdet = None
     for t in reversed(range(len(active_dims))):
         m = active_dims[t]
-        cur = ad.concat([cur, ad.take_cols(zb, np.arange(offset, offset + config.group_size))],
+        cur = ad.concat([cur, ad.take_cols(z, np.arange(offset, offset + config.group_size))],
                         axis=-1)
         offset += config.group_size
         for l in reversed(range(config.layers_per_stage)):
             prefix = f"s{t}.l{l}."
             cur, ld = coupling_inverse(cur, params, config, prefix, _split(m, l))
             logdet = ld if logdet is None else ad.add(logdet, ld)
-    x = cur
-    if single:
-        x = ad.reshape(x, (-1,))
-        logdet = ad.reshape(logdet, ())
-    return (x, logdet) if with_logdet else x
+    return (cur, logdet) if with_logdet else cur
 
 
 def log_density(x, params: Mapping[str, object] | FlowParams,
                 config: FlowConfig | None = None):
-    """log q(x) = log N(f(x); 0, I) + log|det df/dx|; scalar or (B,)."""
+    """log q(x) = log N(f(x); 0, I) + log|det df/dx| of a (B, d) batch; (B,)."""
     params, config = _unpack(params, config)
     z, logdet = krnet_forward(x, params, config)
     return ad.add(std_normal_logpdf(z), logdet)
-
-
-def sample_latent(flow: FlowParams, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw x = f^{-1}(z) with z ~ N(0, I); returns (n, d)."""
-    z = rng.standard_normal((n, flow.config.dim))
-    return krnet_inverse(z, flow)
 
 
 def dependency_mask(config: FlowConfig) -> np.ndarray:
@@ -245,9 +221,9 @@ def _unpack(params, config):
 
 
 def _check_dim(x, config: FlowConfig) -> None:
-    width = x.data.shape[-1] if isinstance(x, ad.Tensor) else np.asarray(x).shape[-1]
-    if width != config.dim:
-        raise ad.ShapeError(f"flow expects dimension {config.dim}, got {width}")
+    shape = x.shape if isinstance(x, ad.Tensor) else np.shape(x)
+    if len(shape) != 2 or shape[1] != config.dim:
+        raise ad.ShapeError(f"flow of dimension {config.dim} expects (B, d) input, got {shape}")
 
 
 # -- checkpointing ------------------------------------------------------------------

@@ -80,7 +80,6 @@ class KLBasis:
 
     eigenvalues: np.ndarray        # (d_kl,)
     eigenfunctions: np.ndarray     # (d_kl, H, W)
-    energy_fraction: float
 
     @property
     def d_kl(self) -> int:
@@ -134,7 +133,6 @@ def truncated_kle(cov: np.ndarray, energy_fraction: float, grid: Grid) -> KLBasi
     return KLBasis(
         eigenvalues=lam[:d_kl].copy(),
         eigenfunctions=vec[:, :d_kl].T.reshape(d_kl, grid.height, grid.width).copy(),
-        energy_fraction=energy_fraction,
     )
 
 

@@ -12,9 +12,7 @@ Checkpoint container layout (little-endian throughout):
         payload  prod(dims) * f64, row-major
 
 The payload bytes are written verbatim from the float64 arrays, so a
-save/load round trip is bit-exact.  The ``rng_seed`` bookkeeping field is
-not part of the container; callers that need it persist it in their JSON
-sidecars.
+save/load round trip is bit-exact.
 """
 
 from __future__ import annotations
@@ -31,6 +29,7 @@ from . import autodiff as ad
 
 MAGIC = b"KRFL"
 VERSION = 1
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8   # Adam's fixed settings (Kingma & Ba 2015)
 
 
 class ParamStore:
@@ -40,9 +39,8 @@ class ParamStore:
     serialization deterministic given construction order.
     """
 
-    def __init__(self, entries=(), rng_seed: int = 0):
+    def __init__(self, entries=()):
         self._entries: dict[str, np.ndarray] = {}
-        self.rng_seed = int(rng_seed)
         items = entries.items() if isinstance(entries, Mapping) else entries
         for name, arr in items:
             self[name] = arr
@@ -134,7 +132,7 @@ def read_exact(fh, size: int, path) -> bytes:
 
 @dataclass
 class AdamState:
-    """Per-parameter first/second moments plus the optimizer hyperparameters.
+    """Per-parameter first/second moments, the step count and the learning rate.
 
     ``scratch`` holds two work arrays per parameter, so that
     :func:`adam_step` allocates nothing.
@@ -143,21 +141,15 @@ class AdamState:
     first_moment: dict[str, np.ndarray]
     second_moment: dict[str, np.ndarray]
     step_count: int
-    beta1: float
-    beta2: float
-    epsilon: float
     learning_rate: float
     scratch: dict[str, tuple[np.ndarray, np.ndarray]]
 
     @classmethod
-    def fresh(cls, params: ParamStore, learning_rate: float,
-              beta1: float = 0.9, beta2: float = 0.999,
-              epsilon: float = 1e-8) -> "AdamState":
+    def fresh(cls, params: ParamStore, learning_rate: float) -> "AdamState":
         return cls(
             first_moment={k: np.zeros_like(v) for k, v in params.items()},
             second_moment={k: np.zeros_like(v) for k, v in params.items()},
             step_count=0,
-            beta1=beta1, beta2=beta2, epsilon=epsilon,
             learning_rate=learning_rate,
             scratch={k: (np.empty_like(v), np.empty_like(v)) for k, v in params.items()},
         )
@@ -181,7 +173,7 @@ def adam_step(params: ParamStore, gradients: Mapping[str, np.ndarray],
     """
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = BETA1, BETA2
     m_scale, v_scale = 1.0 - b1 ** t, 1.0 - b2 ** t
     for name, p in params.items():
         g = np.asarray(gradients[name], dtype=np.float64)
@@ -201,7 +193,7 @@ def adam_step(params: ParamStore, gradients: Mapping[str, np.ndarray],
         a *= state.learning_rate
         np.divide(v, v_scale, out=b)
         np.sqrt(b, out=b)
-        b += state.epsilon
+        b += EPSILON
         a /= b
         p -= a
         if not np.isfinite(p).all():
@@ -234,7 +226,7 @@ def fit(what: str, store: ParamStore, data: np.ndarray, batch_size: int, epochs:
     TrainingDiverged naming ``what`` and the epoch.
     """
     batches = [data[lo:lo + batch_size] for lo in range(0, len(data), batch_size)]
-    store = ParamStore(((k, v.copy()) for k, v in store.items()), rng_seed=store.rng_seed)
+    store = ParamStore((k, v.copy()) for k, v in store.items())
     state = AdamState.fresh(store, learning_rate)
     curve: list[tuple[int, float]] = []
     for epoch in range(epochs):

@@ -37,8 +37,8 @@ def read_csv_floats(path, header: Sequence[str] | None = None) -> np.ndarray:
     """A CSV of floats as a 2-D array, or ValueError naming the file.
 
     With ``header`` the first line must equal it.  There must be a data row,
-    and every row must be as wide as the header or the first row, so a file
-    cut short mid-row fails here.
+    every row must be as wide as the header or the first row, so a file cut
+    short mid-row fails here, and every entry must be finite.
     """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -53,9 +53,13 @@ def read_csv_floats(path, header: Sequence[str] | None = None) -> np.ndarray:
         if len(row) != width:
             raise ValueError(f"{path}: line {line} has {len(row)} fields, expected {width}")
         try:
-            table.append([float(v) for v in row])
+            values = [float(v) for v in row]
         except ValueError as exc:
             raise ValueError(f"{path}: line {line}: {exc}") from exc
+        bad = [v for v, x in zip(row, values) if not np.isfinite(x)]
+        if bad:
+            raise ValueError(f"{path}: line {line}: non-finite value {bad[0]!r}")
+        table.append(values)
     return np.array(table)
 
 

@@ -54,8 +54,7 @@ class SurrogateParams:
 def init_surrogate(height: int, width: int, seed: int, hidden: Sequence[int],
                    offset: float = 0.0, scale: float = 1.0) -> SurrogateParams:
     rng = np.random.default_rng(seed)
-    sp = SurrogateParams(ParamStore(rng_seed=seed), height, width, tuple(hidden),
-                         offset, scale)
+    sp = SurrogateParams(ParamStore(), height, width, tuple(hidden), offset, scale)
     sizes = [height * width, *hidden, height * (width - 2)]
     for name, arr in init_mlp(rng, sizes, zero_last=True).items():
         sp.store[name] = arr
@@ -89,11 +88,6 @@ def pressure_layers(sp: SurrogateParams, readout: np.ndarray
     w, b = layers[0]
     layers[0] = (w / sp.scale, b - (sp.offset / sp.scale) * w.sum(axis=0))
     return layers
-
-
-def surrogate_forward(y: np.ndarray, sp: SurrogateParams) -> np.ndarray:
-    """Single H-by-W field -> H-by-W pressure image."""
-    return surrogate_forward_batch(y.reshape(1, -1), sp.store, sp)[0]
 
 
 def energy_loss(batch: np.ndarray, sp: SurrogateParams, source: float = 3.0,

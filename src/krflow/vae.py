@@ -61,8 +61,7 @@ def init_vae(height: int, width: int, latent_dim: int, seed: int,
     rng = np.random.default_rng(seed)
     n = height * width
     store = ParamStore({**init_mlp(rng, [n, *encoder_hidden, 2 * latent_dim], "enc."),
-                        **init_mlp(rng, [latent_dim, *decoder_hidden, 2 * n], "dec.")},
-                       rng_seed=seed)
+                        **init_mlp(rng, [latent_dim, *decoder_hidden, 2 * n], "dec.")})
     return VaeParams(store, latent_dim, height, width,
                      tuple(encoder_hidden), tuple(decoder_hidden), offset, scale)
 
@@ -109,19 +108,6 @@ def decoder_mean_layers(vae: VaeParams) -> list[tuple[np.ndarray, np.ndarray]]:
     n = vae.height * vae.width
     layers[-1] = (w[:, :n] * vae.scale, b[:n] * vae.scale + vae.offset)
     return layers
-
-
-def encode(y: np.ndarray, vae: VaeParams) -> tuple[np.ndarray, np.ndarray]:
-    """Single H-by-W field -> (mu_en, logvar_en) vectors of length d."""
-    mu, logvar = encode_batch(y.reshape(1, -1), vae.store, vae)
-    return mu[0], logvar[0]
-
-
-def decode(x: np.ndarray, vae: VaeParams) -> tuple[np.ndarray, np.ndarray]:
-    """Latent vector -> (mu_de, logvar_de) as H-by-W images."""
-    mu, logvar = decode_batch(np.atleast_2d(x), vae.store, vae)
-    shape = (vae.height, vae.width)
-    return mu[0].reshape(shape), logvar[0].reshape(shape)
 
 
 def reparameterize(mu, logvar, eps):

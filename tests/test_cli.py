@@ -220,6 +220,26 @@ class TestDependencyGates:
         assert main(["infer-mcmc", "--config", str(cfg_path), "--out", str(copy)]) == 1
         assert re.search(rf"{re.escape(artifact)}: {reason}", capsys.readouterr().err)
 
+    # one entry of a well-formed CSV replaced: (file, line, column, new entry)
+    @pytest.mark.parametrize("stage", ["infer-krnet", "infer-mcmc"])
+    @pytest.mark.parametrize("artifact,line,column,entry,reason", [
+        ("observations.csv", 2, 2, "nan", "line 2: non-finite value 'nan'"),
+        ("observations.csv", 5, 3, "inf", "line 5: non-finite value 'inf'"),
+        ("observations.csv", 3, 3, "0.0", "per-sensor noise must respect a positive floor"),
+        ("observations.csv", 2, 0, "1.5", "sensor locations must lie in the closed unit square"),
+        ("truth_field.csv", 4, 6, "nan", "line 4: non-finite value 'nan'")],
+        ids=["nan-value", "inf-sigma", "zero-sigma", "outside-location", "nan-truth"])
+    def test_bad_csv_entry_exits_1_naming_it(self, run_dir, tmp_path, capsys, stage,
+                                             artifact, line, column, entry, reason):
+        _, cfg_path, out = run_dir
+        copy = tmp_path / "run"
+        shutil.copytree(out, copy)
+        rows = [row.split(",") for row in (copy / artifact).read_text().splitlines()]
+        rows[line - 1][column] = entry
+        (copy / artifact).write_text("".join(",".join(row) + "\n" for row in rows))
+        assert main([stage, "--config", str(cfg_path), "--out", str(copy)]) == 1
+        assert f"{artifact}: {reason}" in capsys.readouterr().err
+
     def test_training_divergence_exits_2(self, run_dir, tmp_path, capsys, monkeypatch):
         _, cfg_path, out = run_dir
         copy = tmp_path / "run"

@@ -16,7 +16,6 @@ from krflow.flow import (
     layer_names,
     load_flow,
     log_density,
-    sample_latent,
     save_flow,
     _split,
 )
@@ -134,12 +133,13 @@ class TestKrnetMap:
         bias[:2] = np.arctanh(s_const / config.scale_bound)
         bias[2:] = t_const
         flow.store["s0.l0.b2"] = bias
-        x = np.array([0.5, -1.0, 2.0, 0.25])
+        x = np.array([[0.5, -1.0, 2.0, 0.25]])
         z, logdet = krnet_forward(x, flow)
         expected = x.copy()
-        expected[trans] = x[trans] * np.exp(s_const) + t_const
+        expected[:, trans] = x[:, trans] * np.exp(s_const) + t_const
         np.testing.assert_allclose(z, expected, rtol=1e-12)
-        assert logdet == pytest.approx(2 * s_const, rel=1e-12)
+        assert logdet.shape == (1,)
+        assert logdet[0] == pytest.approx(2 * s_const, rel=1e-12)
 
     @pytest.mark.parametrize("dim,k", [(8, 4), (12, 3), (36, 6), (64, 8)])
     def test_round_trip_random_points(self, dim, k):
@@ -195,13 +195,13 @@ class TestKrnetMap:
             x = rng.standard_normal(8)
 
             def fwd(v):
-                z, _ = krnet_forward(v, flow)
-                return z
+                z, _ = krnet_forward(v.reshape(1, -1), flow)
+                return z[0]
 
-            _, logdet = krnet_forward(x, flow)
+            _, logdet = krnet_forward(x.reshape(1, -1), flow)
             sign, ref = np.linalg.slogdet(numerical_jacobian(fwd, x))
             assert sign == 1.0
-            assert abs(float(logdet) - ref) < 1e-5
+            assert abs(logdet[0] - ref) < 1e-5
 
     def test_inverse_logdet_is_negated_forward(self):
         config = FlowConfig(dim=6, n_groups=3, layers_per_stage=2, hidden_width=8,
@@ -239,8 +239,8 @@ class TestKrnetMap:
         x = np.random.default_rng(18).standard_normal(8)
 
         def fwd(v):
-            z, _ = krnet_forward(v, flow)
-            return z
+            z, _ = krnet_forward(v.reshape(1, -1), flow)
+            return z[0]
 
         jac = numerical_jacobian(fwd, x)
         assert (np.abs(jac)[~mask] < 1e-8).all()
@@ -251,8 +251,11 @@ class TestKrnetMap:
         config = FlowConfig(dim=8, n_groups=4, layers_per_stage=8, hidden_width=48,
                             hidden_depth=2, scale_bound=2.0)
         flow = init_flow(config, 0)
-        with pytest.raises(ad.ShapeError, match="dimension"):
-            krnet_forward(np.zeros(7), flow)
+        # a width other than d, and a single (d,) vector, which is not a batch
+        for shape in [(1, 7), (8,), (2, 1, 8)]:
+            for flow_map in (krnet_forward, krnet_inverse):
+                with pytest.raises(ad.ShapeError, match="dimension"):
+                    flow_map(np.zeros(shape), flow)
 
 
 class TestLogDensity:
@@ -260,7 +263,7 @@ class TestLogDensity:
         config = FlowConfig(dim=2, n_groups=2, layers_per_stage=1, hidden_width=4,
                             hidden_depth=2, scale_bound=2.0)
         flow = init_flow(config, 0)
-        val = float(log_density(np.zeros(2), flow))
+        val = log_density(np.zeros((1, 2)), flow)[0]
         assert val == pytest.approx(-np.log(2 * np.pi), rel=1e-12)
         assert val == pytest.approx(-1.8378771, abs=1e-7)
 
@@ -284,7 +287,7 @@ class TestLogDensity:
                             hidden_depth=2, scale_bound=2.0)
         flow = random_flow(config, seed=23, scale=0.3)
         rng = np.random.default_rng(24)
-        draws = sample_latent(flow, 400_000, rng)
+        draws = krnet_inverse(rng.standard_normal((400_000, 2)), flow)
         # density integrated over a few coarse boxes vs histogram mass
         edges = np.array([-2.0, -0.5, 0.5, 2.0])
         for i in range(3):

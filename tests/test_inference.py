@@ -30,8 +30,8 @@ from krflow.inference import (
     train_posterior_flow,
 )
 from krflow.nets import std_normal_logpdf
-from krflow.surrogate import init_surrogate, surrogate_forward
-from krflow.vae import VaeParams, decode, init_vae
+from krflow.surrogate import init_surrogate, surrogate_forward_batch
+from krflow.vae import VaeParams, decode_batch, init_vae
 
 H = W = 5
 D = 4
@@ -51,7 +51,7 @@ def surrogate():
 def obs():
     op = lattice_operator(2, 2, 0.25, 0.5)
     values = np.array([0.2, 0.15, 0.22, 0.18])
-    noise = NoiseModel(level=0.05, per_sensor_std=np.full(4, 0.01), floor=0.01)
+    noise = NoiseModel(per_sensor_std=np.full(4, 0.01), floor=0.01)
     return ObservationSet(operator=op, values=values, noise=noise)
 
 
@@ -100,7 +100,7 @@ class TestFlowLoss:
         op = ObservationOperator([[0.5, 0.5]])
         sigma = np.array([0.2])
         d_obs = np.array([0.45])
-        obs = ObservationSet(op, d_obs, NoiseModel(0.05, sigma, 0.2))
+        obs = ObservationSet(op, d_obs, NoiseModel(sigma, 0.2))
 
         flow = init_flow(flow_config, 0)
         z = np.random.default_rng(4).standard_normal((1, D))
@@ -185,10 +185,10 @@ class TestPosteriorMoments:
         rng = np.random.default_rng(11)
         summary = posterior_moments(flow, vae, 1, rng)
         x = krnet_inverse(np.random.default_rng(11).standard_normal((1, D)), flow)
-        from krflow.vae import decode
-        mu, logvar = decode(x[0], vae)
-        np.testing.assert_allclose(summary.mean_field, mu, atol=1e-12)
-        np.testing.assert_allclose(summary.variance_field, np.exp(logvar), atol=1e-12)
+        mu, logvar = decode_batch(x, vae.store, vae)
+        np.testing.assert_allclose(summary.mean_field, mu.reshape(H, W), atol=1e-12)
+        np.testing.assert_allclose(summary.variance_field, np.exp(logvar).reshape(H, W),
+                                   atol=1e-12)
         assert summary.n_samples == 1
 
     def test_constant_decoder_mean(self, flow_config):
@@ -211,9 +211,8 @@ class TestPosteriorMoments:
         rng = np.random.default_rng(13)
         summary = posterior_moments(flow, vae, 2, rng)
         z = np.random.default_rng(13).standard_normal((2, D))
-        from krflow.vae import decode
-        mu0, lv0 = decode(z[0], vae)
-        mu1, lv1 = decode(z[1], vae)
+        mu0, lv0 = (a.reshape(H, W) for a in decode_batch(z[:1], vae.store, vae))
+        mu1, lv1 = (a.reshape(H, W) for a in decode_batch(z[1:], vae.store, vae))
         expected_mean = 0.5 * (mu0 + mu1)
         expected_var = 0.5 * (np.exp(lv0) + np.exp(lv1))
         np.testing.assert_allclose(summary.mean_field, expected_mean, rtol=1e-13)
@@ -371,12 +370,12 @@ def test_surrogate_loglike_matches_manual(vae, surrogate, obs):
 
 
 def _reference_loglike(vae, surrogate, obs):
-    """decode -> surrogate_forward -> observation_matrix, step by step."""
+    """decode_batch -> surrogate_forward_batch -> observation_matrix, step by step."""
     obs_matrix = observation_matrix(obs.operator, Grid(surrogate.height, surrogate.width))
 
     def log_like(x):
-        mu, _ = decode(x, vae)
-        u = surrogate_forward(mu, surrogate)
+        mu, _ = decode_batch(x.reshape(1, -1), vae.store, vae)
+        u = surrogate_forward_batch(mu, surrogate.store, surrogate)
         return log_likelihood(obs, obs_matrix @ u.ravel())
 
     return log_like
@@ -399,11 +398,11 @@ def _noisy_obs(vae, sp, sigma, seed=0):
     """Observations of the model's own prediction at a random latent."""
     rng = np.random.default_rng(seed)
     op = lattice_operator(3, 3, 0.1, 0.35)
-    mu, _ = decode(rng.standard_normal(D), vae)
-    u = surrogate_forward(mu, sp)
+    mu, _ = decode_batch(rng.standard_normal((1, D)), vae.store, vae)
+    u = surrogate_forward_batch(mu, sp.store, sp)
     clean = observation_matrix(op, Grid(H, W)) @ u.ravel()
     values = clean + sigma * rng.standard_normal(op.n_sensors)
-    noise = NoiseModel(level=0.05, per_sensor_std=np.full(op.n_sensors, sigma), floor=sigma)
+    noise = NoiseModel(per_sensor_std=np.full(op.n_sensors, sigma), floor=sigma)
     return ObservationSet(operator=op, values=values, noise=noise)
 
 

@@ -238,7 +238,7 @@ def _train_flow(epochs):
     vae = init_vae(4, 4, 4, seed=0, encoder_hidden=(6,), decoder_hidden=(6,))
     sp = init_surrogate(4, 4, seed=1, hidden=(6,))
     obs = ObservationSet(lattice_operator(2, 2, 0.25, 0.5), np.full(4, 0.2),
-                         NoiseModel(level=0.05, per_sensor_std=np.full(4, 0.01), floor=0.01))
+                         NoiseModel(per_sensor_std=np.full(4, 0.01), floor=0.01))
     config = InferenceSection(sample_size=8, epochs=epochs, batch_size=4, learning_rate=1e-2,
                               posterior_samples=0)
     flow_config = FlowConfig(dim=4, n_groups=2, layers_per_stage=2, hidden_width=4,

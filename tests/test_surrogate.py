@@ -10,7 +10,7 @@ from krflow.surrogate import (
     init_surrogate,
     load_surrogate,
     save_surrogate,
-    surrogate_forward,
+    surrogate_forward_batch,
     surrogate_relative_error,
     train_surrogate,
 )
@@ -44,13 +44,13 @@ def prior_fields(per_scale, base_seed, height=H, width=W):
 class TestForward:
     def test_deterministic_and_shapes(self):
         sp = jittered_surrogate(H, W, seed=0, hidden=(32,))
-        y = np.random.default_rng(1).standard_normal((H, W))
-        u1 = surrogate_forward(y, sp)
-        u2 = surrogate_forward(y, sp)
-        assert u1.shape == (H, W)
+        y = np.random.default_rng(1).standard_normal((1, H * W))
+        u1 = surrogate_forward_batch(y, sp.store, sp)
+        u2 = surrogate_forward_batch(y, sp.store, sp)
+        assert u1.shape == (1, H, W)
         np.testing.assert_array_equal(u1, u2)
         # only the unknowns are outputs; the Dirichlet columns are exactly zero
-        assert (u1[:, [0, -1]] == 0.0).all() and (u1[:, 1:-1] != 0.0).all()
+        assert (u1[..., [0, -1]] == 0.0).all() and (u1[..., 1:-1] != 0.0).all()
 
     def test_parameter_gradient_matches_finite_differences(self):
         sp = jittered_surrogate(4, 5, seed=2, hidden=(10,))

@@ -8,10 +8,8 @@ from krflow.vae import (
     ElboBreakdown,
     VaeParams,
     _elbo_terms,
-    decode,
     decode_batch,
     elbo_batch,
-    encode,
     encode_batch,
     init_vae,
     load_vae,
@@ -38,24 +36,24 @@ def field(vae):
 
 class TestEncodeDecode:
     def test_encode_deterministic_and_shapes(self, vae, field):
-        mu1, lv1 = encode(field, vae)
-        mu2, lv2 = encode(field, vae)
-        assert mu1.shape == (D,) and lv1.shape == (D,)
+        mu1, lv1 = encode_batch(field.reshape(1, -1), vae.store, vae)
+        mu2, lv2 = encode_batch(field.reshape(1, -1), vae.store, vae)
+        assert mu1.shape == (1, D) and lv1.shape == (1, D)
         np.testing.assert_array_equal(mu1, mu2)
         np.testing.assert_array_equal(lv1, lv2)
 
     def test_decode_deterministic_and_shapes(self, vae):
-        x = np.random.default_rng(2).standard_normal(D)
-        mu1, lv1 = decode(x, vae)
-        mu2, lv2 = decode(x, vae)
-        assert mu1.shape == (H, W) and lv1.shape == (H, W)
+        x = np.random.default_rng(2).standard_normal((1, D))
+        mu1, lv1 = decode_batch(x, vae.store, vae)
+        mu2, lv2 = decode_batch(x, vae.store, vae)
+        assert mu1.shape == (1, H * W) and lv1.shape == (1, H * W)
         np.testing.assert_array_equal(mu1, mu2)
         np.testing.assert_array_equal(lv1, lv2)
 
     def test_logvar_clamped(self, vae):
         # extreme latents drive the raw head far out; the clamp must hold
-        x = np.random.default_rng(3).standard_normal(D) * 1000.0
-        _, lv = decode(x, vae)
+        x = np.random.default_rng(3).standard_normal((1, D)) * 1000.0
+        _, lv = decode_batch(x, vae.store, vae)
         assert lv.max() <= 10.0 and lv.min() >= -10.0
 
     def test_encoder_gradient_matches_finite_differences(self, vae, field):
@@ -265,5 +263,6 @@ def test_checkpoint_roundtrip(tmp_path, vae):
     assert meta["final_loss"] == 3.5 and meta["tag"] == "x"
     assert loaded.latent_dim == vae.latent_dim
     assert loaded.store == vae.store
-    x = np.random.default_rng(2).standard_normal(D)
-    np.testing.assert_array_equal(decode(x, loaded)[0], decode(x, vae)[0])
+    x = np.random.default_rng(2).standard_normal((1, D))
+    np.testing.assert_array_equal(decode_batch(x, loaded.store, loaded)[0],
+                                  decode_batch(x, vae.store, vae)[0])
