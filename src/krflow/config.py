@@ -2,13 +2,14 @@
 
 Every section and key is declared in the schema below; unknown or missing
 entries are errors, so typos and keys of older versions cannot silently
-fall back to defaults, and a value outside its type or its range (batch and
-sample sizes, the ``mcmc`` step, ``mcmc.retained`` and the ``flow`` shape)
-fails here, before any stage runs.  The sections are also the trainers'
-settings: ``train_vae``, ``train_surrogate`` and ``train_posterior_flow``
-take ``vae``, ``surrogate`` and ``inference`` as they are.  Values render
-with ``repr`` and the canonical dump is stable, which makes the config hash
-well defined and lets files round-trip losslessly.
+fall back to defaults, and a value outside its type or its range (sizes,
+layer widths, epochs, sensor counts, the ``mcmc`` step, ``mcmc.retained``
+and the ``flow`` shape) fails here, before any stage runs.  The sections
+are also the trainers' settings: ``train_vae``, ``train_surrogate`` and
+``train_posterior_flow`` take ``vae``, ``surrogate`` and ``inference`` as
+they are.  Values render with ``repr`` and the canonical dump is stable,
+which makes the config hash well defined and lets files round-trip
+losslessly.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import configparser
 import hashlib
 import io
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import get_type_hints
 
 
@@ -181,19 +183,25 @@ def parse_config(text: str) -> ExperimentConfig:
 def _check_ranges(config: ExperimentConfig) -> None:
     """Reject values that parse but that a later stage could not use."""
     mcmc, flow, latent_dim = config.mcmc, config.flow, config.vae.latent_dim
-    counts = [(f"{name}.{key}", getattr(getattr(config, name), key))
-              for name, key in (("vae", "batch_size"), ("surrogate", "batch_size"),
-                                ("inference", "batch_size"), ("inference", "sample_size"),
-                                ("inference", "posterior_samples"))]
-    checks = [(key, value >= 1, f"{value} must be at least 1") for key, value in counts] + [
+    # sizes a stage divides by or builds arrays of, then loop counts
+    lowest = {key: 1 for key in (
+        "vae.latent_dim", "vae.batch_size", "surrogate.batch_size", "inference.batch_size",
+        "inference.sample_size", "inference.posterior_samples", "flow.layers_per_stage",
+        "flow.hidden_width", "observation.sensor_rows", "observation.sensor_cols")} | {
+        key: 0 for key in ("vae.epochs", "surrogate.epochs", "inference.epochs",
+                           "flow.hidden_depth")}
+    widths = ("vae.encoder_hidden", "vae.decoder_hidden", "surrogate.hidden")
+    value = {key: attrgetter(key)(config) for key in [*lowest, *widths]}
+    checks = [(key, value[key] >= low, f"{value[key]} must be at least {low}")
+              for key, low in lowest.items()] + [
+        (key, min(value[key], default=1) >= 1, f"every width in {value[key]} must be at least 1")
+        for key in widths] + [
         ("mcmc.retained", 1 <= mcmc.retained <= mcmc.steps,
          f"{mcmc.retained} is outside [1, mcmc.steps = {mcmc.steps}]"),
         ("mcmc.step_size", 0.0 <= mcmc.step_size <= 1.0,
          f"{mcmc.step_size!r} must be 0 (adapt during burn-in) or lie in (0, 1]"),
         ("flow.n_groups", flow.n_groups >= 2 and latent_dim % flow.n_groups == 0,
          f"{flow.n_groups} must be at least 2 and divide vae.latent_dim = {latent_dim}"),
-        ("flow.layers_per_stage", flow.layers_per_stage >= 1,
-         f"{flow.layers_per_stage} must be at least 1"),
         ("flow.scale_bound", flow.scale_bound > 0, f"{flow.scale_bound!r} must be positive"),
     ]
     for key, ok, why in checks:

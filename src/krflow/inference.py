@@ -25,17 +25,15 @@ x' = sqrt(1 - beta^2) x + beta xi, whose acceptance ratio depends only on
 the likelihood, and pushes retained states through the same decoder.  Given
 step 0, the chain adapts beta during burn-in and freezes it for the retained
 steps (Andrieu & Thoms 2008).  Every step draws its xi and its uniform
-whether it accepts or not, so the proposals of the next few steps are fixed
-in advance along every accept/reject path.  pCN evaluates the most likely
-of them in one call and walks them with the pre-drawn uniforms: predictive
-prefetching (Brockwell 2006; Angelino et al. 2014).  A likelihood that
-takes a batch (its ``vectorized`` attribute) gets up to ``PREFETCH_WIDTH``
-of them per call; any other gets one, the plain one-proposal-per-step loop.
+whether it accepts or not, so the next few proposals are fixed in advance
+along a run of rejects or of accepts.  pCN evaluates the likelier run in
+one call (up to ``PREFETCH_WIDTH`` proposals for a ``vectorized``
+likelihood, one for any other) and walks it with the pre-drawn uniforms:
+predictive prefetching (Brockwell 2006; Angelino et al. 2014).
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -54,15 +52,13 @@ from .surrogate import SurrogateParams, pressure_layers
 from .surrogate import surrogate_forward_batch  # noqa: F401
 from .vae import VaeParams, decode_batch, decoder_mean_layers
 
-# Rows per batched likelihood call when pCN prefetches proposals.  A call of
-# the folded likelihood at desk shapes (8-128-256-512-512-64) reads about
-# 3.7 MB of weights whatever the batch, so its cost grows slowly with the
-# rows: 0.20 ms for 1, 0.33 for 4, 0.37-0.40 for 8, 0.38 for 12, 0.43-0.45
-# for 16, 0.56-0.61 for 20-24 (2-CPU Xeon, OpenBLAS 0.3.31 at 2 threads).
-# 10,000 desk steps at step 0.05 on four trained models (acceptance
-# 0.12-0.54) took least time at 12 rows: 0.81-1.29 s against 1.8-2.3 s with
-# one proposal per step.
-PREFETCH_WIDTH = 12
+# Rows per batched likelihood call when pCN prefetches proposals.  A desk
+# call reads 3.7 MB of weights whatever the batch, so 8 or 12 rows take about
+# 0.4 ms and a chain's time follows its calls.  A bench-trained desk chain
+# (acceptance 0.28) made 3,000 calls in 1.63 s at 8 rows, 2,832 in 1.56 s at
+# 12, and 2,376 in 1.45 s as the older 12-row tree (medians of 12 runs; 2-CPU
+# Xeon, OpenBLAS 0.3.31 at 2 threads).  8 evaluates the fewest rows.
+PREFETCH_WIDTH = 8
 
 # pcn_mcmc(step_size=0): burn-in steps per step update, and the target acceptance
 ADAPT_BLOCK = 50
@@ -210,9 +206,9 @@ def make_surrogate_loglike(vae: VaeParams, surrogate: SurrogateParams,
     chain of relu(h @ W + b) and one affine map.  The folds reassociate
     sums, so the value matches the composition decode_batch ->
     surrogate_forward_batch -> observation_matrix to 1e-12 relative, not bit
-    for bit.  A batch row goes through matrix-matrix products where a (d,)
-    call goes through vector-matrix ones, and the tape sums squares where
-    the ndarray batch uses ``einsum``, so these agree in the last bits only:
+    for bit.  The tape and the ndarray batch compute the same values.  A
+    batch row goes through matrix-matrix products where a (d,) call goes
+    through vector-matrix ones, so these two agree in the last bits only:
     within 1e-15 of sum |z| (|target| + |h| @ |w_out|), the size of the
     terms the whitened residual z is summed from.  That is about 1e-15 of
     the value, and up to 1e-14 where z cancels.
@@ -224,11 +220,7 @@ def make_surrogate_loglike(vae: VaeParams, surrogate: SurrogateParams,
         for w, b in hidden:
             h = ad.relu(ad.add(ad.matmul(h, w), b))
         z = ad.sub(target, ad.matmul(h, w_out))
-        if isinstance(z, ad.Tensor):
-            return ad.add(ad.mul(ad.sum_(ad.square(z), axis=-1), -0.5), log_norm)
-        if z.ndim == 1:
-            return float(-0.5 * (z @ z) + log_norm)
-        return -0.5 * np.einsum("ij,ij->i", z, z) + log_norm
+        return ad.add(ad.mul(ad.sum_(ad.square(z), axis=-1), -0.5), log_norm)
 
     log_like.vectorized = True
     return log_like
@@ -270,15 +262,15 @@ def pcn_mcmc(log_like: Callable[[np.ndarray], float], dim: int, steps: int,
     exp((a_n - ADAPT_TARGET) / sqrt(n)), clipped to [1e-4, 1].  The retained
     steps run at the frozen beta, which the result reports as ``step_size``.
 
-    Proposals are evaluated in prefetched trees (see :func:`_pcn_prefetch`).
+    Proposals are evaluated in prefetched paths (see :func:`_pcn_prefetch`).
     A ``log_like`` with a true ``vectorized`` attribute must also take an
     (n, d) array and return n values; it must not keep the array, which is
-    reused.  It gets trees of at most ``PREFETCH_WIDTH`` proposals per call.
+    reused.  It gets paths of at most ``PREFETCH_WIDTH`` proposals per call.
     Every step still sees its own xi and u and makes the same comparison, so
     the states and the accepted count are those of one call per step, as
     long as a batch row equals the (d,) value; where the two differ in the
     last bits, a decision could differ only when log u falls within that
-    difference of the log ratio.  Any other callable gets trees of one, so
+    difference of the log ratio.  Any other callable gets paths of one, so
     it is called once per step with its own (d,) array.
     ``likelihood_evaluations`` of the result counts the rows evaluated, so
     its ratio to ``total_steps`` shows the prefetched work that went unused.
@@ -308,82 +300,57 @@ def pcn_mcmc(log_like: Callable[[np.ndarray], float], dim: int, steps: int,
 
 def _pcn_prefetch(log_like, width, x, current_ll, steps, step_size, adapt_steps, rng,
                   kept_states, kept_ll) -> tuple[int, int, float]:
-    """The pCN loop of :func:`pcn_mcmc`, its likely proposals evaluated in trees.
+    """The pCN loop of :func:`pcn_mcmc`, its proposals evaluated in straight paths.
 
     Step t's proposal depends only on the state before it and on xi_t, and
     its decision only on the two log-likelihoods and u_t.  The draws do not
-    depend on the decisions, so from the current state every accept/reject
-    path of the next steps fixes its proposals in advance.  Each round
-    grows a tree of at most ``width`` proposals best first: the root is the
-    next step's proposal, and a node at depth k, whose path leaves state s,
-    proposes contraction * s + step_size * xi_k; its accept child continues
-    from that proposal, its reject child from s.  A node's weight is the
-    product of a (accept) and 1 - a (reject) along its path, with
-    a = (accepted + 1) / (steps done + 2) from the chain so far.  The tree
-    is evaluated in one call, then walked with the pre-drawn log u values
-    exactly as one proposal per step decides, until the walk reaches a node
-    outside the tree; the next round starts from there.  Draws of steps not
-    walked carry over, so every step sees the same xi and u as with one
-    proposal per step, and the chain is the same up to the difference
-    between batched and single evaluations of the likelihood.  At width 1
-    the tree is the root alone, passed as a (d,) copy: the plain loop.
-    In the first ``adapt_steps`` steps, where the step adapts, a tree stops
-    at the next block boundary, so no step_size * xi spans a step change.
-    Returns the accepted count, the likelihood rows evaluated (the initial
-    state included) and the final step.
+    depend on the decisions, so each round fixes its next n <= ``width``
+    proposals in advance along one path: all from the current state (the
+    reject path) while the chain's acceptance so far, (accepted + 1) /
+    (steps done + 2), is at most 1/2, otherwise each from the one before
+    (the accept path).  The path is evaluated in one call, then walked with
+    the pre-drawn log u values exactly as one proposal per step decides, up
+    to and including the first step that leaves it; the draws of steps not
+    walked carry over to the next round.  At width 1 the path is one
+    proposal, passed as a (d,) copy: the plain loop.  In the first
+    ``adapt_steps`` steps, where the step adapts, a round stops at the next
+    block boundary, so no step_size * xi spans a step change.  Returns the
+    accepted count, the likelihood rows evaluated (the initial state
+    included) and the final step.
     """
     dim = len(x)
     first_kept = steps - len(kept_ll)
     contraction = np.sqrt(1.0 - step_size ** 2)
     proposals = np.empty((width, dim))
-    depth = [0] * width
-    children = [[-1, -1] for _ in range(width)]
     draws: list[tuple[np.ndarray, float]] = []   # (step_size * xi, log u), oldest first
     accepted, evaluations, step, block_start_accepted = 0, 1, 0, 0
     while step < steps:
-        p_accept = (accepted + 1) / (step + 2)
         horizon = steps if step >= adapt_steps else (step // ADAPT_BLOCK + 1) * ADAPT_BLOCK
-        # heap entries: (-weight, insertion order, depth, state row, parent, branch);
-        # state row -1 is the current state x, branch 0 accepts and 1 rejects
-        heap = [(-1.0, 0, 0, -1, -1, 0)]
-        pushed = n = 0
-        while heap and n < width:
-            neg_weight, _, k, source, parent, branch = heapq.heappop(heap)
-            while len(draws) <= k:
-                xi = rng.standard_normal(dim)
-                draws.append((step_size * xi, np.log(rng.uniform())))
-            row = proposals[n]
-            np.multiply(x if source < 0 else proposals[source], contraction, out=row)
-            row += draws[k][0]
-            depth[n] = k
-            children[n][0] = children[n][1] = -1
-            if parent >= 0:
-                children[parent][branch] = n
-            if n + 1 < width and step + k + 1 < horizon:   # room for a child, and a step
-                heapq.heappush(heap, (neg_weight * p_accept, pushed + 1, k + 1, n, n, 0))
-                heapq.heappush(heap, (neg_weight * (1.0 - p_accept), pushed + 2, k + 1,
-                                      source, n, 1))
-                pushed += 2
-            n += 1
-
+        n = min(width, horizon - step)
+        while len(draws) < n:
+            draws.append((step_size * rng.standard_normal(dim), np.log(rng.uniform())))
+        accept_path = (accepted + 1) / (step + 2) > 0.5
+        source = x
+        for row, (move, _) in zip(proposals[:n], draws):
+            np.multiply(source, contraction, out=row)
+            row += move
+            source = row if accept_path else x
         batch = proposals[:n] if width > 1 else proposals[0].copy()
         lls = np.asarray(log_like(batch), dtype=np.float64).reshape(-1).tolist()
         evaluations += n
-        node, source = 0, -1
-        while node >= 0:
-            k = depth[node]
-            proposal_ll = lls[node]
-            branch = 1
-            if draws[k][1] < proposal_ll - current_ll:
-                source, current_ll, branch = node, proposal_ll, 0
+        state = x
+        for k in range(n):
+            accept = draws[k][1] < lls[k] - current_ll
+            if accept:
+                state, current_ll = proposals[k], lls[k]
                 accepted += 1
             tail = step + k - first_kept
             if tail >= 0:
-                kept_states[tail] = x if source < 0 else proposals[source]
+                kept_states[tail] = state
                 kept_ll[tail] = current_ll
-            node = children[node][branch]
-        if source >= 0:
-            x = proposals[source].copy()
+            if accept != accept_path:
+                break
+        x = state.copy()
         del draws[:k + 1]
         step += k + 1
         if step <= adapt_steps and step % ADAPT_BLOCK == 0:

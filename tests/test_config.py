@@ -70,7 +70,12 @@ def test_bad_value_reported_with_location():
     ("flow", "n_groups", 3), ("flow", "layers_per_stage", 0), ("flow", "scale_bound", 0.0),
     ("mcmc", "step_size", -0.05), ("mcmc", "step_size", 1.5), ("vae", "batch_size", 0),
     ("surrogate", "batch_size", 0), ("inference", "batch_size", 0),
-    ("inference", "sample_size", 0), ("inference", "posterior_samples", 0)])
+    ("inference", "sample_size", 0), ("inference", "posterior_samples", 0),
+    ("vae", "latent_dim", 0), ("vae", "encoder_hidden", (256, 0)),
+    ("vae", "decoder_hidden", (0,)), ("flow", "hidden_width", 0),
+    ("surrogate", "hidden", (512, 0)), ("flow", "hidden_depth", -1), ("vae", "epochs", -1),
+    ("surrogate", "epochs", -1), ("inference", "epochs", -1),
+    ("observation", "sensor_rows", 0), ("observation", "sensor_cols", 0)])
 def test_value_outside_its_range_names_its_key(section, key, value):
     cfg = desk_config()
     setattr(getattr(cfg, section), key, value)
@@ -119,12 +124,21 @@ def into_range(cfg):
     cfg.flow.n_groups = 2 + cfg.flow.n_groups % 15
     cfg.vae.latent_dim = cfg.flow.n_groups * (1 + cfg.vae.latent_dim % 64)
     cfg.flow.layers_per_stage = max(cfg.flow.layers_per_stage, 1)
+    cfg.flow.hidden_width = max(cfg.flow.hidden_width, 1)
+    cfg.flow.hidden_depth = max(cfg.flow.hidden_depth, 0)
     cfg.flow.scale_bound = abs(cfg.flow.scale_bound) or 1.0
     for section in (cfg.vae, cfg.surrogate, cfg.inference):
         section.batch_size = max(section.batch_size, 1)
     cfg.inference.sample_size = max(cfg.inference.sample_size, 1)
     cfg.inference.posterior_samples = max(cfg.inference.posterior_samples, 1)
     cfg.mcmc.step_size = min(abs(cfg.mcmc.step_size), 1.0)
+    for section in (cfg.vae, cfg.surrogate, cfg.inference):
+        section.epochs = max(section.epochs, 0)
+    cfg.vae.encoder_hidden = tuple(max(w, 1) for w in cfg.vae.encoder_hidden)
+    cfg.vae.decoder_hidden = tuple(max(w, 1) for w in cfg.vae.decoder_hidden)
+    cfg.surrogate.hidden = tuple(max(w, 1) for w in cfg.surrogate.hidden)
+    cfg.observation.sensor_rows = max(cfg.observation.sensor_rows, 1)
+    cfg.observation.sensor_cols = max(cfg.observation.sensor_cols, 1)
     return cfg
 
 
