@@ -107,7 +107,7 @@ def cmd_generate_data(config: ExperimentConfig, out_dir: Path) -> None:
     samples = generate_prior_dataset(
         grid, config.kle.variance, config.kle.mean, config.kle.length_scales,
         config.kle.per_scale, config.seeds.data, config.kle.energy_fraction)
-    save_dataset(out_dir / "dataset.bin", samples, grid)
+    save_dataset(out_dir / "dataset.bin", dataset_to_array(samples))
     save_manifest(out_dir / "dataset_manifest.csv", samples)
 
     # held-out truth from the configured in-distribution length scale
@@ -147,13 +147,12 @@ def cmd_generate_data(config: ExperimentConfig, out_dir: Path) -> None:
 def _load_stage_inputs(config: ExperimentConfig, out_dir: Path):
     chash = config_hash(config)
     _check_hash(out_dir / "generate_data_meta.json", "generate-data", chash)
-    samples, grid = load_dataset(out_dir / "dataset.bin")
-    return chash, grid, dataset_to_array(samples)
+    return chash, load_dataset(out_dir / "dataset.bin")
 
 
 def cmd_train_vae(config: ExperimentConfig, out_dir: Path) -> None:
     start = time.perf_counter()
-    chash, grid, data = _load_stage_inputs(config, out_dir)
+    chash, data = _load_stage_inputs(config, out_dir)
     vae = train_vae(data, config.vae, config.seeds.vae, out_dir / "vae_loss_curve.csv")
     final_loss, _ = elbo_batch(data[: min(len(data), 256)], vae,
                                np.random.default_rng(config.seeds.vae))
@@ -166,7 +165,7 @@ def cmd_train_vae(config: ExperimentConfig, out_dir: Path) -> None:
 
 def cmd_train_surrogate(config: ExperimentConfig, out_dir: Path) -> None:
     start = time.perf_counter()
-    chash, grid, data = _load_stage_inputs(config, out_dir)
+    chash, data = _load_stage_inputs(config, out_dir)
     sp = train_surrogate(data, config.surrogate, config.seeds.surrogate,
                          out_dir / "surrogate_loss_curve.csv")
     final_loss = energy_loss(data[: min(len(data), 128)], sp, source=config.surrogate.source)

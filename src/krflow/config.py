@@ -17,6 +17,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import math
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import get_type_hints
@@ -191,11 +192,14 @@ def _check_ranges(config: ExperimentConfig) -> None:
         key: 0 for key in ("vae.epochs", "surrogate.epochs", "inference.epochs",
                            "flow.hidden_depth")}
     widths = ("vae.encoder_hidden", "vae.decoder_hidden", "surrogate.hidden")
-    value = {key: attrgetter(key)(config) for key in [*lowest, *widths]}
+    rates = ("vae.learning_rate", "surrogate.learning_rate", "inference.learning_rate")
+    value = {key: attrgetter(key)(config) for key in [*lowest, *widths, *rates]}
     checks = [(key, value[key] >= low, f"{value[key]} must be at least {low}")
               for key, low in lowest.items()] + [
         (key, min(value[key], default=1) >= 1, f"every width in {value[key]} must be at least 1")
         for key in widths] + [
+        (key, 0.0 < value[key] < math.inf, f"{value[key]!r} must be finite and positive")
+        for key in rates] + [
         ("mcmc.retained", 1 <= mcmc.retained <= mcmc.steps,
          f"{mcmc.retained} is outside [1, mcmc.steps = {mcmc.steps}]"),
         ("mcmc.step_size", 0.0 <= mcmc.step_size <= 1.0,

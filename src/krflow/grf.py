@@ -7,20 +7,21 @@ so ``field[i, j]`` is the value at ``(s1, s2) = (j/(W-1), i/(H-1))``.
 The covariance is discretized by pointwise kernel evaluation at the grid
 nodes (no quadrature weights), and eigenvectors of that matrix are therefore
 orthonormal under the plain grid inner product ``sum_p f_p g_p``.
+
+The prior dataset file is a ``params.ParamStore`` container with one
+``fields`` entry of shape (N, H, W); each sample's length scale and seed are
+recorded only in the manifest CSV written alongside it.
 """
 
 from __future__ import annotations
 
 import csv
-import struct
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .params import read_exact
-
-DATASET_MAGIC = b"KRDS"
+from .params import ParamStore
 
 
 @dataclass(frozen=True)
@@ -181,35 +182,20 @@ def dataset_to_array(samples: Sequence[FieldSample]) -> np.ndarray:
 
 
 # -- dataset files ---------------------------------------------------------------
-# header: u32 H, u32 W, u64 count; per sample: f64 length scale, u64 seed,
-# H*W f64 row-major payload; all little-endian.  Manifest CSV alongside.
 
 
-def save_dataset(path, samples: Sequence[FieldSample], grid: Grid) -> None:
-    with open(path, "wb") as fh:
-        fh.write(DATASET_MAGIC)
-        fh.write(struct.pack("<IIQ", grid.height, grid.width, len(samples)))
-        for s in samples:
-            fh.write(struct.pack("<dQ", float(s.length_scale), s.seed % 2 ** 64))
-            fh.write(s.values.astype("<f8").tobytes(order="C"))
+def save_dataset(path, fields: np.ndarray) -> None:
+    ParamStore({"fields": fields}).save(path)
 
 
-def load_dataset(path) -> tuple[list[FieldSample], Grid]:
-    with open(path, "rb") as fh:
-        if fh.read(4) != DATASET_MAGIC:
-            raise ValueError(f"{path}: not a field dataset (bad magic)")
-        h, w, count = struct.unpack("<IIQ", read_exact(fh, 16, path))
-        try:
-            grid = Grid(h, w)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-        samples = []
-        for _ in range(count):
-            scale, seed = struct.unpack("<dQ", read_exact(fh, 16, path))
-            values = np.frombuffer(read_exact(fh, 8 * h * w, path),
-                                   dtype="<f8").reshape(h, w).copy()
-            samples.append(FieldSample(values=values, length_scale=scale, seed=int(seed)))
-    return samples, grid
+def load_dataset(path) -> np.ndarray:
+    """The (N, H, W) fields of a dataset file, or a ValueError naming the file."""
+    store = ParamStore.load(path)
+    shapes = {name: arr.shape for name, arr in store.items()}
+    if list(shapes) != ["fields"] or len(shapes["fields"]) != 3 or min(shapes["fields"][1:]) < 3:
+        raise ValueError(f"{path}: expected one (N, H, W) 'fields' entry with H, W >= 3, "
+                         f"got {shapes}")
+    return store["fields"]
 
 
 def save_manifest(path, samples: Sequence[FieldSample]) -> None:

@@ -1,9 +1,11 @@
-"""Named parameter collections, their checkpoint format, Adam and the training loop.
+"""Named parameter collections, their array container, Adam and the training loop.
 
-Checkpoint container layout (little-endian throughout):
+Every binary artifact a stage writes is this container: the model checkpoints
+and the prior dataset alike.  Its layout (little-endian throughout):
 
     magic   4 bytes  b"KRFL"
-    version u32      currently 1
+    version u32      currently 2
+    count   u32      number of entries
     then, for every entry in insertion order:
         name_len u32
         name     utf-8 bytes
@@ -12,7 +14,8 @@ Checkpoint container layout (little-endian throughout):
         payload  prod(dims) * f64, row-major
 
 The payload bytes are written verbatim from the float64 arrays, so a
-save/load round trip is bit-exact.
+save/load round trip is bit-exact.  A file cut anywhere, or with bytes after
+its last entry, fails to load with a ValueError naming it.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 from . import autodiff as ad
 
 MAGIC = b"KRFL"
-VERSION = 1
+VERSION = 2
 BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8   # Adam's fixed settings (Kingma & Ba 2015)
 
 
@@ -85,7 +88,7 @@ class ParamStore:
     def save(self, path) -> None:
         with open(path, "wb") as fh:
             fh.write(MAGIC)
-            fh.write(struct.pack("<I", VERSION))
+            fh.write(struct.pack("<II", VERSION, len(self._entries)))
             for name, arr in self._entries.items():
                 raw = name.encode("utf-8")
                 fh.write(struct.pack("<I", len(raw)))
@@ -103,8 +106,8 @@ class ParamStore:
             (version,) = struct.unpack("<I", read_exact(fh, 4, path))
             if version != VERSION:
                 raise ValueError(f"{path}: unsupported container version {version}")
-            end = os.fstat(fh.fileno()).st_size
-            while fh.tell() < end:
+            (count,) = struct.unpack("<I", read_exact(fh, 4, path))
+            for _ in range(count):
                 (name_len,) = struct.unpack("<I", read_exact(fh, 4, path))
                 name = read_exact(fh, name_len, path)
                 (rank,) = struct.unpack("<I", read_exact(fh, 4, path))
@@ -114,6 +117,9 @@ class ParamStore:
                     store[name.decode()] = np.frombuffer(payload, "<f8").reshape(dims).copy()
                 except ValueError as exc:
                     raise ValueError(f"{path}: {exc}") from exc
+            left = os.fstat(fh.fileno()).st_size - fh.tell()
+            if left:
+                raise ValueError(f"{path}: {left} bytes after the last of {count} entries")
         return store
 
 

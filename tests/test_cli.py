@@ -11,6 +11,7 @@ from krflow.config import desk_config, save_config
 from krflow.darcy import lattice_operator, observe, solve_darcy
 from krflow.grf import Grid
 from krflow.inference import PREFETCH_WIDTH
+from krflow.params import ParamStore
 from krflow.report import load_field_csv, read_json, write_json
 
 
@@ -42,6 +43,16 @@ def tiny_config():
     cfg.mcmc.retained = 100
     cfg.mcmc.step_size = 0.3
     return cfg
+
+
+def _entry_ends(path):
+    """Offsets at which a container's header ("") and each of its entries end."""
+    ends = {"": 12}
+    end = 12
+    for name, arr in ParamStore.load(path).items():
+        end += 4 + len(name.encode()) + 4 + 8 * arr.ndim + 8 * arr.size
+        ends[name] = end
+    return ends
 
 
 @pytest.fixture(scope="module")
@@ -149,20 +160,26 @@ class TestDependencyGates:
         save_config(cfg_path, changed)
         assert main(["train-vae", "--config", str(cfg_path), "--out", str(out)]) == 1
 
-    @pytest.mark.parametrize("artifact,stage", [("dataset.bin", "train-vae"),
-                                                ("vae.bin", "infer-mcmc"),
-                                                ("observations.csv", "infer-mcmc"),
-                                                ("truth_field.csv", "infer-mcmc"),
-                                                ("vae.json", "infer-mcmc"),
-                                                ("surrogate.json", "infer-mcmc"),
-                                                ("generate_data_meta.json", "train-vae")])
+    # ``after`` names the last container entry kept ("" keeps the header
+    # alone); None cuts the file in half
+    @pytest.mark.parametrize("artifact,stage,after", [
+        *[pytest.param(artifact, stage, None, id=f"{artifact}-{stage}") for artifact, stage in [
+            ("dataset.bin", "train-vae"), ("vae.bin", "infer-mcmc"),
+            ("observations.csv", "infer-mcmc"), ("truth_field.csv", "infer-mcmc"),
+            ("vae.json", "infer-mcmc"), ("surrogate.json", "infer-mcmc"),
+            ("generate_data_meta.json", "train-vae")]],
+        *[pytest.param(artifact, stage, after, id=f"{artifact}-after-{after or 'header'}-{stage}")
+          for artifact, after, stage in [
+              ("vae.bin", "enc.W0", "infer-mcmc"), ("vae.bin", "enc.W0", "infer-krnet"),
+              ("surrogate.bin", "b0", "infer-mcmc"), ("dataset.bin", "", "train-surrogate")]]])
     def test_truncated_artifact_exits_1_naming_it(self, run_dir, tmp_path, capsys,
-                                                  artifact, stage):
+                                                  artifact, stage, after):
         _, cfg_path, out = run_dir
         copy = tmp_path / "run"
         shutil.copytree(out, copy)
         data = (copy / artifact).read_bytes()
-        (copy / artifact).write_bytes(data[:len(data) // 2])
+        cut = len(data) // 2 if after is None else _entry_ends(copy / artifact)[after]
+        (copy / artifact).write_bytes(data[:cut])
         assert main([stage, "--config", str(cfg_path), "--out", str(copy)]) == 1
         reason = {".bin": "truncated",
                   ".csv": r"line \d+ has \d+ fields, expected \d+",

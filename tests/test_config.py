@@ -1,3 +1,4 @@
+import math
 from typing import get_type_hints
 
 import pytest
@@ -75,7 +76,9 @@ def test_bad_value_reported_with_location():
     ("vae", "decoder_hidden", (0,)), ("flow", "hidden_width", 0),
     ("surrogate", "hidden", (512, 0)), ("flow", "hidden_depth", -1), ("vae", "epochs", -1),
     ("surrogate", "epochs", -1), ("inference", "epochs", -1),
-    ("observation", "sensor_rows", 0), ("observation", "sensor_cols", 0)])
+    ("observation", "sensor_rows", 0), ("observation", "sensor_cols", 0),
+    *[(section, "learning_rate", value) for section in ("vae", "surrogate", "inference")
+      for value in (-1.0, 0.0, math.nan, math.inf)]])
 def test_value_outside_its_range_names_its_key(section, key, value):
     cfg = desk_config()
     setattr(getattr(cfg, section), key, value)
@@ -129,6 +132,7 @@ def into_range(cfg):
     cfg.flow.scale_bound = abs(cfg.flow.scale_bound) or 1.0
     for section in (cfg.vae, cfg.surrogate, cfg.inference):
         section.batch_size = max(section.batch_size, 1)
+        section.learning_rate = min(abs(section.learning_rate), 1e300) or 1e-3
     cfg.inference.sample_size = max(cfg.inference.sample_size, 1)
     cfg.inference.posterior_samples = max(cfg.inference.posterior_samples, 1)
     cfg.mcmc.step_size = min(abs(cfg.mcmc.step_size), 1.0)

@@ -1,3 +1,6 @@
+import csv
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import svd
@@ -15,6 +18,7 @@ from krflow.grf import (
     save_manifest,
     truncated_kle,
 )
+from krflow.params import ParamStore
 
 
 @pytest.fixture
@@ -168,24 +172,40 @@ class TestDataset:
 
     def test_file_roundtrip(self, tmp_path, small_grid):
         samples = generate_prior_dataset(small_grid, 0.5, 1.0, [0.2], 5, base_seed=11)
+        fields = dataset_to_array(samples)
         path = tmp_path / "prior.bin"
-        save_dataset(path, samples, small_grid)
-        loaded, grid2 = load_dataset(path)
-        assert (grid2.height, grid2.width) == (small_grid.height, small_grid.width)
-        assert len(loaded) == 5
-        for a, b in zip(samples, loaded):
-            assert a.seed == b.seed
-            assert a.length_scale == b.length_scale
-            assert a.values.tobytes() == b.values.tobytes()
+        save_dataset(path, fields)
+        loaded = load_dataset(path)
+        assert loaded.shape == (5, small_grid.height, small_grid.width)
+        assert loaded.tobytes() == fields.tobytes()
+        # the manifest is the only record of each sample's seed and length scale
+        save_manifest(tmp_path / "manifest.csv", samples)
+        with open(tmp_path / "manifest.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(r["index"]) for r in rows] == list(range(5))
+        assert [int(r["seed"]) for r in rows] == [s.seed for s in samples]
+        assert [float(r["length_scale"]) for r in rows] == [s.length_scale for s in samples]
 
-    # the (H, W, count) header, the first sample's header, the last payload
+    # the container header at the end of its entry count, the entry's dims,
+    # the payload's last bytes
     @pytest.mark.parametrize("cut", [12, 25, -5])
     def test_truncated_file_names_path(self, tmp_path, small_grid, cut):
         samples = generate_prior_dataset(small_grid, 0.5, 1.0, [0.2], 2, base_seed=11)
         path = tmp_path / "dataset.bin"
-        save_dataset(path, samples, small_grid)
+        save_dataset(path, dataset_to_array(samples))
         path.write_bytes(path.read_bytes()[:cut])
         with pytest.raises(ValueError, match=r"dataset\.bin: truncated"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("entries", [
+        {"fields": np.zeros((2, 8))}, {"fields": np.zeros((2, 2, 8))},
+        {"values": np.zeros((2, 8, 8))}, {"fields": np.zeros((2, 8, 8)), "grid": np.ones(2)},
+        {}], ids=["2-D", "2-row-grid", "other-name", "extra-entry", "empty"])
+    def test_container_without_one_fields_entry_names_path(self, tmp_path, entries):
+        path = tmp_path / "dataset.bin"
+        ParamStore(entries).save(path)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: expected one "
+                                             r"\(N, H, W\) 'fields' entry"):
             load_dataset(path)
 
     def test_manifest(self, tmp_path):

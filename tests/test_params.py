@@ -1,3 +1,4 @@
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -73,23 +74,40 @@ class TestParamStore:
             ParamStore.load(path)
 
     # offsets into a container holding W0 (3, 2) then b0 (2,): the version
-    # field, W0's name length, W0's dims, W0's payload, b0's rank, b0's payload
-    @pytest.mark.parametrize("cut", [6, 10, 20, 40, 90, -3])
+    # field, the entry count, the end of the header, W0's name length, W0's
+    # dims, W0's payload, the end of W0, b0's rank, b0's payload
+    @pytest.mark.parametrize("cut", [6, 10, 12, 14, 24, 44, 86, 94, -3])
     def test_truncated_file_names_path(self, tmp_path, cut):
         store = ParamStore({"W0": np.arange(6.0).reshape(3, 2), "b0": np.ones(2)})
         path = tmp_path / "vae.bin"
         store.save(path)
         data = path.read_bytes()
-        assert len(data) == 116
+        assert len(data) == 120
         path.write_bytes(data[:cut])
         with pytest.raises(ValueError, match=r"vae\.bin: truncated"):
+            ParamStore.load(path)
+
+    # 16 zero bytes read as one more entry: an empty name, rank 0, the scalar 0.0
+    @pytest.mark.parametrize("extra", [b"\x00", bytes(16)], ids=["one-byte", "scalar-entry"])
+    def test_bytes_after_last_entry_name_path(self, tmp_path, extra):
+        path = tmp_path / "vae.bin"
+        ParamStore({"W0": np.arange(6.0).reshape(3, 2), "b0": np.ones(2)}).save(path)
+        path.write_bytes(path.read_bytes() + extra)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {len(extra)} bytes "
+                                             r"after the last of 2 entries$"):
+            ParamStore.load(path)
+
+    def test_version_1_container_rejected(self, tmp_path):
+        path = tmp_path / "vae.bin"
+        path.write_bytes(b"KRFL" + struct.pack("<I", 1))
+        with pytest.raises(ValueError, match=r"vae\.bin: unsupported container version 1"):
             ParamStore.load(path)
 
     def test_corrupt_length_field_rejected_without_reading(self, tmp_path):
         path = tmp_path / "vae.bin"
         ParamStore({"W0": np.ones((2, 2))}).save(path)
         data = bytearray(path.read_bytes())
-        data[18:26] = (2 ** 62).to_bytes(8, "little")   # first dim of W0
+        data[22:30] = (2 ** 62).to_bytes(8, "little")   # first dim of W0
         path.write_bytes(bytes(data))
         with pytest.raises(ValueError, match=r"vae\.bin: truncated"):
             ParamStore.load(path)
@@ -98,7 +116,7 @@ class TestParamStore:
         path = tmp_path / "vae.bin"
         ParamStore({"W0": np.ones((2, 2))}).save(path)
         data = bytearray(path.read_bytes())
-        data[12] = 0xFF                                  # first byte of the name
+        data[16] = 0xFF                                  # first byte of the name
         path.write_bytes(bytes(data))
         with pytest.raises(ValueError, match=r"vae\.bin: 'utf-8' codec can't decode byte 0xff"):
             ParamStore.load(path)
