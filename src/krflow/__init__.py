@@ -12,7 +12,6 @@ from .config import ExperimentConfig, config_hash, desk_config, load_config, sav
 from .darcy import (
     ObservationOperator,
     ObservationSet,
-    PressureField,
     add_noise,
     lattice_operator,
     log_likelihood,

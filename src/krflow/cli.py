@@ -121,8 +121,8 @@ def cmd_generate_data(config: ExperimentConfig, out_dir: Path) -> None:
     save_field_pgm(out_dir / "truth_field.pgm", truth.values)
 
     pressure = solve_darcy(truth.values, grid, source=config.surrogate.source)
-    save_field_csv(out_dir / "truth_pressure.csv", pressure.values)
-    save_field_pgm(out_dir / "truth_pressure.pgm", pressure.values)
+    save_field_csv(out_dir / "truth_pressure.csv", pressure)
+    save_field_pgm(out_dir / "truth_pressure.pgm", pressure)
 
     operator = lattice_operator(config.observation.sensor_rows,
                                 config.observation.sensor_cols,

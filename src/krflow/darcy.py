@@ -1,5 +1,9 @@
 """Finite-volume Darcy pressure solver plus observation and noise operators.
 
+:func:`solve_darcy` returns the (H, W) nodal pressure, Dirichlet columns
+included; :func:`observe` reads it at the sensors on the grid of its shape,
+and an :class:`ObservationSet` carries one noise sigma per sensor.
+
 The pressure equation -div(exp(y) grad u) = h is discretized on the node
 grid of :class:`krflow.grf.Grid` with a 5-point stencil.  Interface
 conductivities are harmonic means of exp(y) at the two neighbouring nodes,
@@ -44,12 +48,6 @@ class DarcySolveError(RuntimeError):
 
 
 @dataclass
-class PressureField:
-    values: np.ndarray   # (H, W)
-    grid: Grid
-
-
-@dataclass
 class ObservationOperator:
     """Point sensors in the closed unit square, read off by bilinear interpolation."""
 
@@ -68,26 +66,20 @@ class ObservationOperator:
 
 
 @dataclass
-class NoiseModel:
-    per_sensor_std: np.ndarray
-    floor: float
-
-    def __post_init__(self):
-        self.per_sensor_std = np.asarray(self.per_sensor_std, dtype=np.float64)
-        if self.floor <= 0.0 or (self.per_sensor_std < self.floor - 1e-15).any():
-            raise ValueError("per-sensor noise must respect a positive floor")
-
-
-@dataclass
 class ObservationSet:
     operator: ObservationOperator
-    values: np.ndarray
-    noise: NoiseModel
+    values: np.ndarray   # (m,) noisy readings
+    sigma: np.ndarray    # (m,) Gaussian noise standard deviations, all > 0
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
+        self.sigma = np.asarray(self.sigma, dtype=np.float64)
         if len(self.values) != self.operator.n_sensors:
             raise ValueError("observation count does not match sensor count")
+        if self.sigma.shape != self.values.shape:
+            raise ValueError("noise standard deviation count does not match sensor count")
+        if not (self.sigma > 0.0).all():
+            raise ValueError("noise standard deviations must be positive")
 
 
 def lattice_operator(rows: int, cols: int, origin: float, spacing: float) -> ObservationOperator:
@@ -186,8 +178,8 @@ def _dirichlet(values, name: str, rows: int) -> np.ndarray:
 def solve_darcy(log_perm: np.ndarray, grid: Grid,
                 source: float | Callable[[np.ndarray, np.ndarray], np.ndarray] = 3.0,
                 dirichlet_left: np.ndarray | None = None,
-                dirichlet_right: np.ndarray | None = None) -> PressureField:
-    """Solve the pressure equation for one log-permeability field.
+                dirichlet_right: np.ndarray | None = None) -> np.ndarray:
+    """The (H, W) nodal pressure, Dirichlet columns included, of one log-permeability field.
 
     ``source`` may be a constant or a callable h(s1, s2) evaluated at the
     nodes.  Nonzero Dirichlet columns are supported for diagnostics; the
@@ -260,12 +252,12 @@ def solve_darcy(log_perm: np.ndarray, grid: Grid,
         raise DarcySolveError(f"linear solve failed: relative residual {rel:.3e}, diagonal "
                               f"range [{diag.min():.3e}, {diag.max():.3e}]")
 
-    return PressureField(values=np.column_stack([g_left, u_inner, g_right]), grid=grid)
+    return np.column_stack([g_left, u_inner, g_right])
 
 
-def observe(pressure: PressureField, op: ObservationOperator) -> np.ndarray:
-    """Bilinear interpolation of the pressure at each sensor location."""
-    return observation_matrix(op, pressure.grid) @ pressure.values.ravel()
+def observe(pressure: np.ndarray, op: ObservationOperator) -> np.ndarray:
+    """Bilinear interpolation of an (H, W) nodal pressure at each sensor location."""
+    return observation_matrix(op, Grid(*pressure.shape)) @ pressure.ravel()
 
 
 def observation_matrix(op: ObservationOperator, grid: Grid) -> np.ndarray:
@@ -305,8 +297,7 @@ def add_noise(clean: np.ndarray, level: float, rng: np.random.Generator,
     floor = level * mean_abs * 0.1
     sigma = np.maximum(level * np.abs(clean), floor)
     values = clean + sigma * rng.standard_normal(len(clean))
-    return ObservationSet(operator=operator, values=values,
-                          noise=NoiseModel(per_sensor_std=sigma, floor=floor))
+    return ObservationSet(operator=operator, values=values, sigma=sigma)
 
 
 def log_likelihood(obs: ObservationSet, predicted: np.ndarray) -> float:
@@ -314,11 +305,10 @@ def log_likelihood(obs: ObservationSet, predicted: np.ndarray) -> float:
     predicted = np.asarray(predicted, dtype=np.float64)
     if predicted.shape != obs.values.shape:
         raise ValueError("prediction length does not match observations")
-    sigma = obs.noise.per_sensor_std
-    if (sigma <= 0.0).any():
+    if (obs.sigma <= 0.0).any():
         raise ValueError("noise standard deviations must be positive")
-    z = (obs.values - predicted) / sigma
-    return float(np.sum(-0.5 * z * z - np.log(sigma) - 0.5 * np.log(2.0 * np.pi)))
+    z = (obs.values - predicted) / obs.sigma
+    return float(np.sum(-0.5 * z * z - np.log(obs.sigma) - 0.5 * np.log(2.0 * np.pi)))
 
 
 OBSERVATION_COLUMNS = ("s1", "s2", "value", "sigma")
@@ -330,20 +320,14 @@ def save_observations_csv(path, obs: ObservationSet) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(OBSERVATION_COLUMNS)
-        for (s1, s2), v, sig in zip(obs.operator.locations, obs.values,
-                                    obs.noise.per_sensor_std):
+        for (s1, s2), v, sig in zip(obs.operator.locations, obs.values, obs.sigma):
             writer.writerow([repr(float(s1)), repr(float(s2)), repr(float(v)), repr(float(sig))])
 
 
 def load_observations_csv(path) -> ObservationSet:
     """Read :func:`save_observations_csv`'s file; ValueError names it if bad."""
     table = read_csv_floats(path, header=OBSERVATION_COLUMNS)
-    sigmas = table[:, 3]
     try:
-        return ObservationSet(
-            operator=ObservationOperator(table[:, :2]),
-            values=table[:, 2],
-            noise=NoiseModel(per_sensor_std=sigmas, floor=float(sigmas.min())),
-        )
+        return ObservationSet(ObservationOperator(table[:, :2]), table[:, 2], table[:, 3])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

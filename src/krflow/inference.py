@@ -231,7 +231,7 @@ def _folded_likelihood(vae: VaeParams, surrogate: SurrogateParams, obs: Observat
     the output map and target of the whitened residual z = target - h @ w_out,
     and the log normalizer."""
     obs_matrix = observation_matrix(obs.operator, surrogate.grid)      # (m, HW)
-    sigma = obs.noise.per_sensor_std
+    sigma = obs.sigma
     decoder = decoder_mean_layers(vae)
     body = pressure_layers(surrogate, obs_matrix.T / sigma)
     layers = decoder[:-1] + [_compose(decoder[-1], body[0])] + body[1:]

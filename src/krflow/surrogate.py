@@ -136,7 +136,7 @@ def surrogate_relative_error(sp: SurrogateParams, test_fields: np.ndarray,
     u_hat = surrogate_forward_batch(fields.reshape(len(fields), -1), sp.store, sp)
     errors = []
     for y, uh in zip(fields, u_hat):
-        u_ref = solve_darcy(y, sp.grid, source=source).values
+        u_ref = solve_darcy(y, sp.grid, source=source)
         errors.append(np.linalg.norm(uh - u_ref) / np.linalg.norm(u_ref))
     return float(np.mean(errors))
 

@@ -242,7 +242,7 @@ class TestDependencyGates:
     @pytest.mark.parametrize("artifact,line,column,entry,reason", [
         ("observations.csv", 2, 2, "nan", "line 2: non-finite value 'nan'"),
         ("observations.csv", 5, 3, "inf", "line 5: non-finite value 'inf'"),
-        ("observations.csv", 3, 3, "0.0", "per-sensor noise must respect a positive floor"),
+        ("observations.csv", 3, 3, "0.0", "noise standard deviations must be positive"),
         ("observations.csv", 2, 0, "1.5", "sensor locations must lie in the closed unit square"),
         ("truth_field.csv", 4, 6, "nan", "line 4: non-finite value 'nan'")],
         ids=["nan-value", "inf-sigma", "zero-sigma", "outside-location", "nan-truth"])

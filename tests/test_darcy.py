@@ -9,8 +9,6 @@ from krflow.darcy import (
     DarcySolveError,
     ObservationOperator,
     ObservationSet,
-    NoiseModel,
-    PressureField,
     add_noise,
     energy_terms,
     lattice_operator,
@@ -25,8 +23,8 @@ from krflow.darcy import (
 from krflow.grf import Grid
 
 
-def boundary_flux(sol, y: np.ndarray, grid: Grid) -> float:
-    """Net discrete flux leaving through the Dirichlet columns.
+def boundary_flux(u: np.ndarray, y: np.ndarray, grid: Grid) -> float:
+    """Net discrete flux of the (H, W) pressure u leaving through the Dirichlet columns.
 
     The transmissibilities are energy_terms' face weights, whose first
     H*(W-1) entries are the horizontal faces row by row.  Neumann faces carry
@@ -34,7 +32,6 @@ def boundary_flux(sol, y: np.ndarray, grid: Grid) -> float:
     """
     weights, _, _ = energy_terms(y[None], grid)
     t_h = weights[0, :grid.height * (grid.width - 1)].reshape(grid.height, -1)
-    u = sol.values
     return float(t_h[:, 0] @ (u[:, 1] - u[:, 0]) + t_h[:, -1] @ (u[:, -2] - u[:, -1]))
 
 
@@ -73,14 +70,14 @@ class TestSolver:
         # y = 0, h = 3  =>  u = 1.5 s1 (1 - s1), exactly representable by the stencil
         for grid in (Grid(9, 9), Grid(16, 16), Grid(12, 20)):
             sol = solve_darcy(np.zeros((grid.height, grid.width)), grid, source=3.0)
-            assert np.abs(sol.values - quadratic_exact(grid)).max() < 1e-10
+            assert np.abs(sol - quadratic_exact(grid)).max() < 1e-10
 
     def test_dirichlet_columns_exactly_zero(self):
         rng = np.random.default_rng(0)
         grid = Grid(10, 14)
         sol = solve_darcy(rng.standard_normal((10, 14)) * 0.5, grid)
-        assert (sol.values[:, 0] == 0.0).all()
-        assert (sol.values[:, -1] == 0.0).all()
+        assert (sol[:, 0] == 0.0).all()
+        assert (sol[:, -1] == 0.0).all()
 
     def test_grid_refinement_self_consistency(self):
         # the same smooth field sampled on 16x16 and 32x32 grids must give
@@ -112,7 +109,7 @@ class TestSolver:
             def src(g1, g2):
                 return h
 
-            return solve_darcy(y, grid, source=src).values
+            return solve_darcy(y, grid, source=src)
 
         ua = solve_with_delta(3, 3)
         ub = solve_with_delta(5, 4)
@@ -146,8 +143,8 @@ class TestSolver:
         grid = Grid(12, 12)
         for _ in range(3):
             y = rng.standard_normal((12, 12)) * 0.3
-            lo = solve_darcy(y, grid, source=3.0).values.max()
-            hi = solve_darcy(y + 1.0, grid, source=3.0).values.max()
+            lo = solve_darcy(y, grid, source=3.0).max()
+            hi = solve_darcy(y + 1.0, grid, source=3.0).max()
             assert hi < lo
 
     def test_nonfinite_field_rejected(self):
@@ -170,10 +167,10 @@ class TestSolver:
         mat, rhs = dense_system(y, grid, 3.0, g_left, g_right)
         expected = np.linalg.solve(mat, rhs).reshape(grid.height, grid.width - 2)
         sol = solve_darcy(y, grid, source=3.0, dirichlet_left=g_left, dirichlet_right=g_right)
-        inner = sol.values[:, 1:-1]
+        inner = sol[:, 1:-1]
         assert np.abs(inner - expected).max() <= 1e-12 * np.abs(expected).max()
-        np.testing.assert_array_equal(sol.values[:, 0], g_left)
-        np.testing.assert_array_equal(sol.values[:, -1], g_right)
+        np.testing.assert_array_equal(sol[:, 0], g_left)
+        np.testing.assert_array_equal(sol[:, -1], g_right)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("value,where", [(800.0, "all"), (-800.0, "all"),
@@ -205,9 +202,9 @@ class TestSolver:
     def test_extreme_permeability_inside_the_range_solves(self, value):
         # a uniform permeability exp(y) scales the pressure by exp(-y)
         grid = Grid(8, 8)
-        unit = solve_darcy(np.zeros((8, 8)), grid).values
+        unit = solve_darcy(np.zeros((8, 8)), grid)
         sol = solve_darcy(np.full((8, 8), value), grid)
-        np.testing.assert_allclose(sol.values, np.exp(-value) * unit, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(sol, np.exp(-value) * unit, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("side", ["dirichlet_left", "dirichlet_right"])
     def test_dirichlet_data_of_wrong_length_rejected(self, side):
@@ -222,7 +219,7 @@ class TestSolver:
         scalar = solve_darcy(y, grid, dirichlet_left=1.5, dirichlet_right=-0.5)
         full = solve_darcy(y, grid, dirichlet_left=np.full(6, 1.5),
                            dirichlet_right=np.full(6, -0.5))
-        np.testing.assert_array_equal(scalar.values, full.values)
+        np.testing.assert_array_equal(scalar, full)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -234,16 +231,16 @@ def test_solution_satisfies_the_stencil(height, width, amplitude, seed):
     y = amplitude * rng.standard_normal((height, width))
     g_left, g_right = rng.standard_normal(height), rng.standard_normal(height)
     sol = solve_darcy(y, grid, source=3.0, dirichlet_left=g_left, dirichlet_right=g_right)
-    assert (sol.values[:, 0] == g_left).all() and (sol.values[:, -1] == g_right).all()
+    assert (sol[:, 0] == g_left).all() and (sol[:, -1] == g_right).all()
     mat, rhs = dense_system(y, grid, 3.0, g_left, g_right)
-    residual = np.linalg.norm(mat @ sol.values[:, 1:-1].ravel() - rhs)
+    residual = np.linalg.norm(mat @ sol[:, 1:-1].ravel() - rhs)
     assert residual <= 1e-10 * np.linalg.norm(rhs)
 
 
 def _solution_and_load(source):
     """solve_darcy's pressure and energy_terms' load on one 8x8 field."""
     y = np.random.default_rng(12).standard_normal((8, 8))
-    return (solve_darcy(y, Grid(8, 8), source=source).values,
+    return (solve_darcy(y, Grid(8, 8), source=source),
             energy_terms(y[None], Grid(8, 8), source)[2])
 
 
@@ -317,7 +314,7 @@ def test_solution_minimizes_the_energy(height, width, amplitude, seed):
     grid = Grid(height, width)
     rng = np.random.default_rng(seed)
     y = amplitude * rng.standard_normal((height, width))
-    u = solve_darcy(y, grid, source=3.0).values[:, 1:-1].ravel()
+    u = solve_darcy(y, grid, source=3.0)[:, 1:-1].ravel()
     mat, load = _energy_system(y, grid)
     assert np.linalg.norm(mat @ u - load) <= 1e-10 * np.linalg.norm(load)
 
@@ -330,29 +327,27 @@ def test_solution_minimizes_the_energy(height, width, amplitude, seed):
 
 class TestObserve:
     def test_node_location_returns_nodal_value(self):
-        grid = Grid(5, 5)
-        rng = np.random.default_rng(5)
-        u = rng.standard_normal((5, 5))
-        field = PressureField(u, grid)
+        u = np.random.default_rng(5).standard_normal((5, 5))
         op = ObservationOperator([[0.5, 0.25]])  # node (i=1, j=2)
-        assert observe(field, op)[0] == pytest.approx(u[1, 2], rel=1e-14)
+        assert observe(u, op)[0] == pytest.approx(u[1, 2], rel=1e-14)
+
+    def test_node_of_a_non_square_grid_returns_nodal_value(self):
+        # H = 5 rows at spacing 1/4 along s2, W = 9 columns at spacing 1/8 along s1
+        u = np.random.default_rng(12).standard_normal((5, 9))
+        op = ObservationOperator([[0.375, 0.75], [0.875, 0.25], [0.125, 0.0]])
+        np.testing.assert_allclose(observe(u, op), [u[3, 3], u[1, 7], u[0, 1]], rtol=1e-14)
 
     def test_constant_field_reproduced(self):
-        grid = Grid(6, 6)
-        field = PressureField(np.full((6, 6), 2.5), grid)
         op = ObservationOperator([[0.13, 0.77], [1.0, 1.0], [0.0, 0.0]])
-        np.testing.assert_allclose(observe(field, op), 2.5)
+        np.testing.assert_allclose(observe(np.full((6, 6), 2.5), op), 2.5)
 
     def test_cell_center_averages_four_corners(self):
-        grid = Grid(4, 4)
-        rng = np.random.default_rng(6)
-        u = rng.standard_normal((4, 4))
-        field = PressureField(u, grid)
+        u = np.random.default_rng(6).standard_normal((4, 4))
         # center of the cell spanned by nodes (0,0), (0,1), (1,0), (1,1)
         h = 1.0 / 3.0
         op = ObservationOperator([[h / 2, h / 2]])
         expected = 0.25 * (u[0, 0] + u[0, 1] + u[1, 0] + u[1, 1])
-        assert observe(field, op)[0] == pytest.approx(expected, rel=1e-12)
+        assert observe(u, op)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_observation_matrix_rows_sum_to_one(self):
         grid = Grid(7, 9)
@@ -377,14 +372,14 @@ class TestNoise:
     def test_sigma_definition(self):
         op = ObservationOperator([[0.5, 0.5], [0.25, 0.25]])
         obs = add_noise(np.array([2.0, 2.0]), 0.05, np.random.default_rng(0), op)
-        np.testing.assert_allclose(obs.noise.per_sensor_std, 0.1)
+        np.testing.assert_allclose(obs.sigma, 0.1)
 
     def test_floor_applies_to_tiny_entries(self):
         op = ObservationOperator([[0.5, 0.5], [0.25, 0.25]])
         clean = np.array([2.0, 1e-9])
         obs = add_noise(clean, 0.05, np.random.default_rng(0), op)
         floor = 0.05 * np.abs(clean).mean() * 0.1
-        assert obs.noise.per_sensor_std[1] == pytest.approx(floor)
+        assert obs.sigma[1] == pytest.approx(floor)
 
     def test_deterministic_given_seed(self):
         op = lattice_operator(2, 2, 0.2, 0.3)
@@ -413,8 +408,7 @@ class TestLogLikelihood:
     def _obs(self, values, sigma):
         m = len(values)
         op = ObservationOperator(np.column_stack([np.linspace(0.1, 0.9, m)] * 2))
-        noise = NoiseModel(per_sensor_std=np.asarray(sigma, float), floor=float(np.min(sigma)))
-        return ObservationSet(operator=op, values=np.asarray(values, float), noise=noise)
+        return ObservationSet(operator=op, values=values, sigma=sigma)
 
     def test_zero_residual_unit_sigma(self):
         values = np.array([0.3, -1.2, 0.9])
@@ -447,7 +441,7 @@ def test_observations_csv_roundtrip(tmp_path):
     save_observations_csv(path, obs)
     loaded = load_observations_csv(path)
     np.testing.assert_array_equal(loaded.values, obs.values)
-    np.testing.assert_array_equal(loaded.noise.per_sensor_std, obs.noise.per_sensor_std)
+    np.testing.assert_array_equal(loaded.sigma, obs.sigma)
     np.testing.assert_array_equal(loaded.operator.locations, obs.operator.locations)
 
 
@@ -459,7 +453,7 @@ def test_observations_csv_roundtrip(tmp_path):
     ("s1,s2,value,sigma\n", "no data rows"),
     ("s1,s2,value,sigma\n0.1,0.2,nan,0.4\n", "line 2: non-finite value 'nan'"),
     ("s1,s2,value,sigma\n0.1,0.2,0.3,0.4\n0.5,0.6,0.7,inf\n", "line 3: non-finite value 'inf'"),
-    ("s1,s2,value,sigma\n0.1,0.2,0.3,0.4\n0.5,0.6,0.7,0\n", "per-sensor noise must respect"),
+    ("s1,s2,value,sigma\n0.1,0.2,0.3,0.4\n0.5,0.6,0.7,0\n", "noise standard deviations must be positive"),
     ("s1,s2,value,sigma\n1.5,0.2,0.3,0.4\n", "sensor locations must lie in the closed"),
 ])
 def test_malformed_observations_csv_names_file(tmp_path, text, message):

@@ -9,7 +9,6 @@ from scipy import stats
 from krflow import autodiff as ad
 from krflow.config import InferenceSection
 from krflow.darcy import (
-    NoiseModel,
     ObservationOperator,
     ObservationSet,
     lattice_operator,
@@ -51,8 +50,7 @@ def surrogate():
 def obs():
     op = lattice_operator(2, 2, 0.25, 0.5)
     values = np.array([0.2, 0.15, 0.22, 0.18])
-    noise = NoiseModel(per_sensor_std=np.full(4, 0.01), floor=0.01)
-    return ObservationSet(operator=op, values=values, noise=noise)
+    return ObservationSet(operator=op, values=values, sigma=np.full(4, 0.01))
 
 
 @pytest.fixture
@@ -100,7 +98,7 @@ class TestFlowLoss:
         op = ObservationOperator([[0.5, 0.5]])
         sigma = np.array([0.2])
         d_obs = np.array([0.45])
-        obs = ObservationSet(op, d_obs, NoiseModel(sigma, 0.2))
+        obs = ObservationSet(op, d_obs, sigma)
 
         flow = init_flow(flow_config, 0)
         z = np.random.default_rng(4).standard_normal((1, D))
@@ -402,8 +400,7 @@ def _noisy_obs(vae, sp, sigma, seed=0):
     u = surrogate_forward_batch(mu, sp.store, sp)
     clean = observation_matrix(op, Grid(H, W)) @ u.ravel()
     values = clean + sigma * rng.standard_normal(op.n_sensors)
-    noise = NoiseModel(per_sensor_std=np.full(op.n_sensors, sigma), floor=sigma)
-    return ObservationSet(operator=op, values=values, noise=noise)
+    return ObservationSet(operator=op, values=values, sigma=np.full(op.n_sensors, sigma))
 
 
 @pytest.mark.parametrize("decoder_hidden,surrogate_hidden",

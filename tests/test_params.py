@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from krflow import autodiff as ad
 from krflow.config import InferenceSection, SurrogateSection, VaeSection
-from krflow.darcy import NoiseModel, ObservationSet, lattice_operator
+from krflow.darcy import ObservationSet, lattice_operator
 from krflow.flow import FlowConfig
 from krflow.inference import train_posterior_flow
 from krflow.params import AdamState, ParamStore, TrainingDiverged, adam_step, fit
@@ -256,7 +256,7 @@ def _train_flow(epochs):
     vae = init_vae(4, 4, 4, seed=0, encoder_hidden=(6,), decoder_hidden=(6,))
     sp = init_surrogate(4, 4, seed=1, hidden=(6,))
     obs = ObservationSet(lattice_operator(2, 2, 0.25, 0.5), np.full(4, 0.2),
-                         NoiseModel(per_sensor_std=np.full(4, 0.01), floor=0.01))
+                         np.full(4, 0.01))
     config = InferenceSection(sample_size=8, epochs=epochs, batch_size=4, learning_rate=1e-2,
                               posterior_samples=0)
     flow_config = FlowConfig(dim=4, n_groups=2, layers_per_stage=2, hidden_width=4,

@@ -92,7 +92,7 @@ class TestEnergyLoss:
     def test_finite_volume_solution_is_the_minimum(self):
         grid = Grid(H, W)
         y = prior_fields(1, 17)[:1]
-        u_fv = solve_darcy(y[0], grid, source=3.0).values
+        u_fv = solve_darcy(y[0], grid, source=3.0)
         best = energy_loss(y, planted_surrogate(u_fv))
         assert best < 0.0
         for delta in np.random.default_rng(8).standard_normal((4, H, W)) * 1e-3:
@@ -122,7 +122,7 @@ class TestTraining:
         sp = train_surrogate(data, config, seed=3, curve_path=curve_path)
         grid = Grid(H, W)
         minimum = np.mean([energy_loss(y[None], planted_surrogate(
-            solve_darcy(y, grid, source=3.0).values)) for y in data])
+            solve_darcy(y, grid, source=3.0))) for y in data])
         rows = curve_path.read_text().strip().splitlines()[1:]
         assert float(rows[0].split(",")[1]) > 0.5 * minimum
         assert minimum < energy_loss(data, sp) < 0.95 * minimum
@@ -151,7 +151,7 @@ class TestTraining:
 class TestRelativeError:
     def test_perfect_prediction_zero(self):
         y = np.zeros((1, H, W))
-        sp = planted_surrogate(solve_darcy(y[0], Grid(H, W), source=3.0).values)
+        sp = planted_surrogate(solve_darcy(y[0], Grid(H, W), source=3.0))
         assert surrogate_relative_error(sp, y) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_prediction_unity(self):
