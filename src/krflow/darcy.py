@@ -74,10 +74,8 @@ class ObservationSet:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
         self.sigma = np.asarray(self.sigma, dtype=np.float64)
-        if len(self.values) != self.operator.n_sensors:
-            raise ValueError("observation count does not match sensor count")
-        if self.sigma.shape != self.values.shape:
-            raise ValueError("noise standard deviation count does not match sensor count")
+        if not self.values.shape == self.sigma.shape == (self.operator.n_sensors,):
+            raise ValueError("observation or noise count does not match sensor count")
         if not (self.sigma > 0.0).all():
             raise ValueError("noise standard deviations must be positive")
 

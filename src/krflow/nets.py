@@ -19,6 +19,15 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 ACTIVATIONS = {"relu": ad.relu}
 
 
+def mlp_shapes(stacks: Mapping[str, Sequence[int]]) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of the parameters of dense stacks given as prefix -> layer sizes."""
+    shapes = {}
+    for prefix, sizes in stacks.items():
+        for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
+            shapes[f"{prefix}W{i}"], shapes[f"{prefix}b{i}"] = (fan_in, fan_out), (fan_out,)
+    return shapes
+
+
 def init_mlp(rng: np.random.Generator, sizes: Sequence[int], prefix: str = "",
              zero_last: bool = False) -> dict[str, np.ndarray]:
     """He-style uniform fan-in initialization for a dense stack.
@@ -27,17 +36,22 @@ def init_mlp(rng: np.random.Generator, sizes: Sequence[int], prefix: str = "",
     zeroes the final layer, which e.g. starts a coupling flow at the identity.
     """
     out: dict[str, np.ndarray] = {}
-    n_layers = len(sizes) - 1
-    for i in range(n_layers):
-        fan_in, fan_out = sizes[i], sizes[i + 1]
-        if zero_last and i == n_layers - 1:
-            w = np.zeros((fan_in, fan_out))
-        else:
-            limit = np.sqrt(6.0 / fan_in)
-            w = rng.uniform(-limit, limit, size=(fan_in, fan_out))
-        out[f"{prefix}W{i}"] = w
-        out[f"{prefix}b{i}"] = np.zeros(fan_out)
+    last = f"{prefix}W{len(sizes) - 2}"
+    for name, shape in mlp_shapes({prefix: sizes}).items():
+        limit = np.sqrt(6.0 / shape[0])
+        zero = len(shape) == 1 or zero_last and name == last
+        out[name] = np.zeros(shape) if zero else rng.uniform(-limit, limit, size=shape)
     return out
+
+
+def check_dense_stacks(store, stacks: Mapping[str, Sequence[int]], path, sidecar) -> None:
+    """Raise ValueError naming ``path`` unless ``store`` holds exactly the
+    parameters of the dense ``stacks`` whose layer sizes ``sidecar`` gives."""
+    want, have = mlp_shapes(stacks), {name: arr.shape for name, arr in store.items()}
+    for name in dict.fromkeys([*want, *have]):
+        if have.get(name) != want.get(name):
+            raise ValueError(f"{path}: entry '{name}' is {have.get(name, 'missing')} here, "
+                             f"but the layer sizes in {sidecar} give {want.get(name, 'none')}")
 
 
 def dense_layers(params: Mapping[str, object], prefix: str = "") -> list[tuple]:

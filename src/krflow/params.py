@@ -14,8 +14,9 @@ and the prior dataset alike.  Its layout (little-endian throughout):
         payload  prod(dims) * f64, row-major
 
 The payload bytes are written verbatim from the float64 arrays, so a
-save/load round trip is bit-exact.  A file cut anywhere, or with bytes after
-its last entry, fails to load with a ValueError naming it.
+save/load round trip is bit-exact.  A file cut anywhere, with bytes after its
+last entry, or with a name that repeats, fails to load with a ValueError
+naming it.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from __future__ import annotations
 import math
 import os
 import struct
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -35,7 +36,7 @@ VERSION = 2
 BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8   # Adam's fixed settings (Kingma & Ba 2015)
 
 
-class ParamStore:
+class ParamStore(Mapping):
     """Ordered mapping from parameter name to float64 array.
 
     Iteration order is insertion order, which makes optimizer sweeps and
@@ -57,23 +58,11 @@ class ParamStore:
     def __getitem__(self, name: str) -> np.ndarray:
         return self._entries[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
     def __len__(self) -> int:
         return len(self._entries)
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._entries)
-
-    def keys(self):
-        return self._entries.keys()
-
-    def items(self):
-        return self._entries.items()
-
-    def values(self):
-        return self._entries.values()
 
     def n_scalars(self) -> int:
         return sum(v.size for v in self._entries.values())
@@ -113,8 +102,10 @@ class ParamStore:
                 (rank,) = struct.unpack("<I", read_exact(fh, 4, path))
                 dims = struct.unpack(f"<{rank}Q", read_exact(fh, 8 * rank, path))
                 payload = read_exact(fh, 8 * math.prod(dims), path)
-                try:   # a name that is not utf-8, or a non-finite payload
-                    store[name.decode()] = np.frombuffer(payload, "<f8").reshape(dims).copy()
+                try:   # a name that is not utf-8 or repeats, or a non-finite payload
+                    if (name := name.decode()) in store:
+                        raise ValueError(f"entry '{name}' appears twice")
+                    store[name] = np.frombuffer(payload, "<f8").reshape(dims).copy()
                 except ValueError as exc:
                     raise ValueError(f"{path}: {exc}") from exc
             left = os.fstat(fh.fileno()).st_size - fh.tell()

@@ -30,7 +30,7 @@ from . import autodiff as ad
 from .config import SurrogateSection
 from .darcy import energy_terms, interior_embedding, solve_darcy
 from .grf import Grid
-from .nets import dense_layers, init_mlp, mlp_forward
+from .nets import check_dense_stacks, dense_layers, init_mlp, mlp_forward
 from .params import ParamStore, adam_step, fit
 from .report import read_json, write_json, write_loss_curve
 
@@ -50,14 +50,16 @@ class SurrogateParams:
     def grid(self) -> Grid:
         return Grid(self.height, self.width)
 
+    @property
+    def layer_sizes(self) -> dict[str, list[int]]:
+        return {"": [self.height * self.width, *self.hidden, self.height * (self.width - 2)]}
+
 
 def init_surrogate(height: int, width: int, seed: int, hidden: Sequence[int],
                    offset: float = 0.0, scale: float = 1.0) -> SurrogateParams:
     rng = np.random.default_rng(seed)
     sp = SurrogateParams(ParamStore(), height, width, tuple(hidden), offset, scale)
-    sizes = [height * width, *hidden, height * (width - 2)]
-    for name, arr in init_mlp(rng, sizes, zero_last=True).items():
-        sp.store[name] = arr
+    sp.store = ParamStore(init_mlp(rng, sp.layer_sizes[""], zero_last=True))
     return sp
 
 
@@ -153,6 +155,7 @@ def save_surrogate(path_prefix: str, sp: SurrogateParams, seed: int,
 
 def load_surrogate(path_prefix: str) -> tuple[SurrogateParams, dict]:
     meta = read_json(f"{path_prefix}.json", "H", "W", "hidden", "offset", "scale")
-    store = ParamStore.load(f"{path_prefix}.bin")
-    return SurrogateParams(store, meta["H"], meta["W"], tuple(meta["hidden"]),
-                           meta["offset"], meta["scale"]), meta
+    sp = SurrogateParams(ParamStore.load(f"{path_prefix}.bin"), meta["H"], meta["W"],
+                         tuple(meta["hidden"]), meta["offset"], meta["scale"])
+    check_dense_stacks(sp.store, sp.layer_sizes, f"{path_prefix}.bin", f"{path_prefix}.json")
+    return sp, meta

@@ -25,7 +25,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .config import VaeSection
-from .nets import dense_layers, diag_gaussian_logpdf, init_mlp, mlp_forward, std_normal_logpdf
+from .nets import (check_dense_stacks, dense_layers, diag_gaussian_logpdf, init_mlp,
+                   mlp_forward, std_normal_logpdf)
 from .params import ParamStore, adam_step, fit
 from .report import read_json, write_json, write_loss_curve
 
@@ -46,6 +47,11 @@ class VaeParams:
     offset: float
     scale: float
 
+    @property
+    def layer_sizes(self) -> dict[str, list[int]]:
+        n, d = self.height * self.width, self.latent_dim
+        return {"enc.": [n, *self.encoder_hidden, 2 * d], "dec.": [d, *self.decoder_hidden, 2 * n]}
+
 
 @dataclass
 class ElboBreakdown:
@@ -59,11 +65,11 @@ def init_vae(height: int, width: int, latent_dim: int, seed: int,
              encoder_hidden: Sequence[int], decoder_hidden: Sequence[int],
              offset: float = 0.0, scale: float = 1.0) -> VaeParams:
     rng = np.random.default_rng(seed)
-    n = height * width
-    store = ParamStore({**init_mlp(rng, [n, *encoder_hidden, 2 * latent_dim], "enc."),
-                        **init_mlp(rng, [latent_dim, *decoder_hidden, 2 * n], "dec.")})
-    return VaeParams(store, latent_dim, height, width,
-                     tuple(encoder_hidden), tuple(decoder_hidden), offset, scale)
+    vae = VaeParams(ParamStore(), latent_dim, height, width,
+                    tuple(encoder_hidden), tuple(decoder_hidden), offset, scale)
+    vae.store = ParamStore(item for prefix, sizes in vae.layer_sizes.items()
+                           for item in init_mlp(rng, sizes, prefix).items())
+    return vae
 
 
 def _split_heads(out, n: int):
@@ -211,4 +217,5 @@ def load_vae(path_prefix: str) -> tuple[VaeParams, dict]:
     vae = VaeParams(ParamStore.load(f"{path_prefix}.bin"), meta["d"], meta["H"], meta["W"],
                     tuple(meta["encoder_hidden"]), tuple(meta["decoder_hidden"]),
                     meta["offset"], meta["scale"])
+    check_dense_stacks(vae.store, vae.layer_sizes, f"{path_prefix}.bin", f"{path_prefix}.json")
     return vae, meta

@@ -1,5 +1,6 @@
 import re
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,18 @@ def _entry_ends(path):
         end += 4 + len(name.encode()) + 4 + 8 * arr.ndim + 8 * arr.size
         ends[name] = end
     return ends
+
+
+def _edit_json(path, **changes):
+    write_json(path, {**read_json(path), **changes})
+
+
+def _rename_entry(path, old, new):
+    """Rename a container entry in place; both names must have the same length."""
+    data = path.read_bytes()
+    old, new = (struct.pack("<I", len(name)) + name.encode() for name in (old, new))
+    assert data.count(old) == 1 and len(old) == len(new)
+    path.write_bytes(data.replace(old, new))
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +198,29 @@ class TestDependencyGates:
                   ".csv": r"line \d+ has \d+ fields, expected \d+",
                   ".json": r".* line \d+ column \d+"}[Path(artifact).suffix]
         assert re.search(rf"{re.escape(artifact)}: {reason}", capsys.readouterr().err)
+
+    # whole containers at odds with their sidecars, or holding a name twice
+    @pytest.mark.parametrize("artifact,edit,reason", [
+        ("vae.bin", lambda run: shutil.copy(run / "surrogate.bin", run / "vae.bin"),
+         r"entry 'enc\.W0' is missing here, but the layer sizes in .*vae\.json give \(64, 24\)"),
+        ("vae.bin", lambda run: _edit_json(run / "vae.json", d=3),
+         r"entry 'enc\.W1' is \(24, 8\) here, but the layer sizes in .*vae\.json give \(24, 6\)"),
+        ("surrogate.bin", lambda run: _edit_json(run / "surrogate.json", hidden=[99]),
+         r"entry 'W0' is \(64, 32\) here, but the layer sizes in .*surrogate\.json "
+         r"give \(64, 99\)"),
+        ("surrogate.bin", lambda run: _rename_entry(run / "surrogate.bin", "W1", "W0"),
+         r"entry 'W0' appears twice")],
+        ids=["surrogate.bin-as-vae.bin", "vae.json-d-3", "surrogate.json-hidden-99",
+             "surrogate.bin-repeated-entry"])
+    def test_container_at_odds_with_its_sidecar_exits_1_naming_it(self, run_dir, tmp_path,
+                                                                  capsys, artifact, edit, reason):
+        _, cfg_path, out = run_dir
+        copy = tmp_path / "run"
+        shutil.copytree(out, copy)
+        edit(copy)
+        assert main(["infer-mcmc", "--config", str(cfg_path), "--out", str(copy)]) == 1
+        assert re.fullmatch(rf"error: {re.escape(str(copy / artifact))}: {reason}\n",
+                            capsys.readouterr().err)
 
     @pytest.mark.parametrize("artifact,key,stage", [
         ("generate_data_meta.json", "config_hash", "train-vae"),

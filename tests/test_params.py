@@ -121,6 +121,15 @@ class TestParamStore:
         with pytest.raises(ValueError, match=r"vae\.bin: 'utf-8' codec can't decode byte 0xff"):
             ParamStore.load(path)
 
+    def test_repeated_name_names_path_and_entry(self, tmp_path):
+        path = tmp_path / "vae.bin"
+        ParamStore({"W0": np.ones((2, 2)), "W1": np.zeros(2)}).save(path)
+        data = path.read_bytes()
+        assert data.count(b"W1") == 1
+        path.write_bytes(data.replace(b"W1", b"W0"))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: entry 'W0' appears twice$"):
+            ParamStore.load(path)
+
     def test_non_finite_payload_names_path(self, tmp_path):
         path = tmp_path / "vae.bin"
         ParamStore({"W0": np.ones((2, 2)), "b2": np.ones(2)}).save(path)
