@@ -453,7 +453,8 @@ def test_observations_csv_roundtrip(tmp_path):
     ("s1,s2,value,sigma\n", "no data rows"),
     ("s1,s2,value,sigma\n0.1,0.2,nan,0.4\n", "line 2: non-finite value 'nan'"),
     ("s1,s2,value,sigma\n0.1,0.2,0.3,0.4\n0.5,0.6,0.7,inf\n", "line 3: non-finite value 'inf'"),
-    ("s1,s2,value,sigma\n0.1,0.2,0.3,0.4\n0.5,0.6,0.7,0\n", "noise standard deviations must be positive"),
+    ("s1,s2,value,sigma\n0.1,0.2,0.3,0.4\n0.5,0.6,0.7,0\n",
+     "noise standard deviations must be positive"),
     ("s1,s2,value,sigma\n1.5,0.2,0.3,0.4\n", "sensor locations must lie in the closed"),
 ])
 def test_malformed_observations_csv_names_file(tmp_path, text, message):

@@ -127,7 +127,8 @@ class TestParamStore:
         data = path.read_bytes()
         assert data.count(b"W1") == 1
         path.write_bytes(data.replace(b"W1", b"W0"))
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: entry 'W0' appears twice$"):
+        with pytest.raises(ValueError,
+                           match=rf"^{re.escape(str(path))}: entry 'W0' appears twice$"):
             ParamStore.load(path)
 
     def test_non_finite_payload_names_path(self, tmp_path):
