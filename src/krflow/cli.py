@@ -37,7 +37,7 @@ from .darcy import (
     save_observations_csv,
     solve_darcy,
 )
-from .flow import FlowConfig, save_flow
+from .flow import FlowConfig
 from .grf import (
     CovarianceSpec,
     Grid,
@@ -58,22 +58,10 @@ from .inference import (
     relative_error,
     train_posterior_flow,
 )
-from .params import TrainingDiverged
-from .report import (
-    load_field_csv,
-    read_json,
-    save_field_csv,
-    save_field_pgm,
-    write_json,
-)
-from .surrogate import (
-    energy_loss,
-    load_surrogate,
-    save_surrogate,
-    surrogate_relative_error,
-    train_surrogate,
-)
-from .vae import elbo_batch, load_vae, sample_prior, save_vae, train_vae
+from .params import TrainingDiverged, load_model, save_model
+from .report import load_field_csv, read_json, save_field_csv, save_field_pgm, write_json
+from .surrogate import SurrogateParams, energy_loss, surrogate_relative_error, train_surrogate
+from .vae import VaeParams, elbo_batch, sample_prior, train_vae
 
 
 class DependencyError(RuntimeError):
@@ -156,9 +144,8 @@ def cmd_train_vae(config: ExperimentConfig, out_dir: Path) -> None:
     vae = train_vae(data, config.vae, config.seeds.vae, out_dir / "vae_loss_curve.csv")
     final_loss, _ = elbo_batch(data[: min(len(data), 256)], vae,
                                np.random.default_rng(config.seeds.vae))
-    save_vae(str(out_dir / "vae"), vae, seed=config.seeds.vae,
-             epochs=config.vae.epochs, final_loss=final_loss,
-             extra={"config_hash": chash})
+    save_model(str(out_dir / "vae"), vae, seed=config.seeds.vae, epochs=config.vae.epochs,
+               final_loss=final_loss, config_hash=chash)
     _write_timing(out_dir, "train_vae", time.perf_counter() - start)
     print(f"train-vae: d={vae.latent_dim}, final loss {final_loss:.4f}")
 
@@ -171,9 +158,8 @@ def cmd_train_surrogate(config: ExperimentConfig, out_dir: Path) -> None:
     final_loss = energy_loss(data[: min(len(data), 128)], sp, source=config.surrogate.source)
     rel = surrogate_relative_error(sp, data[: min(len(data), 16)],
                                    source=config.surrogate.source)
-    save_surrogate(str(out_dir / "surrogate"), sp, seed=config.seeds.surrogate,
-                   final_loss=final_loss,
-                   extra={"config_hash": chash, "relative_error_sample": rel})
+    save_model(str(out_dir / "surrogate"), sp, seed=config.seeds.surrogate,
+               final_loss=final_loss, config_hash=chash, relative_error_sample=rel)
     _write_timing(out_dir, "train_surrogate", time.perf_counter() - start)
     print(f"train-surrogate: final loss {final_loss:.5f}, "
           f"sample relative error {rel:.4f}")
@@ -184,8 +170,8 @@ def _load_trained_components(config: ExperimentConfig, out_dir: Path):
     for meta, producer in (("generate_data_meta.json", "generate-data"),
                            ("vae.json", "train-vae"), ("surrogate.json", "train-surrogate")):
         _check_hash(out_dir / meta, producer, chash)
-    vae, _ = load_vae(str(out_dir / "vae"))
-    sp, _ = load_surrogate(str(out_dir / "surrogate"))
+    vae, _ = load_model(VaeParams, str(out_dir / "vae"))
+    sp, _ = load_model(SurrogateParams, str(out_dir / "surrogate"))
     # a CSV cut exactly at a line end parses cleanly, so check the sizes
     obs_path = _require(out_dir / "observations.csv", "generate-data")
     obs = load_observations_csv(obs_path)
@@ -228,8 +214,7 @@ def cmd_infer_krnet(config: ExperimentConfig, out_dir: Path) -> None:
     flow_config = FlowConfig(dim=vae.latent_dim, **dataclasses.asdict(config.flow))
     flow = train_posterior_flow(flow_config, vae, sp, obs, config.inference,
                                 config.seeds.flow, stage_dir / "loss_curve.csv")
-    save_flow(str(stage_dir / "flow"), flow, seed=config.seeds.flow,
-              extra={"config_hash": chash})
+    save_model(str(stage_dir / "flow"), flow, seed=config.seeds.flow, config_hash=chash)
 
     summary = posterior_moments(flow, vae, config.inference.posterior_samples,
                                 np.random.default_rng(config.seeds.posterior),

@@ -29,7 +29,6 @@ import numpy as np
 from . import autodiff as ad
 from .nets import init_mlp, mlp_forward, std_normal_logpdf
 from .params import ParamStore
-from .report import read_json, write_json
 
 
 @dataclass(frozen=True)
@@ -64,16 +63,19 @@ class FlowParams:
     store: ParamStore
     config: FlowConfig
 
+    @property
+    def layer_sizes(self) -> dict[str, list[int]]:
+        """Coupling-net prefix -> layer sizes, in layer order."""
+        hidden = [self.config.hidden_width] * self.config.hidden_depth
+        return {prefix: [len(kept), *hidden, 2 * len(trans)]
+                for _t, _l, prefix, (kept, trans) in layer_names(self.config)}
+
 
 def _split(active_dim: int, layer: int) -> tuple[np.ndarray, np.ndarray]:
     """(kept, transformed) index sets: even/odd positions, swapped per layer."""
     even = np.arange(0, active_dim, 2)
     odd = np.arange(1, active_dim, 2)
     return (even, odd) if layer % 2 == 0 else (odd, even)
-
-
-def _net_sizes(config: FlowConfig, n_kept: int, n_trans: int) -> list[int]:
-    return [n_kept, *([config.hidden_width] * config.hidden_depth), 2 * n_trans]
 
 
 def layer_names(config: FlowConfig):
@@ -87,12 +89,10 @@ def layer_names(config: FlowConfig):
 
 def init_flow(config: FlowConfig, seed: int) -> FlowParams:
     rng = np.random.default_rng(seed)
-    store = ParamStore()
-    for _t, _l, prefix, (kept, trans) in layer_names(config):
-        sizes = _net_sizes(config, len(kept), len(trans))
-        for name, arr in init_mlp(rng, sizes, prefix=prefix, zero_last=True).items():
-            store[name] = arr
-    return FlowParams(store, config)
+    flow = FlowParams(ParamStore(), config)
+    flow.store = ParamStore(item for prefix, sizes in flow.layer_sizes.items()
+                            for item in init_mlp(rng, sizes, prefix, zero_last=True).items())
+    return flow
 
 
 def _coupling_scale_shift(params: Mapping[str, object], kept_vals, config: FlowConfig,
@@ -225,25 +225,3 @@ def _check_dim(x, config: FlowConfig) -> None:
     if len(shape) != 2 or shape[1] != config.dim:
         raise ad.ShapeError(f"flow of dimension {config.dim} expects (B, d) input, got {shape}")
 
-
-# -- checkpointing ------------------------------------------------------------------
-
-
-def save_flow(path_prefix: str, flow: FlowParams, seed: int,
-              extra: dict | None = None) -> None:
-    flow.store.save(f"{path_prefix}.bin")
-    cfg = flow.config
-    meta = {"d": cfg.dim, "K": cfg.n_groups, "L": cfg.layers_per_stage,
-            "hidden_width": cfg.hidden_width, "hidden_depth": cfg.hidden_depth,
-            "scale_bound": cfg.scale_bound, "seed": seed}
-    meta.update(extra or {})
-    write_json(f"{path_prefix}.json", meta)
-
-
-def load_flow(path_prefix: str) -> tuple[FlowParams, dict]:
-    meta = read_json(f"{path_prefix}.json", "d", "K", "L", "hidden_width", "hidden_depth",
-                     "scale_bound")
-    config = FlowConfig(dim=meta["d"], n_groups=meta["K"], layers_per_stage=meta["L"],
-                        hidden_width=meta["hidden_width"], hidden_depth=meta["hidden_depth"],
-                        scale_bound=meta["scale_bound"])
-    return FlowParams(ParamStore.load(f"{path_prefix}.bin"), config), meta

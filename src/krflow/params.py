@@ -1,4 +1,4 @@
-"""Named parameter collections, their array container, Adam and the training loop.
+"""Named parameter collections, their container, model checkpoints, Adam and training.
 
 Every binary artifact a stage writes is this container: the model checkpoints
 and the prior dataset alike.  Its layout (little-endian throughout):
@@ -21,15 +21,20 @@ naming it.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import struct
+import sys
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
+from typing import get_type_hints
 
 import numpy as np
 
 from . import autodiff as ad
+from .nets import check_dense_stacks
+from .report import read_json, replacing, write_json
 
 MAGIC = b"KRFL"
 VERSION = 2
@@ -75,7 +80,7 @@ class ParamStore(Mapping):
         return all(np.array_equal(self[k], other[k]) for k in self)
 
     def save(self, path) -> None:
-        with open(path, "wb") as fh:
+        with replacing(path, "wb") as fh:
             fh.write(MAGIC)
             fh.write(struct.pack("<II", VERSION, len(self._entries)))
             for name, arr in self._entries.items():
@@ -125,6 +130,59 @@ def read_exact(fh, size: int, path) -> bytes:
         raise ValueError(f"{path}: truncated: needs {size} bytes at offset "
                          f"{fh.tell()}, {left} left")
     return fh.read(size)
+
+
+# a sidecar field's type hint -> (test of its JSON value, conversion, what to expect)
+_SIDECAR_TYPES = {
+    int: (lambda v: type(v) is int, int, "an int"),
+    float: (lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max, float,
+            "a finite number"),
+    tuple[int, ...]: (lambda v: type(v) is list and all(type(x) is int for x in v), tuple,
+                      "a list of ints"),
+}
+
+
+def _read_fields(cls, meta: dict) -> dict:
+    """The fields of dataclass ``cls`` but ``store`` from ``meta``, each of the
+    type its hint gives; a dataclass-typed field is read from a nested object."""
+    values = {}
+    for name, hint in get_type_hints(cls).items():
+        if name == "store":
+            continue
+        if name not in meta:
+            raise ValueError(f"missing key {name!r}")
+        test, convert, expected = _SIDECAR_TYPES.get(hint, (   # else a nested dataclass
+            lambda v: type(v) is dict, lambda v: hint(**_read_fields(hint, v)), "an object"))
+        if not test(meta[name]):
+            raise ValueError(f"{name!r} is {meta[name]!r}, expected {expected}")
+        values[name] = convert(meta[name])
+    return values
+
+
+def save_model(path_prefix: str, model, **extra) -> None:
+    """Write ``model.store`` to ``<prefix>.bin`` and the model dataclass's
+    other fields, then ``extra``, to the sidecar ``<prefix>.json``."""
+    meta = {name: dataclasses.asdict(value) if dataclasses.is_dataclass(value) else value
+            for name, value in vars(model).items() if name != "store"}
+    if clash := sorted(meta.keys() & extra.keys()):
+        raise ValueError(f"save_model: extra keys {clash} name fields of the model")
+    model.store.save(f"{path_prefix}.bin")
+    write_json(f"{path_prefix}.json", {**meta, **extra})
+
+
+def load_model(cls, path_prefix: str):
+    """The checkpoint ``save_model`` wrote, as ``(cls instance, sidecar dict)``;
+    ValueError names the sidecar if it lacks a field of ``cls`` or holds one of
+    the wrong type, and the container if it does not chain as ``layer_sizes``."""
+    sidecar = f"{path_prefix}.json"
+    meta = read_json(sidecar)
+    try:
+        fields = _read_fields(cls, meta if isinstance(meta, dict) else {})
+    except ValueError as exc:   # a missing or mistyped value, or a config that refuses it
+        raise ValueError(f"{sidecar}: {exc}") from exc
+    model = cls(ParamStore.load(f"{path_prefix}.bin"), **fields)
+    check_dense_stacks(model.store, model.layer_sizes, f"{path_prefix}.bin", sidecar)
+    return model, meta
 
 
 @dataclass

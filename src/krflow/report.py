@@ -7,8 +7,10 @@ the pipeline relies on for reproducibility checks.  Floats are written with
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
+import os
 from typing import Sequence
 
 import numpy as np
@@ -75,8 +77,22 @@ def save_field_pgm(path, field: np.ndarray) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+@contextlib.contextmanager
+def replacing(path, mode: str = "w"):
+    """A temporary file beside ``path`` that replaces it once the block ends
+    without an exception, so ``path`` never holds a partial write."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:   # gone already unless the block or the replace raised
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
 def write_json(path, payload: dict) -> None:
-    with open(path, "w") as fh:
+    with replacing(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

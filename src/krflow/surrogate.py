@@ -30,9 +30,9 @@ from . import autodiff as ad
 from .config import SurrogateSection
 from .darcy import energy_terms, interior_embedding, solve_darcy
 from .grf import Grid
-from .nets import check_dense_stacks, dense_layers, init_mlp, mlp_forward
-from .params import ParamStore, adam_step, fit
-from .report import read_json, write_json, write_loss_curve
+from .nets import dense_layers, init_mlp, mlp_forward
+from .params import ParamStore, adam_step, fit, load_model
+from .report import write_loss_curve
 
 
 @dataclass
@@ -143,19 +143,5 @@ def surrogate_relative_error(sp: SurrogateParams, test_fields: np.ndarray,
     return float(np.mean(errors))
 
 
-def save_surrogate(path_prefix: str, sp: SurrogateParams, seed: int,
-                   final_loss: float, extra: dict | None = None) -> None:
-    sp.store.save(f"{path_prefix}.bin")
-    meta = {"H": sp.height, "W": sp.width, "hidden": list(sp.hidden),
-            "offset": sp.offset, "scale": sp.scale,
-            "seed": seed, "final_loss": final_loss}
-    meta.update(extra or {})
-    write_json(f"{path_prefix}.json", meta)
-
-
 def load_surrogate(path_prefix: str) -> tuple[SurrogateParams, dict]:
-    meta = read_json(f"{path_prefix}.json", "H", "W", "hidden", "offset", "scale")
-    sp = SurrogateParams(ParamStore.load(f"{path_prefix}.bin"), meta["H"], meta["W"],
-                         tuple(meta["hidden"]), meta["offset"], meta["scale"])
-    check_dense_stacks(sp.store, sp.layer_sizes, f"{path_prefix}.bin", f"{path_prefix}.json")
-    return sp, meta
+    return load_model(SurrogateParams, path_prefix)

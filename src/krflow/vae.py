@@ -25,10 +25,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .config import VaeSection
-from .nets import (check_dense_stacks, dense_layers, diag_gaussian_logpdf, init_mlp,
-                   mlp_forward, std_normal_logpdf)
+from .nets import dense_layers, diag_gaussian_logpdf, init_mlp, mlp_forward, std_normal_logpdf
 from .params import ParamStore, adam_step, fit
-from .report import read_json, write_json, write_loss_curve
+from .report import write_loss_curve
 
 LOGVAR_BOUND = 10.0
 
@@ -193,29 +192,3 @@ def sample_prior(vae: VaeParams, n: int, rng: np.random.Generator) -> np.ndarray
     mu, _ = decode_batch(x, vae.store, vae)
     return mu.reshape(n, vae.height, vae.width)
 
-
-# -- checkpointing: parameter container + JSON sidecar ----------------------------
-
-
-def save_vae(path_prefix: str, vae: VaeParams, seed: int, epochs: int,
-             final_loss: float, extra: dict | None = None) -> None:
-    vae.store.save(f"{path_prefix}.bin")
-    meta = {
-        "d": vae.latent_dim, "H": vae.height, "W": vae.width,
-        "encoder_hidden": list(vae.encoder_hidden),
-        "decoder_hidden": list(vae.decoder_hidden),
-        "offset": vae.offset, "scale": vae.scale,
-        "epochs": epochs, "seed": seed, "final_loss": final_loss,
-    }
-    meta.update(extra or {})
-    write_json(f"{path_prefix}.json", meta)
-
-
-def load_vae(path_prefix: str) -> tuple[VaeParams, dict]:
-    meta = read_json(f"{path_prefix}.json", "d", "H", "W", "encoder_hidden",
-                     "decoder_hidden", "offset", "scale")
-    vae = VaeParams(ParamStore.load(f"{path_prefix}.bin"), meta["d"], meta["H"], meta["W"],
-                    tuple(meta["encoder_hidden"]), tuple(meta["decoder_hidden"]),
-                    meta["offset"], meta["scale"])
-    check_dense_stacks(vae.store, vae.layer_sizes, f"{path_prefix}.bin", f"{path_prefix}.json")
-    return vae, meta

@@ -203,14 +203,14 @@ class TestDependencyGates:
     @pytest.mark.parametrize("artifact,edit,reason", [
         ("vae.bin", lambda run: shutil.copy(run / "surrogate.bin", run / "vae.bin"),
          r"entry 'enc\.W0' is missing here, but the layer sizes in .*vae\.json give \(64, 24\)"),
-        ("vae.bin", lambda run: _edit_json(run / "vae.json", d=3),
+        ("vae.bin", lambda run: _edit_json(run / "vae.json", latent_dim=3),
          r"entry 'enc\.W1' is \(24, 8\) here, but the layer sizes in .*vae\.json give \(24, 6\)"),
         ("surrogate.bin", lambda run: _edit_json(run / "surrogate.json", hidden=[99]),
          r"entry 'W0' is \(64, 32\) here, but the layer sizes in .*surrogate\.json "
          r"give \(64, 99\)"),
         ("surrogate.bin", lambda run: _rename_entry(run / "surrogate.bin", "W1", "W0"),
          r"entry 'W0' appears twice")],
-        ids=["surrogate.bin-as-vae.bin", "vae.json-d-3", "surrogate.json-hidden-99",
+        ids=["surrogate.bin-as-vae.bin", "vae.json-latent_dim-3", "surrogate.json-hidden-99",
              "surrogate.bin-repeated-entry"])
     def test_container_at_odds_with_its_sidecar_exits_1_naming_it(self, run_dir, tmp_path,
                                                                   capsys, artifact, edit, reason):
@@ -222,9 +222,27 @@ class TestDependencyGates:
         assert re.fullmatch(rf"error: {re.escape(str(copy / artifact))}: {reason}\n",
                             capsys.readouterr().err)
 
+    @pytest.mark.parametrize("artifact,key,value,expected", [
+        ("surrogate.json", "hidden", 99, "a list of ints"),
+        ("vae.json", "offset", "x", "a finite number"),
+        ("vae.json", "latent_dim", True, "an int"),
+        ("vae.json", "scale", float("nan"), "a finite number")],
+        ids=["surrogate.json-hidden-99", "vae.json-offset-x", "vae.json-latent_dim-true",
+             "vae.json-scale-NaN"])
+    def test_sidecar_value_of_the_wrong_type_exits_1_naming_it(self, run_dir, tmp_path, capsys,
+                                                               artifact, key, value, expected):
+        _, cfg_path, out = run_dir
+        copy = tmp_path / "run"
+        shutil.copytree(out, copy)
+        _edit_json(copy / artifact, **{key: value})
+        assert main(["infer-mcmc", "--config", str(cfg_path), "--out", str(copy)]) == 1
+        assert re.fullmatch(rf"error: {re.escape(str(copy / artifact))}: '{key}' is "
+                            rf"{re.escape(repr(value))}, expected {expected}\n",
+                            capsys.readouterr().err)
+
     @pytest.mark.parametrize("artifact,key,stage", [
         ("generate_data_meta.json", "config_hash", "train-vae"),
-        ("vae.json", "H", "infer-mcmc"), ("vae.json", "config_hash", "infer-mcmc"),
+        ("vae.json", "height", "infer-mcmc"), ("vae.json", "config_hash", "infer-mcmc"),
         ("surrogate.json", "hidden", "infer-mcmc")])
     def test_sidecar_missing_a_key_exits_1_naming_it(self, run_dir, tmp_path, capsys,
                                                      artifact, key, stage):

@@ -14,12 +14,10 @@ from krflow.flow import (
     krnet_forward,
     krnet_inverse,
     layer_names,
-    load_flow,
     log_density,
-    save_flow,
     _split,
 )
-from krflow.params import ParamStore
+from krflow.params import ParamStore, load_model, save_model
 from krflow.report import read_json, write_json
 
 
@@ -337,12 +335,30 @@ def test_checkpoint_missing_a_key_names_the_sidecar(tmp_path):
     config = FlowConfig(dim=4, n_groups=2, layers_per_stage=1, hidden_width=4,
                         hidden_depth=1, scale_bound=2.0)
     prefix = str(tmp_path / "flow")
-    save_flow(prefix, init_flow(config, seed=3), seed=3)
+    save_model(prefix, init_flow(config, seed=3), seed=3)
     meta = read_json(f"{prefix}.json")
-    del meta["hidden_width"]
+    del meta["config"]["hidden_width"]
     write_json(f"{prefix}.json", meta)
     with pytest.raises(ValueError, match=r"flow\.json: missing key 'hidden_width'"):
-        load_flow(prefix)
+        load_model(FlowParams, prefix)
+
+
+# a sidecar whose config the container's coupling nets do not match, or
+# that FlowConfig itself rejects
+@pytest.mark.parametrize("key,value,reason", [
+    ("hidden_width", 3, r"flow\.bin: entry 's0\.l0\.W0' is \(2, 4\) here, but the layer "
+                        r"sizes in .*flow\.json give \(2, 3\)"),
+    ("n_groups", 3, r"flow\.json: n_groups must be >= 2 and divide dim")])
+def test_checkpoint_at_odds_with_its_config_names_the_file(tmp_path, key, value, reason):
+    config = FlowConfig(dim=4, n_groups=2, layers_per_stage=1, hidden_width=4,
+                        hidden_depth=1, scale_bound=2.0)
+    prefix = str(tmp_path / "flow")
+    save_model(prefix, init_flow(config, seed=3), seed=3)
+    meta = read_json(f"{prefix}.json")
+    meta["config"][key] = value
+    write_json(f"{prefix}.json", meta)
+    with pytest.raises(ValueError, match=reason):
+        load_model(FlowParams, prefix)
 
 
 def test_checkpoint_roundtrip(tmp_path):
@@ -350,8 +366,8 @@ def test_checkpoint_roundtrip(tmp_path):
                         hidden_depth=2, scale_bound=2.0)
     flow = random_flow(config, seed=31)
     prefix = str(tmp_path / "flow")
-    save_flow(prefix, flow, seed=31, extra={"final_loss": 1.25})
-    loaded, meta = load_flow(prefix)
+    save_model(prefix, flow, seed=31, final_loss=1.25)
+    loaded, meta = load_model(FlowParams, prefix)
     assert loaded.config == config
     assert meta["final_loss"] == 1.25
     assert loaded.store == flow.store

@@ -15,6 +15,7 @@ from krflow.darcy import ObservationSet, lattice_operator
 from krflow.flow import FlowConfig
 from krflow.inference import train_posterior_flow
 from krflow.params import AdamState, ParamStore, TrainingDiverged, adam_step, fit
+from krflow.report import write_json
 from krflow.surrogate import init_surrogate, train_surrogate
 from krflow.vae import init_vae, train_vae
 
@@ -139,6 +140,24 @@ class TestParamStore:
         with pytest.raises(ValueError,
                            match=r"vae\.bin: parameter 'b2' contains non-finite values"):
             ParamStore.load(path)
+
+
+# the second write fails partway: at a name that cannot be encoded, at a
+# value json cannot write
+@pytest.mark.parametrize("name,write,good,bad", [
+    ("store.bin", lambda path, entries: ParamStore(entries).save(path),
+     {"a": [1.0]}, {"a": [2.0], "\ud800": [3.0]}),
+    ("sidecar.json", write_json, {"a": 1}, {"a": 2, "b": object()})],
+    ids=["ParamStore.save", "write_json"])
+def test_failed_write_keeps_the_old_bytes_and_no_temporary_file(tmp_path, name, write,
+                                                                good, bad):
+    path = tmp_path / name
+    write(path, good)
+    before = path.read_bytes()
+    with pytest.raises((TypeError, UnicodeEncodeError)):
+        write(path, bad)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [name]
 
 
 class TestAdam:

@@ -5,11 +5,11 @@ from krflow import autodiff as ad
 from krflow.config import SurrogateSection
 from krflow.darcy import solve_darcy
 from krflow.grf import Grid, dataset_to_array, generate_prior_dataset
+from krflow.params import save_model
 from krflow.surrogate import (
     energy_loss,
     init_surrogate,
     load_surrogate,
-    save_surrogate,
     surrogate_forward_batch,
     surrogate_relative_error,
     train_surrogate,
@@ -163,7 +163,7 @@ class TestRelativeError:
 def test_checkpoint_roundtrip(tmp_path):
     sp = init_surrogate(H, W, seed=13, hidden=(24, 16), offset=0.9, scale=0.4)
     prefix = str(tmp_path / "surrogate")
-    save_surrogate(prefix, sp, seed=13, final_loss=-0.5)
+    save_model(prefix, sp, seed=13, final_loss=-0.5)
     loaded, meta = load_surrogate(prefix)
     assert meta["seed"] == 13 and meta["final_loss"] == -0.5
     assert "beta" not in meta and "structured" not in meta

@@ -12,13 +12,11 @@ from krflow.vae import (
     elbo_batch,
     encode_batch,
     init_vae,
-    load_vae,
     reparameterize,
     sample_prior,
-    save_vae,
     train_vae,
 )
-from krflow.params import ParamStore
+from krflow.params import ParamStore, load_model, save_model
 
 H = W = 6
 D = 3
@@ -258,11 +256,18 @@ class TestSamplePrior:
 
 def test_checkpoint_roundtrip(tmp_path, vae):
     prefix = str(tmp_path / "vae")
-    save_vae(prefix, vae, seed=0, epochs=10, final_loss=3.5, extra={"tag": "x"})
-    loaded, meta = load_vae(prefix)
+    save_model(prefix, vae, seed=0, epochs=10, final_loss=3.5, tag="x")
+    loaded, meta = load_model(VaeParams, prefix)
     assert meta["final_loss"] == 3.5 and meta["tag"] == "x"
     assert loaded.latent_dim == vae.latent_dim
     assert loaded.store == vae.store
     x = np.random.default_rng(2).standard_normal((1, D))
     np.testing.assert_array_equal(decode_batch(x, loaded.store, loaded)[0],
                                   decode_batch(x, vae.store, vae)[0])
+
+
+def test_checkpoint_extra_key_naming_a_field_is_refused(tmp_path, vae):
+    prefix = tmp_path / "vae"
+    with pytest.raises(ValueError, match=r"\['latent_dim'\] name fields of the model"):
+        save_model(str(prefix), vae, latent_dim=5)
+    assert not list(tmp_path.iterdir())
