@@ -45,7 +45,8 @@ class NonFiniteError(FloatingPointError):
 
 
 def _as_array(x) -> np.ndarray:
-    return np.ascontiguousarray(np.asarray(x, dtype=np.float64))
+    """``x`` as a C-contiguous float64 array, itself if it is one already."""
+    return np.asarray(x, dtype=np.float64, order="C")
 
 
 def _check_finite(data: np.ndarray, op: str) -> None:
@@ -139,14 +140,13 @@ def _is_tape(a, b=None) -> bool:
 
 def _node(data: np.ndarray, op: str, parents: Sequence,
           backward: Callable[[np.ndarray], None]) -> Tensor:
-    if type(data) is not np.ndarray:
-        data = np.asarray(data, dtype=np.float64)   # numpy returns 0-d results as scalars
-    elif data.dtype != np.float64 or not data.flags.c_contiguous:
-        data = _as_array(data)
-    if any(_wants_grad(p) for p in parents):
-        node = Tensor(data, requires_grad=True, op=op, backward=backward)
+    data = _as_array(data)   # numpy returns 0-d results as scalars
+    for p in parents:
+        if isinstance(p, Tensor) and p.requires_grad:
+            node = Tensor(data, True, op, backward)
+            break
     else:
-        node = Tensor(data, requires_grad=False, op=op)
+        node = Tensor(data, False, op)
     trail = _trail.get()
     if trail is not None:
         trail.append(node)
@@ -233,13 +233,15 @@ def matmul(a, b):
 def sum_(a, axis: int | None = None):
     if not _is_tape(a):
         return np.sum(a, axis=axis)
-    data = np.sum(a.data, axis=axis)
+    data = np.add.reduce(a.data, axis=axis)   # np.sum's reduction, without its wrapper
+    kept = list(a.data.shape)   # the shape with the summed axis kept as 1
+    if axis is not None:
+        kept[axis] = 1
 
     def backward(g):
-        if axis is None:
-            a._accumulate(np.broadcast_to(g, a.data.shape).copy())
-        else:
-            a._accumulate(np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy())
+        full = np.empty_like(a.data)
+        full[...] = g if axis is None else g.reshape(kept)
+        a._accumulate(full)
 
     return _node(data, "sum", (a,), backward)
 
@@ -320,15 +322,17 @@ def reshape(a, shape):
 def take_cols(a, idx):
     """Gather columns of a 2-D (or entries of a 1-D) array along the last axis.
 
-    On the tape the columns must be distinct, so that the backward pass can
-    scatter the gradient by assignment.
+    ``idx`` is an index array or a slice.  On the tape an index array must not
+    repeat a column, so that backward can scatter the gradient by assignment.
     """
-    idx = np.asarray(idx, dtype=np.intp)
-    if not _is_tape(a):
-        return np.asarray(a)[..., idx]
+    if not _is_tape(a):   # always numpy's fancy-indexed copy, whose layout later sums follow
+        a = np.asarray(a)
+        return a[..., np.arange(a.shape[-1])[idx]]
+    if not isinstance(idx, slice):
+        idx = np.asarray(idx, dtype=np.intp)
+        if len(set((idx % a.data.shape[-1]).tolist())) < idx.size:
+            raise ValueError(f"take_cols: repeated column indices {idx.tolist()} on the tape")
     data = a.data[..., idx]
-    if len(set((idx % a.data.shape[-1]).tolist())) < idx.size:
-        raise ValueError(f"take_cols: repeated column indices {idx.tolist()} on the tape")
 
     def backward(g):
         full = np.zeros_like(a.data)
@@ -418,11 +422,12 @@ def evaluate_with_gradients(program: Callable, params: Mapping[str, np.ndarray]
                             ) -> tuple[float, dict[str, np.ndarray]]:
     """Run ``program(leaves)`` to a scalar and return (value, gradients).
 
-    ``params`` is any name-to-array mapping (a ParamStore works); each entry
-    becomes a leaf tensor.  Gradients are exact reverse-mode derivatives of the
-    scalar output with respect to every entry; parameters the program never
-    touches get zero gradients.  Two entries may get the same gradient array,
-    so callers must not update a returned gradient in place.
+    ``params`` is any name-to-array mapping; each entry becomes a leaf tensor,
+    as it is if C-contiguous float64 already (as ParamStore entries are), and
+    a leaf holding a NaN or Inf raises NonFiniteError naming it.  Gradients
+    are exact reverse-mode derivatives of the scalar output with respect to
+    every entry; entries the program never touches get zero gradients.  Two
+    entries may share one gradient array, so do not update one in place.
 
     A NaN or Inf in the value or in any gradient raises NonFiniteError naming
     the op of the first node, in evaluation order, that holds one; if no node

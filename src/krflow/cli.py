@@ -59,7 +59,8 @@ from .inference import (
     train_posterior_flow,
 )
 from .params import TrainingDiverged, load_model, save_model
-from .report import load_field_csv, read_json, save_field_csv, save_field_pgm, write_json
+from .report import (load_field_csv, read_json, replacing, save_field_csv, save_field_pgm,
+                     write_json)
 from .surrogate import SurrogateParams, energy_loss, surrogate_relative_error, train_surrogate
 from .vae import VaeParams, elbo_batch, sample_prior, train_vae
 
@@ -121,12 +122,9 @@ def cmd_generate_data(config: ExperimentConfig, out_dir: Path) -> None:
                     np.random.default_rng(config.seeds.noise), operator)
     save_observations_csv(out_dir / "observations.csv", obs)
     write_json(out_dir / "generate_data_meta.json", {
-        "config_hash": chash,
-        "n_samples": len(samples),
-        "grid": [grid.height, grid.width],
+        "config_hash": chash, "n_samples": len(samples), "grid": [grid.height, grid.width],
         "truth_scale": config.observation.truth_scale,
-        "noise_level": config.observation.noise_level,
-    })
+        "noise_level": config.observation.noise_level})
     _write_timing(out_dir, "generate_data", time.perf_counter() - start)
     print(f"generate-data: {len(samples)} samples on {grid.height}x{grid.width}, "
           f"{operator.n_sensors} sensors")
@@ -189,20 +187,13 @@ def _load_trained_components(config: ExperimentConfig, out_dir: Path):
 
 def _write_posterior_outputs(stage_dir: Path, summary, chash: str, method: str,
                              latent_dim: int, extra: dict) -> None:
-    stage_dir.mkdir(parents=True, exist_ok=True)
     save_field_csv(stage_dir / "mean_field.csv", summary.mean_field)
     save_field_pgm(stage_dir / "mean_field.pgm", summary.mean_field)
     save_field_csv(stage_dir / "variance_field.csv", summary.variance_field)
     save_field_pgm(stage_dir / "variance_field.pgm", summary.variance_field)
-    payload = {
-        "config_hash": chash,
-        "method": method,
-        "d": latent_dim,
-        "relative_error": summary.relative_error,
-        "n_samples": summary.n_samples,
-    }
-    payload.update(extra)
-    write_json(stage_dir / "summary.json", payload)
+    write_json(stage_dir / "summary.json", {
+        "config_hash": chash, "method": method, "d": latent_dim,
+        "relative_error": summary.relative_error, "n_samples": summary.n_samples, **extra})
 
 
 def cmd_infer_krnet(config: ExperimentConfig, out_dir: Path) -> None:
@@ -269,7 +260,8 @@ def cmd_report(run_dirs: list[Path], out_path: Path | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
     else:
-        out_path.write_text(text)
+        with replacing(out_path) as fh:
+            fh.write(text)
         print(f"report: {len(rows)} rows -> {out_path}")
 
 

@@ -22,17 +22,11 @@ from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import get_type_hints
 
+from .report import replacing
+
 
 class ConfigError(ValueError):
     pass
-
-
-def _float_tuple(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(",") if v.strip())
-
-
-def _int_tuple(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(",") if v.strip())
 
 
 @dataclass
@@ -131,11 +125,12 @@ class ExperimentConfig:
 
 _SECTIONS = get_type_hints(ExperimentConfig)   # section name -> its dataclass
 
+# a field's type hint -> the parser of its text; a tuple is comma-separated
 _PARSERS = {
     int: int,
     float: float,
-    tuple[float, ...]: _float_tuple,
-    tuple[int, ...]: _int_tuple,
+    tuple[float, ...]: lambda text: tuple(float(v) for v in text.split(",") if v.strip()),
+    tuple[int, ...]: lambda text: tuple(int(v) for v in text.split(",") if v.strip()),
 }
 
 
@@ -230,7 +225,7 @@ def load_config(path) -> ExperimentConfig:
 
 
 def save_config(path, config: ExperimentConfig) -> None:
-    with open(path, "w") as fh:
+    with replacing(path) as fh:
         fh.write(render_config(config))
 
 

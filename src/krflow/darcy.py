@@ -40,7 +40,7 @@ import numpy as np
 from scipy.linalg.lapack import dgbsv
 
 from .grf import Grid
-from .report import read_csv_floats
+from .report import read_csv_floats, write_csv
 
 
 class DarcySolveError(RuntimeError):
@@ -313,13 +313,8 @@ OBSERVATION_COLUMNS = ("s1", "s2", "value", "sigma")
 
 
 def save_observations_csv(path, obs: ObservationSet) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(OBSERVATION_COLUMNS)
-        for (s1, s2), v, sig in zip(obs.operator.locations, obs.values, obs.sigma):
-            writer.writerow([repr(float(s1)), repr(float(s2)), repr(float(v)), repr(float(sig))])
+    table = np.column_stack([obs.operator.locations, obs.values, obs.sigma])
+    write_csv(path, [OBSERVATION_COLUMNS, *([repr(float(x)) for x in row] for row in table)])
 
 
 def load_observations_csv(path) -> ObservationSet:

@@ -98,8 +98,8 @@ def init_flow(config: FlowConfig, seed: int) -> FlowParams:
 def _coupling_scale_shift(params: Mapping[str, object], kept_vals, config: FlowConfig,
                           prefix: str, n_trans: int):
     raw = mlp_forward(params, kept_vals, prefix=prefix)
-    s = ad.mul(ad.tanh(ad.take_cols(raw, np.arange(n_trans))), config.scale_bound)
-    t = ad.take_cols(raw, np.arange(n_trans, 2 * n_trans))
+    s = ad.mul(ad.tanh(ad.take_cols(raw, slice(n_trans))), config.scale_bound)
+    t = ad.take_cols(raw, slice(n_trans, 2 * n_trans))
     return s, t
 
 
@@ -149,8 +149,8 @@ def krnet_forward(x, params: Mapping[str, object] | FlowParams, config: FlowConf
             logdet = ld if logdet is None else ad.add(logdet, ld)
         # freeze the last group of the active block
         keep = m - config.group_size
-        frozen.append(ad.take_cols(cur, np.arange(keep, m)))
-        cur = ad.take_cols(cur, np.arange(keep))
+        frozen.append(ad.take_cols(cur, slice(keep, m)))
+        cur = ad.take_cols(cur, slice(keep))
     return ad.concat([cur, *reversed(frozen)], axis=-1), logdet
 
 
@@ -165,12 +165,12 @@ def krnet_inverse(z, params: Mapping[str, object] | FlowParams, config: FlowConf
     _check_dim(z, config)
     active_dims = config.active_dims()
     # thaw order is the reverse of the freeze order
-    cur = ad.take_cols(z, np.arange(active_dims[-1] - config.group_size))
+    cur = ad.take_cols(z, slice(active_dims[-1] - config.group_size))
     offset = active_dims[-1] - config.group_size
     logdet = None
     for t in reversed(range(len(active_dims))):
         m = active_dims[t]
-        cur = ad.concat([cur, ad.take_cols(z, np.arange(offset, offset + config.group_size))],
+        cur = ad.concat([cur, ad.take_cols(z, slice(offset, offset + config.group_size))],
                         axis=-1)
         offset += config.group_size
         for l in reversed(range(config.layers_per_stage)):

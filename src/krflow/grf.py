@@ -15,13 +15,13 @@ recorded only in the manifest CSV written alongside it.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .params import ParamStore
+from .report import write_csv
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,7 @@ def assemble_covariance_matrix(grid: Grid, spec: CovarianceSpec) -> np.ndarray:
     pts = grid.points()
     d1 = (pts[:, None, 0] - pts[None, :, 0]) / spec.length_scale_1
     d2 = (pts[:, None, 1] - pts[None, :, 1]) / spec.length_scale_2
-    cov = spec.variance * np.exp(-np.sqrt(d1 * d1 + d2 * d2))
-    return cov
+    return spec.variance * np.exp(-np.sqrt(d1 * d1 + d2 * d2))
 
 
 def truncated_kle(cov: np.ndarray, energy_fraction: float, grid: Grid) -> KLBasis:
@@ -199,8 +198,5 @@ def load_dataset(path) -> np.ndarray:
 
 
 def save_manifest(path, samples: Sequence[FieldSample]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "length_scale", "seed"])
-        for i, s in enumerate(samples):
-            writer.writerow([i, repr(float(s.length_scale)), s.seed])
+    write_csv(path, [("index", "length_scale", "seed"),
+                     *((i, repr(float(s.length_scale)), s.seed) for i, s in enumerate(samples))])

@@ -18,7 +18,7 @@ through the inverse map and the folded likelihood.
 Posterior moments use the decoder-Gaussian estimators: the mean field is the
 average of decoder means over flow samples and the variance field is the
 average of decoder variances (the spread of decoder means across samples is
-available separately as a diagnostic, not folded in).
+not folded in).
 
 The pCN baseline samples the same latent posterior with the proposal
 x' = sqrt(1 - beta^2) x + beta xi, whose acceptance ratio depends only on
@@ -71,9 +71,6 @@ class PosteriorSummary:
     variance_field: np.ndarray
     relative_error: float
     n_samples: int
-    # diagnostic: spread of decoder means across posterior samples, the term
-    # the headline variance estimator deliberately leaves out
-    mean_spread_field: np.ndarray | None = None
 
 
 @dataclass
@@ -153,8 +150,8 @@ def posterior_moments_from_states(states: np.ndarray, vae: VaeParams,
     """Decoder-Gaussian posterior moments of an (n, d) set of latents.
 
     mean_field averages decoder means; variance_field averages decoder
-    variances (exactly the headline estimator).  The across-sample spread of
-    decoder means is reported separately as ``mean_spread_field``.
+    variances (exactly the headline estimator, which leaves out the spread
+    of decoder means across samples).
     """
     mu, logvar = decode_batch(np.asarray(states, dtype=np.float64), vae.store, vae)
     shape = (vae.height, vae.width)
@@ -165,7 +162,6 @@ def posterior_moments_from_states(states: np.ndarray, vae: VaeParams,
         variance_field=np.exp(logvar).mean(axis=0).reshape(shape),
         relative_error=err,
         n_samples=len(mu),
-        mean_spread_field=mu.var(axis=0).reshape(shape),
     )
 
 

@@ -39,6 +39,7 @@ from .report import read_json, replacing, write_json
 MAGIC = b"KRFL"
 VERSION = 2
 BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8   # Adam's fixed settings (Kingma & Ba 2015)
+ADAM_BLOCK = 65_536   # elements per block of adam_step's sweep: the fastest of 8,192-131,072
 
 
 class ParamStore(Mapping):
@@ -187,56 +188,71 @@ def load_model(cls, path_prefix: str):
 
 @dataclass
 class AdamState:
-    """Per-parameter first/second moments, the step count and the learning rate.
+    """Adam's moments, step count and learning rate, over one flat layout.
 
-    ``scratch`` holds two work arrays per parameter, so that
-    :func:`adam_step` allocates nothing.
+    :meth:`fresh` copies the store's parameters, in store order, into row 0
+    of one (4, n) float64 buffer and rebinds each store entry to its view
+    there; rows 1-3 hold the gradients and the two moments, which
+    ``first_moment`` and ``second_moment`` map by name.  ``blocks`` cuts the
+    rows into slices of at most ``ADAM_BLOCK`` elements, each with two
+    scratch rows, so that :func:`adam_step` allocates nothing.
     """
 
     first_moment: dict[str, np.ndarray]
     second_moment: dict[str, np.ndarray]
     step_count: int
     learning_rate: float
-    scratch: dict[str, tuple[np.ndarray, np.ndarray]]
+    bound: dict[str, tuple[np.ndarray, np.ndarray]]   # name -> (parameter, gradient) views
+    blocks: list[tuple[np.ndarray, ...]]              # (p, g, m, v, scratch a, scratch b)
 
     @classmethod
     def fresh(cls, params: ParamStore, learning_rate: float) -> "AdamState":
-        return cls(
-            first_moment={k: np.zeros_like(v) for k, v in params.items()},
-            second_moment={k: np.zeros_like(v) for k, v in params.items()},
-            step_count=0,
-            learning_rate=learning_rate,
-            scratch={k: (np.empty_like(v), np.empty_like(v)) for k, v in params.items()},
-        )
+        n = params.n_scalars()
+        flat, scratch = np.zeros((4, n)), np.empty((2, min(n, ADAM_BLOCK)))
+        ends = np.cumsum([p.size for p in params.values()], dtype=np.intp)[:-1]
+        views = [{name: part.reshape(params[name].shape)
+                  for name, part in zip(params, np.split(row, ends))} for row in flat]
+        for name, p in views[0].items():
+            p[...] = params[name]
+            params[name] = p
+        blocks = [(*flat[:, lo:lo + ADAM_BLOCK], *scratch[:, :min(n - lo, ADAM_BLOCK)])
+                  for lo in range(0, n, ADAM_BLOCK)]
+        bound = {name: (p, views[1][name]) for name, p in views[0].items()}
+        return cls(views[2], views[3], 0, learning_rate, bound, blocks)
 
 
 def adam_step(params: ParamStore, gradients: Mapping[str, np.ndarray],
               state: AdamState) -> tuple[ParamStore, AdamState]:
-    """One bias-corrected Adam update, in place; returns ``params`` and ``state``.
+    """One bias-corrected Adam update of the store ``state`` was made from, in
+    place; returns ``params`` and ``state``.
 
-    The parameters, both moments and the step count are updated in place
-    through ``out=`` ufuncs and the state's scratch arrays.  The operations
+    The gradients are copied into the state's flat buffer; then the
+    parameters, both moments and the step count are updated in place, a block
+    at a time, through ``out=`` ufuncs and the scratch rows.  The operations
     and their order are those of the textbook formula
 
         m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
         p = p - (lr * m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps)
 
-    so the result is the same to the bit.  A gradient of the wrong shape or
-    an updated parameter that is not finite raises ValueError naming the
-    parameter; the parameters before it in the store are then already
-    updated.
+    so the result is the same to the bit.  A gradient of the wrong shape, or
+    a store entry that is not the array ``fresh`` bound, raises ValueError
+    naming the parameter before anything is updated.  A parameter that is
+    not finite after the update raises ValueError naming the first such
+    parameter once the whole sweep is done, so all of them are updated.
     """
-    state.step_count += 1
-    t = state.step_count
-    b1, b2 = BETA1, BETA2
-    m_scale, v_scale = 1.0 - b1 ** t, 1.0 - b2 ** t
-    for name, p in params.items():
-        g = np.asarray(gradients[name], dtype=np.float64)
+    for name, (p, g_flat) in state.bound.items():
+        g = gradients[name]
         if g.shape != p.shape:
             raise ValueError(
                 f"adam_step: gradient for '{name}' has shape {g.shape}, expected {p.shape}")
-        m, v = state.first_moment[name], state.second_moment[name]
-        a, b = state.scratch[name]
+        if params[name] is not p:
+            raise ValueError(f"adam_step: '{name}' is not the array AdamState.fresh bound")
+        g_flat[...] = g
+    state.step_count += 1
+    b1, b2, lr, t = BETA1, BETA2, state.learning_rate, state.step_count
+    m_scale, v_scale = 1.0 - b1 ** t, 1.0 - b2 ** t
+    finite = True
+    for p, g, m, v, a, b in state.blocks:
         m *= b1
         np.multiply(g, 1.0 - b1, out=a)
         m += a
@@ -245,14 +261,16 @@ def adam_step(params: ParamStore, gradients: Mapping[str, np.ndarray],
         a *= g
         v += a
         np.divide(m, m_scale, out=a)
-        a *= state.learning_rate
+        a *= lr
         np.divide(v, v_scale, out=b)
         np.sqrt(b, out=b)
         b += EPSILON
         a /= b
         p -= a
-        if not np.isfinite(p).all():
-            raise ValueError(f"parameter '{name}' contains non-finite values")
+        finite = finite and np.isfinite(p).all()
+    if not finite:
+        name = next(k for k, (p, _) in state.bound.items() if not np.isfinite(p).all())
+        raise ValueError(f"parameter '{name}' contains non-finite values")
     return params, state
 
 
@@ -267,8 +285,8 @@ class TrainingDiverged(RuntimeError):
 def fit(what: str, store: ParamStore, data: np.ndarray, batch_size: int, epochs: int,
         learning_rate: float, program_for: Callable, update: Callable
         ) -> tuple[ParamStore, list[tuple[int, float]]]:
-    """Mini-batch Adam over fixed batches of ``data``; returns the final store
-    and the ``(epoch, mean batch loss)`` curve.
+    """Mini-batch Adam over fixed batches of ``data``; returns the final store,
+    copied out of Adam's buffer, and the ``(epoch, mean batch loss)`` curve.
 
     Training starts from a fresh Adam state and from a copy of ``store``,
     which ``update`` may change in place; the caller's store is not changed.
@@ -281,8 +299,8 @@ def fit(what: str, store: ParamStore, data: np.ndarray, batch_size: int, epochs:
     TrainingDiverged naming ``what`` and the epoch.
     """
     batches = [data[lo:lo + batch_size] for lo in range(0, len(data), batch_size)]
-    store = ParamStore((k, v.copy()) for k, v in store.items())
-    state = AdamState.fresh(store, learning_rate)
+    store = ParamStore(store)
+    state = AdamState.fresh(store, learning_rate)   # copies the parameters
     curve: list[tuple[int, float]] = []
     for epoch in range(epochs):
         losses = []
@@ -296,4 +314,4 @@ def fit(what: str, store: ParamStore, data: np.ndarray, batch_size: int, epochs:
             store, state = update(store, grads, state)
             losses.append(loss)
         curve.append((epoch, float(np.mean(losses))))
-    return store, curve
+    return ParamStore((k, v.copy()) for k, v in store.items()), curve

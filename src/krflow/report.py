@@ -2,37 +2,35 @@
 
 Everything here is deterministic byte-for-byte given the same inputs, which
 the pipeline relies on for reproducibility checks.  Floats are written with
-``repr`` so values round-trip exactly.
+``repr`` so values round-trip exactly.  Every artifact is written through
+:func:`replacing`, so a write that fails leaves the old file or none.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import json
 import os
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 
+def write_csv(path, rows: Iterable[Sequence]) -> None:
+    """Write ``rows`` as a CSV file, with CRLF line ends, through :func:`replacing`."""
+    with replacing(path, newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
 def write_loss_curve(path, curve: Sequence[tuple[int, float]]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss"])
-        for epoch, loss in curve:
-            writer.writerow([epoch, repr(float(loss))])
+    rows = ((epoch, repr(float(loss))) for epoch, loss in curve)
+    write_csv(path, itertools.chain([("epoch", "loss")], rows))
 
 
 def save_field_csv(path, field: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in np.asarray(field, dtype=np.float64):
-            writer.writerow([repr(float(v)) for v in row])
-
-
-def load_field_csv(path) -> np.ndarray:
-    return read_csv_floats(path)
+    write_csv(path, ([repr(float(v)) for v in row] for row in np.asarray(field, dtype=np.float64)))
 
 
 def read_csv_floats(path, header: Sequence[str] | None = None) -> np.ndarray:
@@ -65,6 +63,9 @@ def read_csv_floats(path, header: Sequence[str] | None = None) -> np.ndarray:
     return np.array(table)
 
 
+load_field_csv = read_csv_floats
+
+
 def save_field_pgm(path, field: np.ndarray) -> None:
     """ASCII portable graymap; the value range is mapped linearly to 0..255."""
     arr = np.asarray(field, dtype=np.float64)
@@ -73,17 +74,18 @@ def save_field_pgm(path, field: np.ndarray) -> None:
     gray = np.rint((arr - lo) / span * 255).astype(int)
     lines = [f"P2", f"# range [{lo!r}, {hi!r}]", f"{arr.shape[1]} {arr.shape[0]}", "255"]
     lines += [" ".join(str(v) for v in row) for row in gray]
-    with open(path, "w") as fh:
+    with replacing(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 @contextlib.contextmanager
-def replacing(path, mode: str = "w"):
+def replacing(path, mode: str = "w", newline: str | None = None):
     """A temporary file beside ``path`` that replaces it once the block ends
-    without an exception, so ``path`` never holds a partial write."""
+    without an exception, so ``path`` never holds a partial write; ``mode``
+    and ``newline`` are those of :func:`open`."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(tmp, mode) as fh:
+        with open(tmp, mode, newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
     finally:   # gone already unless the block or the replace raised

@@ -72,8 +72,8 @@ def init_vae(height: int, width: int, latent_dim: int, seed: int,
 
 
 def _split_heads(out, n: int):
-    mu = ad.take_cols(out, np.arange(n))
-    logvar = ad.clip(ad.take_cols(out, np.arange(n, 2 * n)), -LOGVAR_BOUND, LOGVAR_BOUND)
+    mu = ad.take_cols(out, slice(n))
+    logvar = ad.clip(ad.take_cols(out, slice(n, 2 * n)), -LOGVAR_BOUND, LOGVAR_BOUND)
     return mu, logvar
 
 
@@ -93,8 +93,8 @@ def decode_batch(x, params, vae: VaeParams):
     """
     out = mlp_forward(params, x, prefix="dec.")
     n = vae.height * vae.width
-    mu_raw = ad.take_cols(out, np.arange(n))
-    logvar_raw = ad.take_cols(out, np.arange(n, 2 * n))
+    mu_raw = ad.take_cols(out, slice(n))
+    logvar_raw = ad.take_cols(out, slice(n, 2 * n))
     mu = ad.add(ad.mul(mu_raw, vae.scale), vae.offset)
     logvar = ad.clip(ad.add(logvar_raw, 2.0 * np.log(vae.scale)),
                      -LOGVAR_BOUND, LOGVAR_BOUND)

@@ -159,6 +159,41 @@ def test_mean_of_all_entries_is_0d_like_sum():
     np.testing.assert_array_equal(grads["x"], np.full((2, 3), 1.0 / 6.0))
 
 
+@pytest.mark.parametrize("axis", [None, 0, 1, -1])
+def test_sum_gradient_matches_central_differences(axis):
+    rng = np.random.default_rng(17)
+    params = ParamStore({"x": rng.standard_normal((2, 3, 4))})
+    w = rng.standard_normal(np.sum(params["x"], axis=axis).shape)
+
+    def program(t):
+        return ad.sum_(ad.mul(ad.sum_(t["x"], axis=axis), w))
+
+    _, grads = evaluate_with_gradients(program, params)
+    fd = finite_difference_grads(program, params)
+    assert relative_error(grads["x"], fd["x"]) < 1e-8
+
+
+@pytest.mark.parametrize("axis", [None, 0, 1, -1])
+def test_sum_backward_hands_on_a_fresh_writable_array(axis):
+    # no backward function may update a received gradient in place, so the one
+    # it passes on must not alias the one it got
+    x = Tensor.leaf(np.arange(24.0).reshape(2, 3, 4), "x")
+    out = ad.sum_(x, axis=axis)
+    g = np.asarray(np.random.default_rng(18).standard_normal(out.shape))
+    out._backward(g)
+    assert x.grad.flags.writeable and not np.shares_memory(x.grad, g)
+    kept = g if axis is None else np.expand_dims(g, axis)
+    np.testing.assert_array_equal(x.grad, np.broadcast_to(kept, x.shape))
+
+
+@pytest.mark.parametrize("mapping", [dict, ParamStore])
+def test_0d_leaf_gets_a_0d_gradient(mapping):
+    # the gradient has its parameter's shape, so adam_step takes it
+    value, grads = evaluate_with_gradients(lambda t: ad.mul(t["c"], 3.0),
+                                           mapping({"c": np.array(0.5)}))
+    assert value == 1.5 and grads["c"].shape == () and grads["c"] == 3.0
+
+
 def test_structural_op_gradients():
     rng = np.random.default_rng(13)
     params = ParamStore({"x": rng.standard_normal((4, 6))})
@@ -187,6 +222,24 @@ def test_take_cols_permutation_gradient():
     expected = np.zeros((3, 5))
     expected[:, [3, 0, 4, 1]] = w
     np.testing.assert_array_equal(grads["x"], expected)
+
+
+@pytest.mark.parametrize("cols", [slice(2), slice(1, 4), slice(None, None, 2), slice(4, 0, -1)])
+def test_take_cols_slice_matches_its_index_array(cols):
+    rng = np.random.default_rng(19)
+    x, w = rng.standard_normal((3, 5)), rng.standard_normal((3, 5))
+    idx = np.arange(5)[cols]
+
+    def program(c):
+        return lambda t: ad.sum_(ad.mul(ad.take_cols(t["x"], c), w[:, :idx.size]))
+
+    (v1, g1), (v2, g2) = (evaluate_with_gradients(program(c), ParamStore({"x": x}))
+                          for c in (cols, idx))
+    assert v1 == v2
+    np.testing.assert_array_equal(g1["x"], g2["x"])
+    # off the tape both give the same copy, in the same memory layout
+    a, b = ad.take_cols(x, cols), ad.take_cols(x, idx)
+    assert a.strides == b.strides and a.tobytes(order="A") == b.tobytes(order="A")
 
 
 @pytest.mark.parametrize("idx", [[0, 2, 0], [1, -4]], ids=["repeat", "negative-alias"])
@@ -315,6 +368,14 @@ def test_nonfinite_names_the_op_that_produced_it(program):
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(ad.NonFiniteError, match=r"^non-finite values produced by op 'exp'$"):
         evaluate_with_gradients(program, params)
+
+
+def test_nonfinite_leaf_in_a_plain_dict_is_named():
+    # "b" is never read by the program, so only the leaf check can catch it
+    params = {"w": np.ones(2), "b": np.array([1.0, np.inf])}
+    with pytest.raises(ad.NonFiniteError,
+                       match=r"^non-finite values produced by op 'leaf 'b''$"):
+        evaluate_with_gradients(lambda t: ad.sum_(t["w"]), params)
 
 
 def test_nonfinite_gradient_alone_names_the_gradient():

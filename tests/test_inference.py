@@ -215,16 +215,21 @@ class TestPosteriorMoments:
         expected_var = 0.5 * (np.exp(lv0) + np.exp(lv1))
         np.testing.assert_allclose(summary.mean_field, expected_mean, rtol=1e-13)
         np.testing.assert_allclose(summary.variance_field, expected_var, rtol=1e-13)
-        # the diagnostic spread is the across-sample variance of the means
-        np.testing.assert_allclose(summary.mean_spread_field,
-                                   0.25 * (mu0 - mu1) ** 2, atol=1e-14)
+
+    @staticmethod
+    def _pixel_sd(flow, vae, n, seed):
+        """RMS over pixels of the across-sample sd of the decoder means of the
+        n flow draws ``posterior_moments`` makes from ``seed``."""
+        z = np.random.default_rng(seed).standard_normal((n, flow.config.dim))
+        mu, _ = decode_batch(krnet_inverse(z, flow), vae.store, vae)
+        return np.sqrt(mu.var(axis=0).mean())
 
     def test_mc_convergence_between_sample_sizes(self, vae, flow_config):
         flow = init_flow(flow_config, 0)
         a = posterior_moments(flow, vae, 2000, np.random.default_rng(14))
         b = posterior_moments(flow, vae, 4000, np.random.default_rng(15))
         rms = np.sqrt(np.mean((a.mean_field - b.mean_field) ** 2))
-        pixel_sd = np.sqrt(a.mean_spread_field.mean())
+        pixel_sd = self._pixel_sd(flow, vae, 2000, 14)
         mc_se = pixel_sd * np.sqrt(1 / 2000 + 1 / 4000)
         assert rms < 3 * mc_se
 
@@ -233,7 +238,7 @@ class TestPosteriorMoments:
         a = posterior_moments(flow, vae, 3000, np.random.default_rng(16))
         b = posterior_moments(flow, vae, 3000, np.random.default_rng(17))
         rms = np.sqrt(np.mean((a.mean_field - b.mean_field) ** 2))
-        pixel_sd = np.sqrt(a.mean_spread_field.mean())
+        pixel_sd = self._pixel_sd(flow, vae, 3000, 16)
         assert rms < 3 * pixel_sd * np.sqrt(2 / 3000)
 
     def test_moments_from_states_matches_direct(self, vae, flow_config):

@@ -14,8 +14,8 @@ from krflow.config import InferenceSection, SurrogateSection, VaeSection
 from krflow.darcy import ObservationSet, lattice_operator
 from krflow.flow import FlowConfig
 from krflow.inference import train_posterior_flow
-from krflow.params import AdamState, ParamStore, TrainingDiverged, adam_step, fit
-from krflow.report import write_json
+from krflow.params import ADAM_BLOCK, AdamState, ParamStore, TrainingDiverged, adam_step, fit
+from krflow.report import write_json, write_loss_curve
 from krflow.surrogate import init_surrogate, train_surrogate
 from krflow.vae import init_vae, train_vae
 
@@ -160,6 +160,13 @@ def test_failed_write_keeps_the_old_bytes_and_no_temporary_file(tmp_path, name, 
     assert [p.name for p in tmp_path.iterdir()] == [name]
 
 
+def test_failed_loss_curve_write_leaves_no_file(tmp_path):
+    path = tmp_path / "loss_curve.csv"
+    with pytest.raises(ValueError, match="could not convert string to float"):
+        write_loss_curve(path, [(0, 1.5), (1, "not a number"), (2, 0.5)])
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
         params = ParamStore({"p": np.array([1.0, -2.0])})
@@ -253,6 +260,62 @@ class TestAdam:
         state = AdamState.fresh(params, learning_rate=-1e308)
         with pytest.raises(ValueError, match=r"^parameter 'big' contains non-finite values$"):
             adam_step(params, {"a": np.ones(2), "big": np.ones(2)}, state)
+
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(shapes=st.lists(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+                           min_size=1, max_size=12),
+           big_at=st.integers(0, 13), seed=st.integers(0, 2 ** 32 - 1))
+    def test_flat_sweep_matches_per_array_formula_bitwise(self, shapes, big_at, seed):
+        # many small arrays, a 0-d one and one that spans two blocks
+        shapes = [(), *shapes]
+        shapes.insert(min(big_at, len(shapes)), (ADAM_BLOCK + 7,))
+        names = [f"p{i}" for i in range(len(shapes))]
+        rng = np.random.default_rng(seed)
+        start = {k: rng.standard_normal(s) for k, s in zip(names, shapes)}
+        lr, b1, b2, eps = 0.003, 0.9, 0.999, 1e-8
+        params = ParamStore({k: v.copy() for k, v in start.items()})
+        state = AdamState.fresh(params, learning_rate=lr)
+        p = {k: v.copy() for k, v in start.items()}
+        m = {k: np.zeros_like(a) for k, a in start.items()}
+        v = {k: np.zeros_like(a) for k, a in start.items()}
+        for t in range(1, 6):
+            g = {k: rng.standard_normal(a.shape) for k, a in start.items()}
+            params, state = adam_step(params, g, state)
+            for k in names:
+                m[k] = b1 * m[k] + (1.0 - b1) * g[k]
+                v[k] = b2 * v[k] + (1.0 - b2) * g[k] * g[k]
+                p[k] = p[k] - lr * (m[k] / (1.0 - b1 ** t)) / (np.sqrt(v[k] / (1.0 - b2 ** t))
+                                                                + eps)
+        for k in names:
+            assert params[k].shape == start[k].shape
+            assert params[k].tobytes() == p[k].tobytes()
+            assert state.first_moment[k].tobytes() == m[k].tobytes()
+            assert state.second_moment[k].tobytes() == v[k].tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(n_after=st.integers(0, 4), bad_at=st.integers(0, 4))
+    def test_overflow_in_a_later_block_names_that_parameter(self, n_after, bad_at):
+        # "big" fills the first block, so every other parameter is in the second
+        bad_at = min(bad_at, n_after)
+        entries = {"big": np.zeros(ADAM_BLOCK)}
+        for i in range(n_after + 1):
+            entries[f"q{i}"] = np.array([1e308 if i == bad_at else 0.0, 0.0])
+        params = ParamStore(entries)
+        state = AdamState.fresh(params, learning_rate=-1e308)
+        with pytest.raises(ValueError, match=rf"^parameter 'q{bad_at}' contains non-finite"):
+            adam_step(params, {k: np.ones(a.shape) for k, a in entries.items()}, state)
+        # the whole sweep ran: every parameter moved by about 1e308
+        assert all((params[k][1:] > 1e307).all() for k in params)
+
+    def test_store_entry_rebound_after_fresh_is_rejected(self):
+        params = ParamStore({"a": np.zeros(2), "b": np.zeros(3)})
+        state = AdamState.fresh(params, learning_rate=0.1)
+        params["b"] = np.zeros(3)
+        with pytest.raises(ValueError, match=r"^adam_step: 'b' is not the array"):
+            adam_step(params, {"a": np.ones(2), "b": np.ones(3)}, state)
+        np.testing.assert_array_equal(params["a"], np.zeros(2))
+        assert state.step_count == 0
 
     def test_fit_leaves_the_callers_store_unchanged(self):
         store = ParamStore({"w": np.array([1.0, -2.0])})
