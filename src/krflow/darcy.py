@@ -142,20 +142,10 @@ def energy_terms(log_perms: np.ndarray, grid: Grid, source: float = 3.0
 
 
 @lru_cache(maxsize=8)
-def interior_embedding(grid: Grid) -> np.ndarray:
-    """(H*(W-2), H*W) 0/1 matrix placing the unknowns between zero Dirichlet columns.
-
-    Built once per grid and returned read-only.
-    """
-    n = grid.height * (grid.width - 2)
-    mat = np.pad(np.eye(n).reshape(n, grid.height, -1), ((0, 0), (0, 0), (1, 1))).reshape(n, -1)
-    mat.flags.writeable = False
-    return mat
-
-
-@lru_cache(maxsize=8)
 def _face_differences(grid: Grid) -> np.ndarray:
-    images = interior_embedding(grid).reshape(-1, grid.height, grid.width)
+    # one (H, W) image per unknown: 1 at its node, 0 elsewhere and on the Dirichlet columns
+    n = grid.height * (grid.width - 2)
+    images = np.pad(np.eye(n).reshape(n, grid.height, -1), ((0, 0), (0, 0), (1, 1)))
     # the faces in the order of energy_terms' weights: horizontal, then vertical
     mat = np.hstack([np.diff(images, axis=2).reshape(len(images), -1),
                      np.diff(images[:, :, 1:-1], axis=1).reshape(len(images), -1)])

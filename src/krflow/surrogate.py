@@ -28,7 +28,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .config import SurrogateSection
-from .darcy import energy_terms, interior_embedding, solve_darcy
+from .darcy import energy_terms, solve_darcy
 from .grf import Grid
 from .nets import dense_layers, init_mlp, mlp_forward
 from .params import ParamStore, adam_step, fit, load_model
@@ -68,10 +68,11 @@ def _unknowns(y_flat, params: Mapping[str, object], sp: SurrogateParams):
     return mlp_forward(params, ad.mul(ad.sub(y_flat, sp.offset), 1.0 / sp.scale))
 
 
-def surrogate_forward_batch(y_flat, params: Mapping[str, object], sp: SurrogateParams):
-    """(B, H*W) fields -> (B, H, W) pressures with zero Dirichlet columns; tape or numpy."""
-    u = ad.matmul(_unknowns(y_flat, params, sp), interior_embedding(sp.grid))
-    return ad.reshape(u, (-1, sp.height, sp.width))
+def surrogate_forward_batch(y_flat: np.ndarray, params: Mapping[str, np.ndarray],
+                            sp: SurrogateParams) -> np.ndarray:
+    """(B, H*W) fields -> (B, H, W) pressures with zero Dirichlet columns; numpy only."""
+    u = _unknowns(y_flat, params, sp).reshape(-1, sp.height, sp.width - 2)
+    return np.pad(u, ((0, 0), (0, 0), (1, 1)))
 
 
 def pressure_layers(sp: SurrogateParams, readout: np.ndarray
@@ -79,12 +80,12 @@ def pressure_layers(sp: SurrogateParams, readout: np.ndarray
     """The map y_flat -> u_flat @ readout as dense ``(W, b)`` layers, ReLU between.
 
     ``readout`` is an (H*W, k) linear map of the flat pressure image.  The
-    input standardization is folded into the first layer, and the embedding
-    of the unknowns and ``readout`` into the last.  The stack matches
+    input standardization is folded into the first layer, and the rows of
+    ``readout`` at the unknowns into the last.  The stack matches
     surrogate_forward_batch up to rounding.
     """
     layers = dense_layers(sp.store)
-    readout = interior_embedding(sp.grid) @ readout
+    readout = readout.reshape(sp.height, sp.width, -1)[:, 1:-1].reshape(-1, readout.shape[-1])
     w, b = layers[-1]
     layers[-1] = (w @ readout, b @ readout)
     w, b = layers[0]
