@@ -14,20 +14,15 @@ half-height control volumes.
 
 The resulting system is symmetric positive definite.  Numbering the H x m
 unknowns (the m = W-2 interior columns) row by row makes it a band matrix of
-half-bandwidth m, assembled straight into LAPACK band storage and solved by
-one banded LU (``gbsv``).  With at most 64 superdiagonals LAPACK factors it
-column by column, one rank-1 update down kl-long columns each, and OpenBLAS's
-Haswell kernels run those in blocks of 16 doubles plus a slow remainder.  So
-kl is padded with zero rows to the next multiple of 16 when m mod 16 >= 8 and
-m < 64 (ku stays m: it only counts the columns an update touches).  The bits
-stay the same, and ``gbsv`` alone ran 3-39% faster for each such m; below 8
-the gain fades, and at m mod 16 <= 3 padding cost up to 15% more.  For m > 64
-LAPACK blocks the factorization, and padding changes the bits.  Banded
-Cholesky (``pbsv``) would halve the arithmetic, but its unblocked updates each
-pay a hand-off between 2 OpenBLAS threads: per 32x32 solve it took 2.3 ms,
-``gbsv`` 0.93 ms and padded ``gbsv`` 0.59 ms (2-CPU Xeon, OpenBLAS 0.3.31).
-The contract: a relative residual, from the 5-point stencil applied to the
-solution, below 1e-10, or DarcySolveError.
+half-bandwidth m; its lower half is assembled straight into LAPACK band storage
+and solved by one banded Cholesky (``pbsv``).  Up to m = 64 LAPACK factors it
+column by column, and in lower storage each rank-1 update reads a contiguous
+column, where upper storage strides by the band width.  Per 16x16, 32x32 and
+64x64 system ``pbsv`` took 0.04, 0.32 and 3.1 ms in lower storage and 0.05, 2.2
+and 14 ms in upper; band LU (``gbsv``) with padded subdiagonals took 0.04, 0.31
+and 4.6 ms (2-CPU Xeon, OpenBLAS 0.3.31).  The contract: a relative residual,
+from the 5-point stencil applied to the solution, below 1e-10, or
+DarcySolveError, which a failed factorization also raises.
 """
 
 from __future__ import annotations
@@ -37,7 +32,7 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv
+from scipy.linalg.lapack import dpbsv
 
 from .grf import Grid
 from .report import read_csv_floats, write_csv
@@ -214,17 +209,13 @@ def solve_darcy(log_perm: np.ndarray, grid: Grid,
         rhs[:, 0] += t_h[:, 0] * g_left
         rhs[:, -1] += t_h[:, -1] * g_right
 
-    # LAPACK general band storage, kl subdiagonals and ku = m, A[i, j] at
-    # ab[kl + m + i - j, j]; rows 0..kl-1 take the fill-in of partial pivoting.
-    # Fortran order lets dgbsv factor in place instead of copying, and band[r, c]
-    # is column r*m + c of ab.  With m = 1 the +-1 couplings are empty.
-    kl = m + -m % 16 if m % 16 >= 8 and m < 64 else m   # whole 16-double blocks
-    ab = np.zeros((2 * kl + m + 1, h_rows * m), order="F")
+    # LAPACK lower band storage, A[i + k, i] at ab[k, i]: the diagonal at k = 0,
+    # the row neighbour at k = 1 and the column neighbour at k = m.  Fortran
+    # order lets dpbsv factor in place, and band[r, c] is column r*m + c of ab.
+    ab = np.zeros((m + 1, h_rows * m), order="F")
     band = ab.T.reshape(h_rows, m, -1)
-    band[:, :, kl + m] = diag
-    band[:, 1:, kl + m - 1] = band[:, :-1, kl + m + 1] = -t_e
-    band[1:, :, kl] = band[:-1, :, kl + 2 * m] = -t_n
-    _, _, u_inner, info = dgbsv(kl, m, ab, rhs.ravel(), overwrite_ab=True)
+    band[:, :, 0], band[:, :-1, 1], band[:-1, :, m] = diag, -t_e, -t_n
+    _, u_inner, info = dpbsv(ab, rhs.ravel(), lower=1, overwrite_ab=1)
     u_inner = u_inner.reshape(h_rows, m)
 
     rel = np.inf

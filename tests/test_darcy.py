@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dpbsv
 
+from krflow import darcy
 from krflow.darcy import (
     DarcySolveError,
     ObservationOperator,
@@ -154,11 +156,13 @@ class TestSolver:
         with pytest.raises(ValueError, match="non-finite"):
             solve_darcy(y, grid)
 
-    # the band LU pads kl on 20x12, 5x10, 5x13, 5x16, 4x17, 6x32 and 3x64, and
-    # not on 3x3, 9x9, 12x20 or 5x9 (m = 7, one short of the threshold)
+    # the band has m = W - 2 subdiagonals: 3x3 only the column coupling at
+    # k = m = 1, the others 7 to 62 and 68 on 3x70; LAPACK's banded Cholesky
+    # factors column by column up to m = 64 and in blocks of 32 above
     @pytest.mark.parametrize("grid", [Grid(3, 3), Grid(9, 9), Grid(12, 20), Grid(20, 12),
                                       Grid(5, 10), Grid(5, 13), Grid(5, 16), Grid(4, 17),
-                                      Grid(6, 32), Grid(3, 64), Grid(5, 9)],
+                                      Grid(6, 32), Grid(3, 64), Grid(5, 9), Grid(33, 33),
+                                      Grid(24, 40), Grid(3, 70)],
                              ids=lambda g: f"{g.height}x{g.width}")
     def test_matches_dense_reference_solve(self, grid):
         rng = np.random.default_rng(grid.height * 100 + grid.width)
@@ -171,6 +175,16 @@ class TestSolver:
         assert np.abs(inner - expected).max() <= 1e-12 * np.abs(expected).max()
         np.testing.assert_array_equal(sol[:, 0], g_left)
         np.testing.assert_array_equal(sol[:, -1], g_right)
+
+    def test_cholesky_failure_raises(self, monkeypatch):
+        # info = k > 0 means the leading minor of order k is not positive
+        # definite; the solve refuses even a solution whose residual is small
+        def not_positive_definite(ab, b, **kwargs):
+            return (*dpbsv(ab, b, **kwargs)[:2], 3)
+
+        monkeypatch.setattr(darcy, "dpbsv", not_positive_definite)
+        with pytest.raises(DarcySolveError, match="relative residual inf"):
+            solve_darcy(np.zeros((8, 8)), Grid(8, 8))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("value,where", [(800.0, "all"), (-800.0, "all"),
