@@ -100,8 +100,8 @@ def cmd_generate_data(config: ExperimentConfig, out_dir: Path) -> None:
     save_manifest(out_dir / "dataset_manifest.csv", samples)
 
     # held-out truth from the configured in-distribution length scale
-    spec = CovarianceSpec.isotropic(config.kle.variance, config.observation.truth_scale,
-                                    config.kle.mean)
+    ob = config.observation
+    spec = CovarianceSpec.isotropic(config.kle.variance, ob.truth_scale, config.kle.mean)
     basis = truncated_kle(assemble_covariance_matrix(grid, spec),
                           config.kle.energy_fraction, grid)
     truth = sample_field(basis, spec, np.random.default_rng(config.seeds.truth),
@@ -113,18 +113,14 @@ def cmd_generate_data(config: ExperimentConfig, out_dir: Path) -> None:
     save_field_csv(out_dir / "truth_pressure.csv", pressure)
     save_field_pgm(out_dir / "truth_pressure.pgm", pressure)
 
-    operator = lattice_operator(config.observation.sensor_rows,
-                                config.observation.sensor_cols,
-                                config.observation.sensor_origin,
-                                config.observation.sensor_spacing)
-    clean = observe(pressure, operator)
-    obs = add_noise(clean, config.observation.noise_level,
+    operator = lattice_operator(ob.sensor_rows, ob.sensor_cols, ob.sensor_origin,
+                                ob.sensor_spacing)
+    obs = add_noise(observe(pressure, operator), ob.noise_level,
                     np.random.default_rng(config.seeds.noise), operator)
     save_observations_csv(out_dir / "observations.csv", obs)
     write_json(out_dir / "generate_data_meta.json", {
         "config_hash": chash, "n_samples": len(samples), "grid": [grid.height, grid.width],
-        "truth_scale": config.observation.truth_scale,
-        "noise_level": config.observation.noise_level})
+        "truth_scale": ob.truth_scale, "noise_level": ob.noise_level})
     _write_timing(out_dir, "generate_data", time.perf_counter() - start)
     print(f"generate-data: {len(samples)} samples on {grid.height}x{grid.width}, "
           f"{operator.n_sensors} sensors")

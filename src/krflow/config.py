@@ -2,14 +2,14 @@
 
 Every section and key is declared in the schema below; unknown or missing
 entries are errors, so typos and keys of older versions cannot silently
-fall back to defaults, and a value outside its type or its range (sizes,
-layer widths, epochs, sensor counts, the ``mcmc`` step, ``mcmc.retained``
-and the ``flow`` shape) fails here, before any stage runs.  The sections
-are also the trainers' settings: ``train_vae``, ``train_surrogate`` and
-``train_posterior_flow`` take ``vae``, ``surrogate`` and ``inference`` as
-they are.  Values render with ``repr`` and the canonical dump is stable,
-which makes the config hash well defined and lets files round-trip
-losslessly.
+fall back to defaults, and a value outside its type or its range (nan or
+inf in any float, sizes, layer widths, epochs, sensor counts, the ``mcmc``
+step, ``mcmc.retained`` and the ``flow`` shape) fails here, before any
+stage runs.  The sections are also the trainers' settings: ``train_vae``,
+``train_surrogate`` and ``train_posterior_flow`` take ``vae``,
+``surrogate`` and ``inference`` as they are.  Values render with ``repr``
+and the canonical dump is stable, which makes the config hash well defined
+and lets files round-trip losslessly.
 """
 
 from __future__ import annotations
@@ -123,13 +123,19 @@ class ExperimentConfig:
     seeds: SeedsSection
 
 
+def _finite(text: str) -> float:
+    if not math.isfinite(value := float(text)):   # float() also reads nan and inf
+        raise ValueError(f"{value!r} is not finite")
+    return value
+
+
 _SECTIONS = get_type_hints(ExperimentConfig)   # section name -> its dataclass
 
 # a field's type hint -> the parser of its text; a tuple is comma-separated
 _PARSERS = {
     int: int,
-    float: float,
-    tuple[float, ...]: lambda text: tuple(float(v) for v in text.split(",") if v.strip()),
+    float: _finite,
+    tuple[float, ...]: lambda text: tuple(_finite(v) for v in text.split(",") if v.strip()),
     tuple[int, ...]: lambda text: tuple(int(v) for v in text.split(",") if v.strip()),
 }
 
@@ -193,7 +199,7 @@ def _check_ranges(config: ExperimentConfig) -> None:
               for key, low in lowest.items()] + [
         (key, min(value[key], default=1) >= 1, f"every width in {value[key]} must be at least 1")
         for key in widths] + [
-        (key, 0.0 < value[key] < math.inf, f"{value[key]!r} must be finite and positive")
+        (key, value[key] > 0.0, f"{value[key]!r} must be positive")
         for key in rates] + [
         ("mcmc.retained", 1 <= mcmc.retained <= mcmc.steps,
          f"{mcmc.retained} is outside [1, mcmc.steps = {mcmc.steps}]"),

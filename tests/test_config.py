@@ -78,7 +78,15 @@ def test_bad_value_reported_with_location():
     ("surrogate", "epochs", -1), ("inference", "epochs", -1),
     ("observation", "sensor_rows", 0), ("observation", "sensor_cols", 0),
     *[(section, "learning_rate", value) for section in ("vae", "surrogate", "inference")
-      for value in (-1.0, 0.0, math.nan, math.inf)]])
+      for value in (-1.0, 0.0, math.nan, math.inf)],
+    # float() reads nan and inf; every other float field and float-tuple entry refuses them too
+    *[(section, key, value) for section, key in (
+        ("kle", "variance"), ("kle", "mean"), ("kle", "energy_fraction"), ("surrogate", "source"),
+        ("flow", "scale_bound"), ("observation", "sensor_origin"),
+        ("observation", "sensor_spacing"), ("observation", "noise_level"),
+        ("observation", "truth_scale"), ("mcmc", "step_size")) for value in (math.nan, math.inf)],
+    ("kle", "length_scales", (0.2, math.nan)), ("kle", "length_scales", (math.inf,)),
+    ("surrogate", "source", -math.inf)])
 def test_value_outside_its_range_names_its_key(section, key, value):
     cfg = desk_config()
     setattr(getattr(cfg, section), key, value)
@@ -108,8 +116,9 @@ def test_override_all_seeds():
 # one strategy per field type of the schema
 FIELD_VALUES = {
     int: st.integers(-2 ** 63, 2 ** 63),
-    float: st.floats(allow_nan=False),
-    tuple[float, ...]: st.lists(st.floats(allow_nan=False), max_size=4).map(tuple),
+    float: st.floats(allow_nan=False, allow_infinity=False),
+    tuple[float, ...]: st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                max_size=4).map(tuple),
     tuple[int, ...]: st.lists(st.integers(-2 ** 63, 2 ** 63), max_size=4).map(tuple),
 }
 SECTIONS = get_type_hints(ExperimentConfig)
