@@ -193,9 +193,9 @@ def make_surrogate_loglike(vae: VaeParams, surrogate: SurrogateParams,
     - the decoder's mean head (its first H*W columns; the log-variance head
       is dropped), the map back to raw field units, the surrogate's input
       standardization and the surrogate's first layer become one layer;
-    - the surrogate's output layer, the embedding of its pressure unknowns
-      between the zero Dirichlet columns, the sensor interpolation and the
-      division by the noise standard deviations become one (hidden, m) map
+    - the surrogate's output layer, the sensor interpolation's rows at its
+      pressure unknowns (the Dirichlet columns are zero) and the division by
+      the noise standard deviations become one (hidden, m) map
       to the whitened residual.
 
     The hidden layers of both networks are kept as they are.  A call is a
