@@ -4,8 +4,9 @@ A ``Tensor`` wraps a numpy array and the backward function of the operation
 that produced it.  ``evaluate_with_gradients`` records every node in build
 order (the trail), and ``backward`` replays that trail in reverse, so each
 node holds its whole gradient before it passes it on to its operands.  The
-op set is what the dense networks, coupling flows and the surrogate's energy
-loss in this package build; each op, ``sub`` included, is one tape node:
+op set is what the dense networks and coupling flows in this package build;
+each op, ``sub`` included, is one tape node made by ``node``, as is the FV
+energy of :func:`krflow.darcy.energy`:
 
 - elementwise: ``add``, ``sub``, ``mul``, ``exp``, ``tanh``, ``relu``,
   ``square`` and ``clip``;
@@ -138,19 +139,20 @@ def _is_tape(a, b=None) -> bool:
     return isinstance(a, Tensor) or isinstance(b, Tensor)
 
 
-def _node(data: np.ndarray, op: str, parents: Sequence,
-          backward: Callable[[np.ndarray], None]) -> Tensor:
+def node(data: np.ndarray, op: str, parents: Sequence,
+         backward: Callable[[np.ndarray], None]) -> Tensor:
+    """One op's tape node, put on the trail; it keeps ``backward`` if a parent wants a gradient."""
     data = _as_array(data)   # numpy returns 0-d results as scalars
     for p in parents:
         if isinstance(p, Tensor) and p.requires_grad:
-            node = Tensor(data, True, op, backward)
+            out = Tensor(data, True, op, backward)
             break
     else:
-        node = Tensor(data, False, op)
+        out = Tensor(data, False, op)
     trail = _trail.get()
     if trail is not None:
-        trail.append(node)
-    return node
+        trail.append(out)
+    return out
 
 
 # -- elementwise binary ops ------------------------------------------------------
@@ -171,7 +173,7 @@ def add(a, b):
         if _wants_grad(b):
             b._accumulate(_unbroadcast(g, bv.shape))
 
-    return _node(data, "add", (a, b), backward)
+    return node(data, "add", (a, b), backward)
 
 
 def sub(a, b):
@@ -189,7 +191,7 @@ def sub(a, b):
         if _wants_grad(b):
             b._accumulate(_unbroadcast(-g, bv.shape))
 
-    return _node(data, "sub", (a, b), backward)
+    return node(data, "sub", (a, b), backward)
 
 
 def mul(a, b):
@@ -207,7 +209,7 @@ def mul(a, b):
         if _wants_grad(b):
             b._accumulate(_unbroadcast(g * av, bv.shape))
 
-    return _node(data, "mul", (a, b), backward)
+    return node(data, "mul", (a, b), backward)
 
 
 def matmul(a, b):
@@ -224,7 +226,7 @@ def matmul(a, b):
         if _wants_grad(b):
             b._accumulate(av.T @ g)
 
-    return _node(data, "matmul", (a, b), backward)
+    return node(data, "matmul", (a, b), backward)
 
 
 # -- reductions -------------------------------------------------------------------
@@ -243,7 +245,7 @@ def sum_(a, axis: int | None = None):
         full[...] = g if axis is None else g.reshape(kept)
         a._accumulate(full)
 
-    return _node(data, "sum", (a,), backward)
+    return node(data, "sum", (a,), backward)
 
 
 def mean_(a, axis: int | None = None):
@@ -264,7 +266,7 @@ def exp(a):
     def backward(g):
         a._accumulate(g * data)
 
-    return _node(data, "exp", (a,), backward)
+    return node(data, "exp", (a,), backward)
 
 
 def tanh(a):
@@ -275,7 +277,7 @@ def tanh(a):
     def backward(g):
         a._accumulate(g * (1.0 - data * data))
 
-    return _node(data, "tanh", (a,), backward)
+    return node(data, "tanh", (a,), backward)
 
 
 def relu(a):
@@ -286,7 +288,7 @@ def relu(a):
     def backward(g):
         a._accumulate(g * (a.data > 0.0))
 
-    return _node(data, "relu", (a,), backward)
+    return node(data, "relu", (a,), backward)
 
 
 def square(a):
@@ -302,7 +304,7 @@ def clip(a, lo: float, hi: float):
     def backward(g):
         a._accumulate(g * ((a.data >= lo) & (a.data <= hi)))
 
-    return _node(data, "clip", (a,), backward)
+    return node(data, "clip", (a,), backward)
 
 
 # -- structural ops ---------------------------------------------------------------
@@ -316,7 +318,7 @@ def reshape(a, shape):
     def backward(g):
         a._accumulate(g.reshape(a.data.shape))
 
-    return _node(data, "reshape", (a,), backward)
+    return node(data, "reshape", (a,), backward)
 
 
 def take_cols(a, idx):
@@ -339,7 +341,7 @@ def take_cols(a, idx):
         full[..., idx] = g
         a._accumulate(full)
 
-    return _node(data, "take_cols", (a,), backward)
+    return node(data, "take_cols", (a,), backward)
 
 
 def concat(parts: Sequence, axis: int = -1):
@@ -356,7 +358,7 @@ def concat(parts: Sequence, axis: int = -1):
                 idx[axis] = slice(lo, hi)
                 p._accumulate(g[tuple(idx)])
 
-    return _node(data, "concat", tuple(parts), backward)
+    return node(data, "concat", tuple(parts), backward)
 
 
 # -- fixed-kernel 2-D convolution ----------------------------------------------------
@@ -412,7 +414,7 @@ def fixed_conv2d(field, kernel) -> "Tensor | np.ndarray":
         gx[..., -1, -1] += gp[..., h + 1, w + 1]
         t._accumulate(gx)
 
-    return _node(data, "fixed_conv2d", (t,), backward)
+    return node(data, "fixed_conv2d", (t,), backward)
 
 
 # -- driving programs -----------------------------------------------------------------

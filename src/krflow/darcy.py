@@ -12,17 +12,17 @@ Dirichlet data on the left/right columns (s1 = 0 and s1 = 1, zero by
 default) and zero normal flux is imposed on the top/bottom rows, which get
 half-height control volumes.
 
-The resulting system is symmetric positive definite.  Numbering the H x m
-unknowns (the m = W-2 interior columns) row by row makes it a band matrix of
-half-bandwidth m; its lower half is assembled straight into LAPACK band storage
-and solved by one banded Cholesky (``pbsv``).  Up to m = 64 LAPACK factors it
-column by column, and in lower storage each rank-1 update reads a contiguous
-column, where upper storage strides by the band width.  Per 16x16, 32x32 and
-64x64 system ``pbsv`` took 0.04, 0.32 and 3.1 ms in lower storage and 0.05, 2.2
-and 14 ms in upper; band LU (``gbsv``) with padded subdiagonals took 0.04, 0.31
-and 4.6 ms (2-CPU Xeon, OpenBLAS 0.3.31).  The contract: a relative residual,
-from the 5-point stencil applied to the solution, below 1e-10, or
-DarcySolveError, which a failed factorization also raises.
+The resulting system is symmetric positive definite.  ``_stencil`` assembles
+it once, for one field or a batch, and ``_apply`` is its matvec.  Numbering
+the H x m unknowns (the m = W-2 interior columns) row by row makes it a band
+matrix of half-bandwidth m; :func:`solve_darcy` stores its lower half in LAPACK
+band storage and solves it by one banded Cholesky (``pbsv``), where each
+rank-1 update reads a contiguous column: 0.32 ms per 32x32 system, against
+2.2 ms in upper storage and 0.31 ms for a padded band LU (2-CPU Xeon, OpenBLAS
+0.3.31).  The contract: a relative residual A u - b below 1e-10, or
+DarcySolveError, which a failed factorization also raises, naming LAPACK's
+info.  :func:`energy` is the surrogate's loss 1/2 u^T A u - b^T u of the same
+system, with its exact gradient A u - b.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg.lapack import dpbsv
 
+from . import autodiff as ad
 from .grf import Grid
 from .report import read_csv_floats, write_csv
 
@@ -113,39 +114,47 @@ def _load(source, grid: Grid, heights: np.ndarray) -> np.ndarray:
     return h_val[:, 1:-1] * (heights[:, None] * grid.spacing_1)
 
 
-def energy_terms(log_perms: np.ndarray, grid: Grid, source: float = 3.0
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The pieces of the discrete energy 1/2 u^T A(y) u - b^T u of a (B, H, W) batch.
+def _stencil(log_perm: np.ndarray, grid: Grid, source):
+    """The system A(y) u = b of one (H, W) field or a (..., H, W) batch, with
+    zero Dirichlet columns: ``(diag, t_e, t_n, load)``, A's diagonal and the
+    negated couplings along rows and columns of the (..., H, W-2) unknowns."""
+    t_h, t_v, heights = _transmissibilities(log_perm, grid)
+    t_e, t_n = t_h[..., 1:-1], t_v[..., 1:-1]
+    diag = t_h[..., :, :-1] + t_h[..., :, 1:]   # west and east faces
+    diag[..., 1:, :] += t_n    # south faces; none on the top Neumann row
+    diag[..., :-1, :] += t_n   # north faces; none on the bottom Neumann row
+    return diag, t_e, t_n, _load(source, grid, heights)
 
-    ``u`` is the flat (H*(W-2),) vector of unknowns that :func:`solve_darcy`
-    solves for, with homogeneous Dirichlet columns; A(y) and b are its
-    system.  Returns ``(weights, differences, load)``: the (B, F)
-    transmissibilities of the F faces that touch an unknown, the constant
-    (H*(W-2), F) matrix taking u to the differences across those faces, so
-    that A(y) = differences @ diag(weights[k]) @ differences.T, and the load
-    b.  The energy's minimizer is the solve's interior; ``differences`` is
-    built once per grid and returned read-only.
+
+def _apply(u: np.ndarray, diag: np.ndarray, t_e: np.ndarray, t_n: np.ndarray) -> np.ndarray:
+    """A u by the 5-point stencil on the (..., H, W-2) unknowns."""
+    au = diag * u
+    au[..., :, :-1] -= t_e * u[..., :, 1:]
+    au[..., :, 1:] -= t_e * u[..., :, :-1]
+    au[..., :-1, :] -= t_n * u[..., 1:, :]
+    au[..., 1:, :] -= t_n * u[..., :-1, :]
+    return au
+
+
+def energy(u, log_perms: np.ndarray, grid: Grid, source: float = 3.0):
+    """The (B,) energies 1/2 u^T A(y) u - b^T u of (B, H*(W-2)) unknowns, row by
+    row, on a (B, H, W) batch; each minimizer is :func:`solve_darcy`'s interior.
+    A ``Tensor`` ``u`` gives one tape node, whose backward is g[:, None] * (A u - b).
     """
     log_perms = np.asarray(log_perms, dtype=np.float64)
     if log_perms.ndim != 3 or log_perms.shape[1:] != (grid.height, grid.width):
         raise ValueError(f"fields of shape {log_perms.shape} are not a (B, "
                          f"{grid.height}, {grid.width}) batch")
-    t_h, t_v, heights = _transmissibilities(log_perms, grid)
-    weights = np.concatenate([t_h.reshape(len(t_h), -1),
-                              t_v[..., 1:-1].reshape(len(t_v), -1)], axis=1)
-    return weights, _face_differences(grid), _load(source, grid, heights).ravel()
-
-
-@lru_cache(maxsize=8)
-def _face_differences(grid: Grid) -> np.ndarray:
-    # one (H, W) image per unknown: 1 at its node, 0 elsewhere and on the Dirichlet columns
-    n = grid.height * (grid.width - 2)
-    images = np.pad(np.eye(n).reshape(n, grid.height, -1), ((0, 0), (0, 0), (1, 1)))
-    # the faces in the order of energy_terms' weights: horizontal, then vertical
-    mat = np.hstack([np.diff(images, axis=2).reshape(len(images), -1),
-                     np.diff(images[:, :, 1:-1], axis=1).reshape(len(images), -1)])
-    mat.flags.writeable = False
-    return mat
+    value = u.data if isinstance(u, ad.Tensor) else np.asarray(u, dtype=np.float64)
+    if value.shape != (len(log_perms), grid.height * (grid.width - 2)):
+        raise ValueError(f"unknowns of shape {value.shape} do not fit fields {log_perms.shape}")
+    diag, t_e, t_n, load = _stencil(log_perms, grid, source)
+    au = _apply(value.reshape(len(value), grid.height, -1), diag, t_e, t_n).reshape(len(value), -1)
+    b = load.ravel()
+    energies = np.einsum("bk,bk->b", value, 0.5 * au - b)
+    if not isinstance(u, ad.Tensor):
+        return energies
+    return ad.node(energies, "energy", (u,), lambda g: u._accumulate(g[:, None] * (au - b)))
 
 
 def _dirichlet(values, name: str, rows: int) -> np.ndarray:
@@ -194,38 +203,29 @@ def solve_darcy(log_perm: np.ndarray, grid: Grid,
     g_left = _dirichlet(dirichlet_left, "dirichlet_left", h_rows)
     g_right = _dirichlet(dirichlet_right, "dirichlet_right", h_rows)
 
-    t_h, t_v, heights = _transmissibilities(log_perm, grid)
-
-    # unknowns are the interior columns, numbered row by row
-    m = grid.width - 2
-    t_e = t_h[:, 1:-1]     # faces between neighbouring unknowns in a row
-    t_n = t_v[:, 1:-1]     # faces between neighbouring unknowns in a column
-    diag = t_h[:, :-1] + t_h[:, 1:]   # west and east faces
-    diag[1:] += t_n        # south faces; none on the top Neumann row
-    diag[:-1] += t_n       # north faces; none on the bottom Neumann row
-
-    rhs = _load(source, grid, heights)
+    diag, t_e, t_n, rhs = _stencil(log_perm, grid, source)
     if g_left.any() or g_right.any():
+        t_h = _transmissibilities(log_perm, grid)[0]
         rhs[:, 0] += t_h[:, 0] * g_left
         rhs[:, -1] += t_h[:, -1] * g_right
 
     # LAPACK lower band storage, A[i + k, i] at ab[k, i]: the diagonal at k = 0,
     # the row neighbour at k = 1 and the column neighbour at k = m.  Fortran
     # order lets dpbsv factor in place, and band[r, c] is column r*m + c of ab.
+    m = grid.width - 2
     ab = np.zeros((m + 1, h_rows * m), order="F")
     band = ab.T.reshape(h_rows, m, -1)
     band[:, :, 0], band[:, :-1, 1], band[:-1, :, m] = diag, -t_e, -t_n
     _, u_inner, info = dpbsv(ab, rhs.ravel(), lower=1, overwrite_ab=1)
+    if info != 0:
+        raise DarcySolveError(f"banded Cholesky failed: LAPACK dpbsv info = {info}, " + (
+            f"the leading minor of order {info} is not positive definite" if info > 0
+            else f"argument {-info} is illegal"))
     u_inner = u_inner.reshape(h_rows, m)
 
     rel = np.inf
-    if info == 0 and np.isfinite(u_inner).all():
-        # the residual by the 5-point stencil on the (H, W-2) grid of unknowns
-        res = diag * u_inner - rhs
-        res[:, :-1] -= t_e * u_inner[:, 1:]
-        res[:, 1:] -= t_e * u_inner[:, :-1]
-        res[:-1] -= t_n * u_inner[1:]
-        res[1:] -= t_n * u_inner[:-1]
+    if np.isfinite(u_inner).all():
+        res = _apply(u_inner, diag, t_e, t_n) - rhs
         rel = np.linalg.norm(res) / max(np.linalg.norm(rhs), 1e-300)
     if not rel <= 1e-10:
         raise DarcySolveError(f"linear solve failed: relative residual {rel:.3e}, diagonal "

@@ -11,11 +11,10 @@ averaged over the batch (the variational loss of Zhu, Zabaras,
 Koutsourelakis & Perdikaris 2019).  A(y) is symmetric positive definite, so
 the energy's unique minimizer is exactly what ``solve_darcy`` returns, the
 no-flux rows included, and E(u) - E(u*) = 1/2 ||u - u*||_A^2 measures the
-error in the energy norm.  The pieces of A(y) and b come from
-:func:`krflow.darcy.energy_terms`; on the tape the energy is one product
-with the constant face-difference matrix, a weighted sum of squares and a
-dot product with the load.  The output layer is zero-initialized, so a
-fresh surrogate predicts zero pressure.
+error in the energy norm.  :func:`krflow.darcy.energy` evaluates it with
+the stencil the solver assembles; on the tape it is one node whose backward
+passes on the exact gradient A(y) u - b.  The output layer is
+zero-initialized, so a fresh surrogate predicts zero pressure.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .config import SurrogateSection
-from .darcy import energy_terms, solve_darcy
+from .darcy import energy, solve_darcy
 from .grf import Grid
 from .nets import dense_layers, init_mlp, mlp_forward
 from .params import ParamStore, adam_step, fit, load_model
@@ -103,11 +102,9 @@ def energy_loss(batch: np.ndarray, sp: SurrogateParams, source: float = 3.0,
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 3 or len(batch) == 0:
         raise ValueError("batch must be a nonempty (B, H, W) array")
-    weights, differences, load = energy_terms(batch, sp.grid, source)
     u = _unknowns(batch.reshape(len(batch), -1), sp.store if params is None else params, sp)
-    stored = ad.sum_(ad.mul(ad.square(ad.matmul(u, differences)), 0.5 * weights), axis=-1)
-    energy = ad.mean_(ad.sub(stored, ad.sum_(ad.mul(u, load), axis=-1)))
-    return float(energy) if params is None else energy
+    mean = ad.mean_(energy(u, batch, sp.grid, source))
+    return float(mean) if params is None else mean
 
 
 def train_surrogate(dataset: np.ndarray, config: SurrogateSection, seed: int,

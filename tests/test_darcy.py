@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dpbsv
 
+from krflow import autodiff as ad
 from krflow import darcy
 from krflow.darcy import (
     DarcySolveError,
     ObservationOperator,
     ObservationSet,
     add_noise,
-    energy_terms,
+    energy,
     lattice_operator,
     load_observations_csv,
     log_likelihood,
@@ -20,6 +21,7 @@ from krflow.darcy import (
     observe,
     save_observations_csv,
     solve_darcy,
+    _stencil,
     _transmissibilities,
 )
 from krflow.grf import Grid
@@ -28,12 +30,10 @@ from krflow.grf import Grid
 def boundary_flux(u: np.ndarray, y: np.ndarray, grid: Grid) -> float:
     """Net discrete flux of the (H, W) pressure u leaving through the Dirichlet columns.
 
-    The transmissibilities are energy_terms' face weights, whose first
-    H*(W-1) entries are the horizontal faces row by row.  Neumann faces carry
-    no flux, so in steady state this equals the total source integral.
+    Neumann faces carry no flux, so in steady state this equals the total
+    source integral.
     """
-    weights, _, _ = energy_terms(y[None], grid)
-    t_h = weights[0, :grid.height * (grid.width - 1)].reshape(grid.height, -1)
+    t_h = _transmissibilities(y, grid)[0]
     return float(t_h[:, 0] @ (u[:, 1] - u[:, 0]) + t_h[:, -1] @ (u[:, -2] - u[:, -1]))
 
 
@@ -183,7 +183,15 @@ class TestSolver:
             return (*dpbsv(ab, b, **kwargs)[:2], 3)
 
         monkeypatch.setattr(darcy, "dpbsv", not_positive_definite)
-        with pytest.raises(DarcySolveError, match="relative residual inf"):
+        with pytest.raises(DarcySolveError, match=r"^banded Cholesky failed: LAPACK dpbsv "
+                                                  r"info = 3, the leading minor of order 3 "
+                                                  r"is not positive definite$"):
+            solve_darcy(np.zeros((8, 8)), Grid(8, 8))
+
+    def test_cholesky_argument_error_raises(self, monkeypatch):
+        # info = -k < 0 means LAPACK rejected its k-th argument
+        monkeypatch.setattr(darcy, "dpbsv", lambda ab, b, **kwargs: (ab, b, -4))
+        with pytest.raises(DarcySolveError, match=r"info = -4, argument 4 is illegal$"):
             solve_darcy(np.zeros((8, 8)), Grid(8, 8))
 
     @pytest.mark.filterwarnings("error")
@@ -252,10 +260,9 @@ def test_solution_satisfies_the_stencil(height, width, amplitude, seed):
 
 
 def _solution_and_load(source):
-    """solve_darcy's pressure and energy_terms' load on one 8x8 field."""
+    """solve_darcy's pressure and the load that the energy reads on one 8x8 field."""
     y = np.random.default_rng(12).standard_normal((8, 8))
-    return (solve_darcy(y, Grid(8, 8), source=source),
-            energy_terms(y[None], Grid(8, 8), source)[2])
+    return solve_darcy(y, Grid(8, 8), source=source), _stencil(y[None], Grid(8, 8), source)[3]
 
 
 class TestSource:
@@ -270,8 +277,9 @@ class TestSource:
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("call", [lambda y, source: solve_darcy(y, Grid(8, 8), source=source),
-                                      lambda y, source: energy_terms(y[None], Grid(8, 8), source)],
-                             ids=["solve_darcy", "energy_terms"])
+                                      lambda y, source: energy(np.zeros((1, 48)), y[None],
+                                                               Grid(8, 8), source)],
+                             ids=["solve_darcy", "energy"])
     @pytest.mark.parametrize("source,shape", [(lambda s1, s2: np.ones((2, 6)), r"\(2, 6\)"),
                                               (np.ones((8, 8)), r"\(8, 8\)")],
                              ids=["callable", "array"])
@@ -282,22 +290,36 @@ class TestSource:
             call(np.zeros((8, 8)), source)
 
 
-def _energy_system(y, grid, source=3.0):
-    weights, differences, load = energy_terms(y[None], grid, source)
-    return (differences * weights[0]) @ differences.T, load
+def _energy_and_gradient(u, ys, grid, weights):
+    """darcy.energy's (B,) values on ``u`` and the tape gradient of their
+    ``weights``-weighted sum."""
+    _, grads = ad.evaluate_with_gradients(
+        lambda leaves: ad.sum_(ad.mul(energy(leaves["u"], ys, grid), weights)), {"u": u})
+    return energy(u, ys, grid), grads["u"]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(height=st.integers(3, 12), width=st.integers(3, 18), batch=st.integers(1, 3),
+       amplitude=st.floats(0.0, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_energy_and_gradient_match_the_dense_system(height, width, batch, amplitude, seed):
+    # rounding is relative to the terms summed, |M| |u| + |b|, not to the result
+    grid = Grid(height, width)
+    rng = np.random.default_rng(seed)
+    ys = amplitude * rng.standard_normal((batch, height, width))
+    u = rng.standard_normal((batch, height * (width - 2)))
+    weights = rng.uniform(0.5, 2.0, batch)
+    values, grad = _energy_and_gradient(u, ys, grid, weights)
+    zeros = np.zeros(height)
+    for k, y in enumerate(ys):
+        mat, rhs = dense_system(y, grid, 3.0, zeros, zeros)
+        want_value = 0.5 * u[k] @ mat @ u[k] - rhs @ u[k]
+        want_grad = weights[k] * (mat @ u[k] - rhs)
+        scale = np.abs(mat) @ np.abs(u[k]) + np.abs(rhs)
+        assert abs(values[k] - want_value) <= 1e-12 * np.abs(u[k]) @ scale
+        assert np.abs(grad[k] - want_grad).max() <= 1e-12 * weights[k] * scale.max()
 
 
 class TestEnergyTerms:
-    @pytest.mark.parametrize("shape", [(3, 3), (9, 9), (12, 20), (20, 12)])
-    def test_pieces_assemble_the_stencil_system(self, shape):
-        grid = Grid(*shape)
-        y = np.random.default_rng(sum(shape)).standard_normal(shape)
-        mat, load = _energy_system(y, grid)
-        zeros = np.zeros(grid.height)
-        ref_mat, ref_rhs = dense_system(y, grid, 3.0, zeros, zeros)
-        np.testing.assert_allclose(mat, ref_mat, rtol=1e-14, atol=1e-14 * np.abs(ref_mat).max())
-        np.testing.assert_allclose(load, ref_rhs, rtol=1e-15)
-
     def test_batched_transmissibilities_equal_single_calls_bitwise(self):
         grid = Grid(6, 9)
         ys = np.random.default_rng(4).standard_normal((3, 6, 9)) * 1.5
@@ -307,18 +329,15 @@ class TestEnergyTerms:
             assert t_h[k].tobytes() == s_h.tobytes() and t_v[k].tobytes() == s_v.tobytes()
             assert heights.tobytes() == s_heights.tobytes()
 
-    def test_difference_matrix_built_once_and_read_only(self):
-        grid = Grid(5, 6)
-        ys = np.zeros((2, 5, 6))
-        _, first, _ = energy_terms(ys, grid)
-        _, second, _ = energy_terms(ys, grid)
-        assert first is second
-        with pytest.raises(ValueError):
-            first[0, 0] = 1.0
-
     def test_non_batch_rejected(self):
         with pytest.raises(ValueError, match=r"not a \(B, 4, 4\) batch"):
-            energy_terms(np.zeros((4, 4)), Grid(4, 4))
+            energy(np.zeros((1, 8)), np.zeros((4, 4)), Grid(4, 4))
+
+    @pytest.mark.parametrize("shape", [(2, 12), (3, 8), (16,)])
+    def test_unknowns_of_wrong_shape_rejected(self, shape):
+        pattern = re.escape(f"unknowns of shape {shape} do not fit fields (2, 4, 4)")
+        with pytest.raises(ValueError, match=pattern):
+            energy(np.zeros(shape), np.zeros((2, 4, 4)), Grid(4, 4))
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -327,16 +346,13 @@ class TestEnergyTerms:
 def test_solution_minimizes_the_energy(height, width, amplitude, seed):
     grid = Grid(height, width)
     rng = np.random.default_rng(seed)
-    y = amplitude * rng.standard_normal((height, width))
-    u = solve_darcy(y, grid, source=3.0)[:, 1:-1].ravel()
-    mat, load = _energy_system(y, grid)
-    assert np.linalg.norm(mat @ u - load) <= 1e-10 * np.linalg.norm(load)
-
-    def energy(v):
-        return 0.5 * v @ mat @ v - load @ v
-
-    for delta in rng.standard_normal((4, len(u))) * 1e-3 * np.abs(u).max():
-        assert energy(u + delta) > energy(u)
+    y = amplitude * rng.standard_normal((1, height, width))
+    u = solve_darcy(y[0], grid, source=3.0)[:, 1:-1].reshape(1, -1)
+    best, grad = _energy_and_gradient(u, y, grid, np.ones(1))
+    load = _stencil(y, grid, 3.0)[3]
+    assert np.linalg.norm(grad) <= 1e-10 * np.linalg.norm(load)
+    for delta in rng.standard_normal((4, u.size)) * 1e-3 * np.abs(u).max():
+        assert energy(u + delta, y, grid)[0] > best[0]
 
 
 class TestObserve:
