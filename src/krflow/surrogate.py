@@ -100,8 +100,8 @@ def energy_loss(batch: np.ndarray, sp: SurrogateParams, source: float = 3.0,
     give a scalar ``Tensor`` for training.
     """
     batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 3 or len(batch) == 0:
-        raise ValueError("batch must be a nonempty (B, H, W) array")
+    if batch.ndim != 3 or len(batch) == 0 or batch.shape[1:] != (sp.height, sp.width):
+        raise ValueError(f"batch {batch.shape} must be a nonempty (B, H, W) array on {sp.grid}")
     u = _unknowns(batch.reshape(len(batch), -1), sp.store if params is None else params, sp)
     mean = ad.mean_(energy(u, batch, sp.grid, source))
     return float(mean) if params is None else mean

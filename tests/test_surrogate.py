@@ -103,6 +103,14 @@ class TestEnergyLoss:
         with pytest.raises(ValueError, match=r"nonempty \(B, H, W\)"):
             energy_loss(np.zeros((H, W)), sp)
 
+    def test_batch_on_another_grid_rejected(self):
+        # the network's input width alone would not name the grid
+        sp = init_surrogate(H, W, seed=0, hidden=(4,))
+        with pytest.raises(ValueError, match=rf"batch \(2, {H}, {W + 1}\) must be a nonempty "
+                                             rf"\(B, H, W\) array on "
+                                             rf"Grid\(height={H}, width={W}\)"):
+            energy_loss(np.zeros((2, H, W + 1)), sp)
+
 
 class TestTraining:
     def test_zero_epochs_returns_initialization(self):
