@@ -320,6 +320,22 @@ def test_energy_and_gradient_match_the_dense_system(height, width, batch, amplit
 
 
 class TestEnergyTerms:
+    @pytest.mark.parametrize("shape", [(3, 3), (9, 9), (12, 20), (20, 12)])
+    def test_pieces_assemble_the_stencil_system(self, shape):
+        # the energy is 0.5 u^T M u - b^T u, so its gradient is -b at u = 0 and
+        # M e_k - b at the k-th unit vector: one batch row per probe
+        grid = Grid(*shape)
+        y = np.random.default_rng(sum(shape)).standard_normal(shape)
+        n = grid.height * (grid.width - 2)
+        probes = np.vstack([np.zeros(n), np.eye(n)])
+        _, grad = _energy_and_gradient(probes, np.broadcast_to(y, (n + 1, *shape)), grid,
+                                       np.ones(n + 1))
+        mat, load = grad[1:] - grad[0], -grad[0]
+        zeros = np.zeros(grid.height)
+        ref_mat, ref_rhs = dense_system(y, grid, 3.0, zeros, zeros)
+        np.testing.assert_allclose(mat, ref_mat, rtol=1e-14, atol=1e-14 * np.abs(ref_mat).max())
+        np.testing.assert_allclose(load, ref_rhs, rtol=1e-15)
+
     def test_batched_transmissibilities_equal_single_calls_bitwise(self):
         grid = Grid(6, 9)
         ys = np.random.default_rng(4).standard_normal((3, 6, 9)) * 1.5
