@@ -23,20 +23,43 @@ rank-1 update reads a contiguous column: 0.32 ms per 32x32 system, against
 DarcySolveError, which a failed factorization also raises, naming LAPACK's
 info.  :func:`energy` is the surrogate's loss 1/2 u^T A u - b^T u of the same
 system, with its exact gradient A u - b.
+
+``dpbsv`` is ``scipy.linalg.lapack.dpbsv``, which :func:`_load_flapack` takes
+from scipy's compiled wrapper alone: ``import krflow`` never imports the
+``scipy.linalg`` package, which cost every CLI process 0.2 s and 20 MB.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dpbsv
+import scipy
 
 from . import autodiff as ad
 from .grf import Grid
 from .report import read_csv_floats, write_csv
+
+
+def _load_flapack(directory: str):
+    """scipy's compiled LAPACK wrapper ``scipy.linalg._flapack``, loaded from
+    ``directory`` without running the ``scipy.linalg`` package."""
+    finder = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder.find_spec("scipy.linalg._flapack")
+    if spec is None:
+        raise ImportError(f"no scipy.linalg._flapack extension in {directory} "
+                          f"(scipy {scipy.__version__})")
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+dpbsv = _load_flapack(os.path.join(scipy.__path__[0], "linalg")).dpbsv
 
 
 class DarcySolveError(RuntimeError):

@@ -1,7 +1,12 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dpbsv
@@ -242,6 +247,34 @@ class TestSolver:
         full = solve_darcy(y, grid, dirichlet_left=np.full(6, 1.5),
                            dirichlet_right=np.full(6, -0.5))
         np.testing.assert_array_equal(scalar, full)
+
+
+def run_fresh_python(code: str) -> str:
+    """Standard output of ``code`` run by a new interpreter that imports this krflow."""
+    src = str(Path(darcy.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    return done.stdout.strip()
+
+
+class TestLapackLoad:
+    def test_missing_wrapper_names_directory_and_scipy_version(self, tmp_path):
+        with pytest.raises(ImportError, match=f"no scipy.linalg._flapack extension in "
+                                              f"{re.escape(str(tmp_path))} "
+                                              rf"\(scipy {re.escape(scipy.__version__)}\)$"):
+            darcy._load_flapack(str(tmp_path))
+
+    def test_import_leaves_scipy_linalg_unimported(self):
+        # this process imported scipy.linalg already, so only a new one can tell
+        assert run_fresh_python("import sys, krflow.cli; "
+                                "print('scipy.linalg' in sys.modules)") == "False"
+
+    @pytest.mark.parametrize("first,second", [("krflow.darcy", "scipy.linalg.lapack"),
+                                              ("scipy.linalg.lapack", "krflow.darcy")])
+    def test_dpbsv_is_scipy_lapack_dpbsv(self, first, second):
+        assert run_fresh_python(f"import {first}, {second}; "
+                                "print(krflow.darcy.dpbsv is scipy.linalg.lapack.dpbsv)") == "True"
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
