@@ -10,7 +10,8 @@ energy of :func:`krflow.darcy.energy`:
 
 - elementwise: ``add``, ``sub``, ``mul``, ``exp``, ``tanh``, ``relu``,
   ``square`` and ``clip``;
-- linear algebra and reductions: ``matmul``, ``sum_`` and ``mean_``;
+- linear algebra and reductions: ``matmul``, ``dense`` (a whole dense
+  layer, its ReLU optional), ``sum_`` and ``mean_``;
 - structural: ``reshape``, ``take_cols`` and ``concat``.
 
 Ops are plain functions; ``Tensor`` has no operator overloads.
@@ -19,8 +20,8 @@ Every op dispatches on its input type, so the same network code runs either
 on the tape (``Tensor`` inputs, gradients available) or as plain numpy
 (``ndarray`` inputs, no tape overhead) for sampling and MCMC hot loops.
 On the tape, a float or ndarray operand of ``add``, ``sub``, ``mul``,
-``matmul`` or ``concat`` is read as it is and never wrapped in a constant
-``Tensor``.
+``matmul``, ``dense`` or ``concat`` is read as it is and never wrapped in a
+constant ``Tensor``.
 
 Finiteness is checked once per ``evaluate_with_gradients`` (see there), not
 on every node.  A gradient reaches a tensor by assignment the first time and
@@ -50,8 +51,13 @@ def _as_array(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64, order="C")
 
 
+def all_finite(data: np.ndarray) -> bool:
+    """``np.isfinite(data).all()``, in one pass when True: a finite sum has finite terms."""
+    return math.isfinite(np.add.reduce(data, axis=None)) or bool(np.isfinite(data).all())
+
+
 def _check_finite(data: np.ndarray, op: str) -> None:
-    if not np.isfinite(data).all():
+    if not all_finite(data):
         raise NonFiniteError(f"non-finite values produced by op '{op}'")
 
 
@@ -229,6 +235,36 @@ def matmul(a, b):
     return node(data, "matmul", (a, b), backward)
 
 
+def dense(h, w, b, relu: bool = False):
+    """relu(add(matmul(h, w), b)), or the same without relu, as one node.
+
+    Bias and ReLU act in place on the product; backward masks by out > 0, the
+    pre-activation's mask, then feeds b, h and w in the unfused order, so value
+    and gradients are the unfused ops' bytes.  As numpy, h may be one (d,) row.
+    """
+    hv, wv, bv = np.asarray(_value(h)), np.asarray(_value(w)), _value(b)
+    tape = _is_tape(h, w) or isinstance(b, Tensor)
+    if wv.ndim != 2 or (hv.ndim != 2 and (tape or hv.ndim != 1)) or hv.shape[-1] != wv.shape[0]:
+        raise ShapeError(f"dense: incompatible shapes {hv.shape} and {wv.shape}")
+    data = hv @ wv
+    data += bv
+    if relu:
+        np.maximum(data, 0.0, out=data)
+    if not tape:
+        return data
+
+    def backward(g):
+        g = g * (data > 0.0) if relu else g
+        if _wants_grad(b):
+            b._accumulate(_unbroadcast(g, bv.shape))
+        if _wants_grad(h):
+            h._accumulate(g @ wv.T)
+        if _wants_grad(w):
+            w._accumulate(hv.T @ g)
+
+    return node(data, "dense", (h, w, b), backward)
+
+
 # -- reductions -------------------------------------------------------------------
 
 
@@ -380,41 +416,21 @@ def fixed_conv2d(field, kernel) -> "Tensor | np.ndarray":
     h, w = arr.shape[-2], arr.shape[-1]
     if h < 3 or w < 3:
         raise ShapeError(f"fixed_conv2d: field {h}x{w} smaller than the 3x3 kernel")
-
-    pad = [(0, 0)] * (arr.ndim - 2) + [(1, 1), (1, 1)]
-
-    def forward(x):
-        xp = np.pad(x, pad, mode="edge")
-        out = np.zeros_like(x)
-        for a in range(3):
-            for b in range(3):
-                out += kernel[a, b] * xp[..., a:a + h, b:b + w]
-        return out
-
+    # each tap's weight and the (edge-clamped) rows and columns it reads
+    taps = [(kernel[a, b], (..., np.clip(np.arange(h) + a - 1, 0, h - 1)[:, None],
+                            np.clip(np.arange(w) + b - 1, 0, w - 1)))
+            for a in range(3) for b in range(3)]
+    data = sum(weight * arr[idx] for weight, idx in taps)
     if not isinstance(field, Tensor):
-        return forward(arr)
-
-    data = forward(arr)
-    t = field
+        return data
 
     def backward(g):
-        gp = np.zeros(g.shape[:-2] + (h + 2, w + 2))
-        for a in range(3):
-            for b in range(3):
-                gp[..., a:a + h, b:b + w] += kernel[a, b] * g
-        # fold gradient on replicated padding back onto the edges
-        gx = gp[..., 1:h + 1, 1:w + 1].copy()
-        gx[..., 0, :] += gp[..., 0, 1:w + 1]
-        gx[..., -1, :] += gp[..., h + 1, 1:w + 1]
-        gx[..., :, 0] += gp[..., 1:h + 1, 0]
-        gx[..., :, -1] += gp[..., 1:h + 1, w + 1]
-        gx[..., 0, 0] += gp[..., 0, 0]
-        gx[..., 0, -1] += gp[..., 0, w + 1]
-        gx[..., -1, 0] += gp[..., h + 1, 0]
-        gx[..., -1, -1] += gp[..., h + 1, w + 1]
-        t._accumulate(gx)
+        gx = np.zeros_like(arr)
+        for weight, idx in taps:
+            np.add.at(gx, idx, weight * g)   # clamped reads scatter back onto the edges
+        field._accumulate(gx)
 
-    return node(data, "fixed_conv2d", (t,), backward)
+    return node(data, "fixed_conv2d", (field,), backward)
 
 
 # -- driving programs -----------------------------------------------------------------
@@ -451,7 +467,7 @@ def evaluate_with_gradients(program: Callable, params: Mapping[str, np.ndarray]
         _trail.reset(token)
     grads = {name: leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
              for name, leaf in leaves.items()}
-    if not (math.isfinite(value) and all(np.isfinite(g).all() for g in grads.values())):
+    if not (math.isfinite(value) and all(all_finite(g) for g in grads.values())):
         for node in trail:
             _check_finite(node.data, node.op)
         for name, g in grads.items():

@@ -4,7 +4,8 @@ The trained decoder fixes a map from latents x to fields y, and the trained
 surrogate replaces the forward solve inside the likelihood.  Both methods
 target pi(x | D) ~ pi(D | surrogate(mu_de(x))) N(x; 0, I) through one latent
 likelihood, the folded dense layers of :func:`make_surrogate_loglike`, which
-runs as plain numpy for pCN and on the tape for the flow.
+runs as plain numpy for pCN and on the tape for the flow; each hidden layer
+is one fused :func:`krflow.autodiff.dense` on either path.
 
 The coupling flow is fitted by reverse KL: draw z ~ N(0, I), pull back
 through the flow inverse x = f^{-1}(z), and minimize
@@ -50,7 +51,7 @@ from .report import write_loss_curve
 from .surrogate import SurrogateParams, pressure_layers
 # No longer called here; kept because the benchmark's tracer rebinds it by name.
 from .surrogate import surrogate_forward_batch  # noqa: F401
-from .vae import VaeParams, decode_batch, decoder_mean_layers
+from .vae import VaeParams, decode_batch, decode_blocks, decoder_mean_layers
 
 # Rows per batched likelihood call when pCN prefetches proposals.  A desk
 # call reads 3.7 MB of weights whatever the batch, so 8 or 12 rows take about
@@ -151,17 +152,22 @@ def posterior_moments_from_states(states: np.ndarray, vae: VaeParams,
 
     mean_field averages decoder means; variance_field averages decoder
     variances (exactly the headline estimator, which leaves out the spread
-    of decoder means across samples).
+    of decoder means across samples), to one batch's bits (see decode_blocks).
     """
-    mu, logvar = decode_batch(np.asarray(states, dtype=np.float64), vae.store, vae)
-    shape = (vae.height, vae.width)
+    states = np.asarray(states, dtype=np.float64)
+    n, shape = len(states), (vae.height, vae.width)
+    mu = np.empty((n, vae.height * vae.width), order="F")
+    variance = np.empty_like(mu)
+    for rows in decode_blocks(n):
+        mu[rows], logvar = decode_batch(states[rows], vae.store, vae)
+        variance[rows] = np.exp(logvar)
     mean_field = mu.mean(axis=0).reshape(shape)
     err = float("nan") if exact_field is None else relative_error(mean_field, exact_field)
     return PosteriorSummary(
         mean_field=mean_field,
-        variance_field=np.exp(logvar).mean(axis=0).reshape(shape),
+        variance_field=variance.mean(axis=0).reshape(shape),
         relative_error=err,
-        n_samples=len(mu),
+        n_samples=n,
     )
 
 
@@ -199,9 +205,9 @@ def make_surrogate_loglike(vae: VaeParams, surrogate: SurrogateParams,
       to the whitened residual.
 
     The hidden layers of both networks are kept as they are.  A call is a
-    chain of relu(h @ W + b) and one affine map.  The folds reassociate
-    sums, so the value matches the composition decode_batch ->
-    surrogate_forward_batch -> observation_matrix to 1e-12 relative, not bit
+    chain of relu(h @ W + b), each one ``ad.dense``, and one affine map.  The
+    folds reassociate sums, so the value matches the composition decode_batch
+    -> surrogate_forward_batch -> observation_matrix to 1e-12 relative, not bit
     for bit.  The tape and the ndarray batch compute the same values.  A
     batch row goes through matrix-matrix products where a (d,) call goes
     through vector-matrix ones, so these two agree in the last bits only:
@@ -214,7 +220,7 @@ def make_surrogate_loglike(vae: VaeParams, surrogate: SurrogateParams,
     def log_like(x):
         h = x
         for w, b in hidden:
-            h = ad.relu(ad.add(ad.matmul(h, w), b))
+            h = ad.dense(h, w, b, relu=True)
         z = ad.sub(target, ad.matmul(h, w_out))
         return ad.add(ad.mul(ad.sum_(ad.square(z), axis=-1), -0.5), log_norm)
 
@@ -227,19 +233,13 @@ def _folded_likelihood(vae: VaeParams, surrogate: SurrogateParams, obs: Observat
     the output map and target of the whitened residual z = target - h @ w_out,
     and the log normalizer."""
     obs_matrix = observation_matrix(obs.operator, surrogate.grid)      # (m, HW)
-    sigma = obs.sigma
     decoder = decoder_mean_layers(vae)
-    body = pressure_layers(surrogate, obs_matrix.T / sigma)
-    layers = decoder[:-1] + [_compose(decoder[-1], body[0])] + body[1:]
+    body = pressure_layers(surrogate, obs_matrix.T / obs.sigma)
+    (w1, b1), (w2, b2) = decoder[-1], body[0]   # no ReLU between them
+    layers = decoder[:-1] + [(w1 @ w2, b1 @ w2 + b2)] + body[1:]
     hidden, (w_out, b_out) = layers[:-1], layers[-1]
-    log_norm = float(np.sum(-np.log(sigma) - 0.5 * np.log(2.0 * np.pi)))
-    return hidden, w_out, obs.values / sigma - b_out, log_norm
-
-
-def _compose(first, second):
-    """The affine map h -> (h @ W1 + b1) @ W2 + b2 as one (W, b) pair."""
-    (w1, b1), (w2, b2) = first, second
-    return w1 @ w2, b1 @ w2 + b2
+    log_norm = float(np.sum(-np.log(obs.sigma) - 0.5 * np.log(2.0 * np.pi)))
+    return hidden, w_out, obs.values / obs.sigma - b_out, log_norm
 
 
 def pcn_mcmc(log_like: Callable[[np.ndarray], float], dim: int, steps: int,

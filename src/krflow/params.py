@@ -267,9 +267,9 @@ def adam_step(params: ParamStore, gradients: Mapping[str, np.ndarray],
         b += EPSILON
         a /= b
         p -= a
-        finite = finite and np.isfinite(p).all()
+        finite = finite and ad.all_finite(p)
     if not finite:
-        name = next(k for k, (p, _) in state.bound.items() if not np.isfinite(p).all())
+        name = next(k for k, (p, _) in state.bound.items() if not ad.all_finite(p))
         raise ValueError(f"parameter '{name}' contains non-finite values")
     return params, state
 

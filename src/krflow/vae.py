@@ -31,6 +31,9 @@ from .report import write_loss_curve
 
 LOGVAR_BOUND = 10.0
 
+# rows per decode_batch call of sample_prior and the posterior moments
+DECODE_BLOCK = 256
+
 
 @dataclass
 class VaeParams:
@@ -184,11 +187,19 @@ def train_vae(dataset: np.ndarray, config: VaeSection, seed: int,
     return dataclasses.replace(vae, store=store)
 
 
+def decode_blocks(n: int) -> list[slice]:
+    """Row blocks of n latents, decoded into buffers laid out as one batch's
+    outputs (column-major) so sums over rows keep its bits.  A lone last row
+    joins the block before: BLAS computes one row (gemv) to other bits (gemm)."""
+    starts = list(range(0, n - 1, DECODE_BLOCK)) or [0]
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
+
+
 def sample_prior(vae: VaeParams, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n decoder-mean fields from x ~ N(0, I); returns (n, H, W)."""
-    if n == 0:
-        return np.zeros((0, vae.height, vae.width))
     x = rng.standard_normal((n, vae.latent_dim))
-    mu, _ = decode_batch(x, vae.store, vae)
+    mu = np.empty((n, vae.height * vae.width), order="F")
+    for rows in decode_blocks(n):
+        mu[rows], _ = decode_batch(x[rows], vae.store, vae)
     return mu.reshape(n, vae.height, vae.width)
 

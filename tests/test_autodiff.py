@@ -1,12 +1,14 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from krflow import autodiff as ad
 from krflow.autodiff import Tensor, evaluate_with_gradients, fixed_conv2d
 from krflow.nets import diag_gaussian_logpdf, init_mlp, mlp_forward
-from krflow.params import ParamStore
+from krflow.params import AdamState, ParamStore, adam_step
 
 
 def finite_difference_grads(program, params, h=1e-5):
@@ -471,3 +473,105 @@ def test_shared_nodes_dead_branches_and_array_operands(n, seed, steps):
         assert relative_error(grads[name], fd[name]) < 1e-6, name
     for name in ("dead", "unused"):
         np.testing.assert_array_equal(grads[name], np.zeros((n, n)))
+
+
+def _unfused_layer(h, w, b, relu):
+    out = ad.add(ad.matmul(h, w), b)
+    return ad.relu(out) if relu else out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(relu=st.booleans(), taped=st.sets(st.sampled_from("hwb")), shared=st.booleans(),
+       integral=st.booleans(), rows=st.integers(1, 4), n_in=st.integers(1, 5),
+       n_out=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+def test_dense_is_the_unfused_layer_to_the_bit(relu, taped, shared, integral, rows, n_in,
+                                               n_out, seed):
+    # each of h, w and b is a tape leaf or a plain ndarray, or all three are
+    # one square leaf, whose gradient then sums three terms in the unfused
+    # order; small integers put pre-activations exactly on the ReLU kink at 0
+    rng = np.random.default_rng(seed)
+    if shared:
+        n_in = n_out = rows
+    shapes = {"h": (rows, n_in), "w": (n_in, n_out), "b": (n_out,)}
+    arrays = {k: rng.integers(-2, 3, shape).astype(float) if integral
+              else rng.standard_normal(shape) for k, shape in shapes.items()}
+    upstream = rng.standard_normal((rows, n_out))   # the gradient reaching the layer
+    params = {"h": arrays["h"]} if shared else {k: arrays[k] for k in sorted(taped)}
+
+    def run(layer):
+        outs = []
+
+        def program(t):
+            args = [t["h"]] * 3 if shared else [t.get(k, arrays[k]) for k in "hwb"]
+            outs.append(layer(*args, relu))
+            return ad.sum_(ad.mul(outs[0], upstream))
+
+        value, grads = evaluate_with_gradients(program, params)
+        out = outs[0].data if isinstance(outs[0], Tensor) else outs[0]
+        gradients = {k: g.tobytes() for k, g in grads.items()}
+        return out.tobytes(), np.float64(value).tobytes(), gradients
+
+    assert run(ad.dense) == run(_unfused_layer)
+    # one (d,) row on the numpy path, as pCN's single-state call passes it
+    row = arrays["h"][0]
+    fused, unfused = ad.dense(row, arrays["w"], arrays["b"], relu), _unfused_layer(
+        row, arrays["w"], arrays["b"], relu)
+    assert fused.shape == unfused.shape == (n_out,)
+    assert fused.tobytes() == unfused.tobytes()
+
+
+@pytest.mark.parametrize("h, w, taped", [((2, 3), (4, 5), False), ((2, 3), (4, 5), True),
+                                         ((3,), (3, 5), True)],
+                         ids=["numpy", "tape", "row-on-tape"])
+def test_dense_rejects_mismatched_shapes_naming_both(h, w, taped):
+    arg = Tensor.leaf(np.ones(h)) if taped else np.ones(h)
+    with pytest.raises(ad.ShapeError, match=re.escape(f"dense: incompatible shapes {h} and {w}")):
+        ad.dense(arg, np.ones(w), np.zeros(5))
+
+
+_ENTRIES = st.one_of(st.sampled_from([0.0, -1.5, 1e308, -1e308, np.inf, -np.inf, np.nan]),
+                     st.floats(allow_nan=True, allow_infinity=True))
+
+
+def _error(fn) -> str | None:
+    """The message of the NonFiniteError or ValueError ``fn()`` raises, else None."""
+    try:
+        fn()
+    except (ad.NonFiniteError, ValueError) as exc:
+        return str(exc)
+    return None
+
+
+def _zero_adam_step(x):
+    """One zero-gradient Adam step, which leaves every parameter as it is, on
+    a store whose entry "x" holds ``x`` (written past the store's own check)."""
+    store = ParamStore({"a": np.ones(3), "x": np.zeros_like(x)})
+    state = AdamState.fresh(store, 0.1)
+    store["x"][...] = x
+    adam_step(store, {"a": np.zeros(3), "x": np.zeros_like(x)}, state)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(values=st.lists(_ENTRIES, min_size=1, max_size=10))
+@example(values=[1e308, 1e308])           # finite entries whose sum overflows to inf
+@example(values=[-1e308, -1e308, 1.0])
+@example(values=[1e308, -1e308, 1e308, 1e308])
+@example(values=[np.inf, -np.inf])        # infinite entries whose sum is nan
+def test_one_pass_finite_checks_raise_exactly_on_a_non_finite_entry(values):
+    # the leaf check, the gradient check and Adam's sweep each raise exactly
+    # when np.isfinite(x).all() is False, also where the sum of x overflows
+    x = np.array(values)
+    finite = bool(np.isfinite(x).all())
+    with np.errstate(over="ignore", invalid="ignore"):   # the sums may overflow
+        assert ad.all_finite(x) is finite
+        leaf = _error(lambda: Tensor.leaf(x, name="x"))
+        # w's gradient is x; the zero weight keeps the value 0 where x is finite
+        gradient = _error(lambda: evaluate_with_gradients(
+            lambda t: ad.sum_(ad.mul(t["w"], x)), {"w": np.zeros_like(x)}))
+        adam = _error(lambda: _zero_adam_step(x))
+    if finite:
+        assert leaf is gradient is adam is None
+    else:
+        assert leaf == "non-finite values produced by op 'leaf 'x''"
+        assert gradient == "non-finite values produced by op 'mul'"   # 0 * inf is nan
+        assert adam == "parameter 'x' contains non-finite values"

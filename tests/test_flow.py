@@ -9,7 +9,6 @@ from krflow.flow import (
     FlowParams,
     coupling_forward,
     coupling_inverse,
-    dependency_mask,
     init_flow,
     krnet_forward,
     krnet_inverse,
@@ -19,6 +18,30 @@ from krflow.flow import (
 )
 from krflow.params import ParamStore, load_model, save_model
 from krflow.report import read_json, write_json
+
+
+def dependency_mask(config: FlowConfig) -> np.ndarray:
+    """Boolean (d, d) mask: may output coordinate i depend on input j?
+
+    Propagates dependency sets through the exact layer schedule, so the mask
+    encodes both the freeze bookkeeping and the per-layer conditioning
+    direction.  The numerical Jacobian must be zero wherever this is False.
+    """
+    d = config.dim
+    deps = [set([j]) for j in range(d)]
+    for t, m in enumerate(config.active_dims()):
+        for l in range(config.layers_per_stage):
+            kept, trans = _split(m, l)
+            kept_union: set[int] = set()
+            for k in kept:
+                kept_union |= deps[k]
+            for j in trans:
+                deps[j] = deps[j] | kept_union
+    mask = np.zeros((d, d), dtype=bool)
+    for i in range(d):
+        for j in deps[i]:
+            mask[i, j] = True
+    return mask
 
 
 def random_flow(config: FlowConfig, seed: int, scale: float = 0.1) -> FlowParams:

@@ -4,7 +4,9 @@ import pytest
 from krflow import autodiff as ad
 from krflow.config import VaeSection
 from krflow.grf import Grid, dataset_to_array, generate_prior_dataset
+from krflow.inference import posterior_moments_from_states
 from krflow.vae import (
+    DECODE_BLOCK,
     ElboBreakdown,
     VaeParams,
     _elbo_terms,
@@ -252,6 +254,40 @@ class TestSamplePrior:
         fields = sample_prior(vae, 2000, np.random.default_rng(17))
         rms = np.sqrt(np.mean((fields.mean(axis=0) - 1.0) ** 2))
         assert rms < 0.15
+
+
+@pytest.fixture(scope="module")
+def trained_vae():
+    data = dataset_to_array(generate_prior_dataset(Grid(H, W), 0.5, 1.0, [0.3], 40, base_seed=5))
+    config = VaeSection(latent_dim=D, encoder_hidden=(16,), decoder_hidden=(12, 16),
+                        epochs=3, batch_size=20, learning_rate=1e-2)
+    return train_vae(data, config, seed=3)
+
+
+_BLOCK_EDGES = [1, DECODE_BLOCK - 1, DECODE_BLOCK, DECODE_BLOCK + 1, 2 * DECODE_BLOCK + 3]
+
+
+class TestDecodeInBlocks:
+    """Decoding in blocks gives the bytes of one decode_batch over all rows."""
+
+    @pytest.mark.parametrize("n", _BLOCK_EDGES)
+    def test_posterior_moments(self, trained_vae, n):
+        states = np.random.default_rng(n).standard_normal((n, D))
+        summary = posterior_moments_from_states(states, trained_vae)
+        mu, logvar = decode_batch(states, trained_vae.store, trained_vae)
+        assert summary.n_samples == n
+        assert summary.mean_field.tobytes() == mu.mean(axis=0).reshape(H, W).tobytes()
+        assert summary.variance_field.tobytes() == \
+            np.exp(logvar).mean(axis=0).reshape(H, W).tobytes()
+
+    @pytest.mark.parametrize("n", _BLOCK_EDGES)
+    def test_sample_prior(self, trained_vae, n):
+        fields = sample_prior(trained_vae, n, np.random.default_rng(n))
+        x = np.random.default_rng(n).standard_normal((n, D))
+        expected = decode_batch(x, trained_vae.store, trained_vae)[0].reshape(n, H, W)
+        assert fields.tobytes() == expected.tobytes()
+        # the mean over the draws, as the CLI takes it, sums in the same order
+        assert fields.mean(axis=0).tobytes() == expected.mean(axis=0).tobytes()
 
 
 def test_checkpoint_roundtrip(tmp_path, vae):
