@@ -18,7 +18,7 @@ from .darcy import (
     observe,
     solve_darcy,
 )
-from .flow import FlowConfig, FlowParams, init_flow, krnet_forward, krnet_inverse, log_density
+from .flow import FlowConfig, FlowParams, init_flow, krnet_forward, krnet_inverse
 from .grf import CovarianceSpec, FieldSample, Grid, KLBasis, generate_prior_dataset
 from .inference import (
     McmcChain,

@@ -85,7 +85,7 @@ class Tensor:
     array; ``leaf`` and ``constant`` coerce theirs.
     """
 
-    __slots__ = ("data", "grad", "op", "requires_grad", "_backward")
+    __slots__ = ("data", "grad", "op", "requires_grad", "_backward", "row")
 
     def __init__(self, data, requires_grad: bool = False, op: str = "leaf",
                  backward: Callable[[np.ndarray], None] | None = None):
@@ -94,13 +94,15 @@ class Tensor:
         self.op = op
         self.requires_grad = requires_grad
         self._backward = backward
+        self.row: np.ndarray | None = None   # a leaf's gradient row; dense writes into it
 
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
-    def leaf(data, name: str = "") -> "Tensor":
+    def leaf(data, name: str = "", row: np.ndarray | None = None) -> "Tensor":
         t = Tensor(_as_array(data), requires_grad=True)
         _check_finite(t.data, f"leaf '{name}'")
+        t.row = row
         return t
 
     @staticmethod
@@ -255,12 +257,13 @@ def dense(h, w, b, relu: bool = False):
 
     def backward(g):
         g = g * (data > 0.0) if relu else g
-        if _wants_grad(b):
-            b._accumulate(_unbroadcast(g, bv.shape))
+        if _wants_grad(b):   # a leaf's first b or w gradient is computed into its row
+            b._accumulate(g.sum(axis=0, out=b.row if b.grad is None else None)
+                          if bv.shape == g.shape[1:] else _unbroadcast(g, bv.shape))
         if _wants_grad(h):
             h._accumulate(g @ wv.T)
         if _wants_grad(w):
-            w._accumulate(hv.T @ g)
+            w._accumulate(np.matmul(hv.T, g, out=w.row if w.grad is None else None))
 
     return node(data, "dense", (h, w, b), backward)
 
@@ -436,7 +439,8 @@ def fixed_conv2d(field, kernel) -> "Tensor | np.ndarray":
 # -- driving programs -----------------------------------------------------------------
 
 
-def evaluate_with_gradients(program: Callable, params: Mapping[str, np.ndarray]
+def evaluate_with_gradients(program: Callable, params: Mapping[str, np.ndarray],
+                            rows: Mapping[str, np.ndarray] | None = None
                             ) -> tuple[float, dict[str, np.ndarray]]:
     """Run ``program(leaves)`` to a scalar and return (value, gradients).
 
@@ -445,13 +449,17 @@ def evaluate_with_gradients(program: Callable, params: Mapping[str, np.ndarray]
     a leaf holding a NaN or Inf raises NonFiniteError naming it.  Gradients
     are exact reverse-mode derivatives of the scalar output with respect to
     every entry; entries the program never touches get zero gradients.  Two
-    entries may share one gradient array, so do not update one in place.
+    entries may share one gradient array, so do not update one in place.  The
+    gradient of an entry ``rows`` names is written, to the same bytes, into
+    that float64 array of the entry's shape, and returned as that array.
 
     A NaN or Inf in the value or in any gradient raises NonFiniteError naming
     the op of the first node, in evaluation order, that holds one; if no node
     does, it names the first non-finite gradient.
     """
-    leaves = {name: Tensor.leaf(arr, name=name) for name, arr in params.items()}
+    with np.errstate(over="ignore", invalid="ignore"):   # all_finite's sums; see there
+        leaves = {name: Tensor.leaf(arr, name, (rows or {}).get(name))
+                  for name, arr in params.items()}
     trail: list[Tensor] = []
     token = _trail.set(trail)
     try:
@@ -467,10 +475,14 @@ def evaluate_with_gradients(program: Callable, params: Mapping[str, np.ndarray]
         _trail.reset(token)
     grads = {name: leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
              for name, leaf in leaves.items()}
-    if not (math.isfinite(value) and all(all_finite(g) for g in grads.values())):
-        for node in trail:
-            _check_finite(node.data, node.op)
-        for name, g in grads.items():
-            _check_finite(g, f"gradient of '{name}'")
-        _check_finite(out.data, "program output")
+    for name, row in (rows or {}).items():   # where a gradient was not computed into its row
+        if grads[name] is not row:
+            row[...], grads[name] = grads[name], row
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not (math.isfinite(value) and all(all_finite(g) for g in grads.values())):
+            for node in trail:
+                _check_finite(node.data, node.op)
+            for name, g in grads.items():
+                _check_finite(g, f"gradient of '{name}'")
+            _check_finite(out.data, "program output")
     return value, grads

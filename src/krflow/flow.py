@@ -27,7 +27,7 @@ from typing import Mapping
 import numpy as np
 
 from . import autodiff as ad
-from .nets import init_mlp, mlp_forward, std_normal_logpdf
+from .nets import init_mlp, mlp_forward
 from .params import ParamStore
 
 
@@ -178,14 +178,6 @@ def krnet_inverse(z, params: Mapping[str, object] | FlowParams, config: FlowConf
             cur, ld = coupling_inverse(cur, params, config, prefix, _split(m, l))
             logdet = ld if logdet is None else ad.add(logdet, ld)
     return (cur, logdet) if with_logdet else cur
-
-
-def log_density(x, params: Mapping[str, object] | FlowParams,
-                config: FlowConfig | None = None):
-    """log q(x) = log N(f(x); 0, I) + log|det df/dx| of a (B, d) batch; (B,)."""
-    params, config = _unpack(params, config)
-    z, logdet = krnet_forward(x, params, config)
-    return ad.add(std_normal_logpdf(z), logdet)
 
 
 def _unpack(params, config):

@@ -118,7 +118,6 @@ def train_posterior_flow(flow_config: FlowConfig, vae: VaeParams,
     surrogate are frozen throughout, folded once into the likelihood pCN
     uses.  Returns the final-epoch parameters.
     """
-    flow = init_flow(flow_config, seed)
     z_data = np.random.default_rng(seed).standard_normal((config.sample_size, flow_config.dim))
     log_like = make_surrogate_loglike(vae, surrogate, obs)
 
@@ -130,8 +129,8 @@ def train_posterior_flow(flow_config: FlowConfig, vae: VaeParams,
 
         return program
 
-    store, curve = fit("flow", flow.store, z_data, config.batch_size, config.epochs,
-                       config.learning_rate, program_for, adam_step)
+    store, curve = fit("flow", init_flow(flow_config, seed).store, z_data, config.batch_size,
+                       config.epochs, config.learning_rate, program_for, adam_step)
     if curve_path is not None:
         write_loss_curve(curve_path, curve)
     return FlowParams(store, flow_config)
@@ -155,7 +154,9 @@ def posterior_moments_from_states(states: np.ndarray, vae: VaeParams,
     of decoder means across samples), to one batch's bits (see decode_blocks).
     """
     states = np.asarray(states, dtype=np.float64)
-    n, shape = len(states), (vae.height, vae.width)
+    if not (n := len(states)):
+        raise ValueError("posterior_moments_from_states: no states given")
+    shape = (vae.height, vae.width)
     mu = np.empty((n, vae.height * vae.width), order="F")
     variance = np.empty_like(mu)
     for rows in decode_blocks(n):
@@ -163,12 +164,7 @@ def posterior_moments_from_states(states: np.ndarray, vae: VaeParams,
         variance[rows] = np.exp(logvar)
     mean_field = mu.mean(axis=0).reshape(shape)
     err = float("nan") if exact_field is None else relative_error(mean_field, exact_field)
-    return PosteriorSummary(
-        mean_field=mean_field,
-        variance_field=variance.mean(axis=0).reshape(shape),
-        relative_error=err,
-        n_samples=n,
-    )
+    return PosteriorSummary(mean_field, variance.mean(axis=0).reshape(shape), err, n)
 
 
 def relative_error(mean_field: np.ndarray, exact_field: np.ndarray) -> float:

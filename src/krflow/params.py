@@ -188,22 +188,23 @@ def load_model(cls, path_prefix: str):
 
 @dataclass
 class AdamState:
-    """Adam's moments, step count and learning rate, over one flat layout.
+    """Adam's gradients, moments, step count and learning rate, over one flat layout.
 
     :meth:`fresh` copies the store's parameters, in store order, into row 0
-    of one (4, n) float64 buffer and rebinds each store entry to its view
-    there; rows 1-3 hold the gradients and the two moments, which
-    ``first_moment`` and ``second_moment`` map by name.  ``blocks`` cuts the
-    rows into slices of at most ``ADAM_BLOCK`` elements, each with two
-    scratch rows, so that :func:`adam_step` allocates nothing.
+    of one (4, n) float64 buffer, which holds the gradients and the two
+    moments in rows 1-3, and rebinds each store entry to its view there;
+    ``parameter`` to ``second_moment`` map names to the views of rows 0-3.
+    ``blocks`` cuts the rows into slices of at most ``ADAM_BLOCK`` elements,
+    each with two scratch rows, so that :func:`adam_step` allocates nothing.
     """
 
+    parameter: dict[str, np.ndarray]
+    gradient: dict[str, np.ndarray]
     first_moment: dict[str, np.ndarray]
     second_moment: dict[str, np.ndarray]
     step_count: int
     learning_rate: float
-    bound: dict[str, tuple[np.ndarray, np.ndarray]]   # name -> (parameter, gradient) views
-    blocks: list[tuple[np.ndarray, ...]]              # (p, g, m, v, scratch a, scratch b)
+    blocks: list[tuple[np.ndarray, ...]]   # (p, g, m, v, scratch a, scratch b)
 
     @classmethod
     def fresh(cls, params: ParamStore, learning_rate: float) -> "AdamState":
@@ -217,8 +218,7 @@ class AdamState:
             params[name] = p
         blocks = [(*flat[:, lo:lo + ADAM_BLOCK], *scratch[:, :min(n - lo, ADAM_BLOCK)])
                   for lo in range(0, n, ADAM_BLOCK)]
-        bound = {name: (p, views[1][name]) for name, p in views[0].items()}
-        return cls(views[2], views[3], 0, learning_rate, bound, blocks)
+        return cls(*views, 0, learning_rate, blocks)
 
 
 def adam_step(params: ParamStore, gradients: Mapping[str, np.ndarray],
@@ -226,51 +226,52 @@ def adam_step(params: ParamStore, gradients: Mapping[str, np.ndarray],
     """One bias-corrected Adam update of the store ``state`` was made from, in
     place; returns ``params`` and ``state``.
 
-    The gradients are copied into the state's flat buffer; then the
-    parameters, both moments and the step count are updated in place, a block
-    at a time, through ``out=`` ufuncs and the scratch rows.  The operations
-    and their order are those of the textbook formula
+    A gradient that is not its row of the state's buffer already is copied
+    there.  Then the parameters, both moments and the step count are updated
+    in place, a block at a time, through ``out=`` ufuncs and the scratch
+    rows, by the textbook formula's operations in its order, to its bits:
 
         m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
         p = p - (lr * m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps)
 
-    so the result is the same to the bit.  A gradient of the wrong shape, or
-    a store entry that is not the array ``fresh`` bound, raises ValueError
-    naming the parameter before anything is updated.  A parameter that is
-    not finite after the update raises ValueError naming the first such
-    parameter once the whole sweep is done, so all of them are updated.
+    A gradient of the wrong shape, or a store entry that is not the array
+    ``fresh`` bound, raises ValueError naming the parameter before anything
+    is updated.  Once the whole sweep is done, a parameter that is not
+    finite raises ValueError naming the first such parameter.
     """
-    for name, (p, g_flat) in state.bound.items():
-        g = gradients[name]
+    for name, p in state.parameter.items():
+        g, row = gradients[name], state.gradient[name]
         if g.shape != p.shape:
             raise ValueError(
                 f"adam_step: gradient for '{name}' has shape {g.shape}, expected {p.shape}")
         if params[name] is not p:
             raise ValueError(f"adam_step: '{name}' is not the array AdamState.fresh bound")
-        g_flat[...] = g
+        if g is not row:
+            row[...] = g
     state.step_count += 1
     b1, b2, lr, t = BETA1, BETA2, state.learning_rate, state.step_count
     m_scale, v_scale = 1.0 - b1 ** t, 1.0 - b2 ** t
     finite = True
-    for p, g, m, v, a, b in state.blocks:
-        m *= b1
-        np.multiply(g, 1.0 - b1, out=a)
-        m += a
-        v *= b2
-        np.multiply(g, 1.0 - b2, out=a)
-        a *= g
-        v += a
-        np.divide(m, m_scale, out=a)
-        a *= lr
-        np.divide(v, v_scale, out=b)
-        np.sqrt(b, out=b)
-        b += EPSILON
-        a /= b
-        p -= a
-        finite = finite and ad.all_finite(p)
-    if not finite:
-        name = next(k for k, (p, _) in state.bound.items() if not ad.all_finite(p))
-        raise ValueError(f"parameter '{name}' contains non-finite values")
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite parameter is named
+        for p, g, m, v, a, b in state.blocks:
+            m *= b1
+            np.multiply(g, 1.0 - b1, out=a)
+            m += a
+            v *= b2
+            np.multiply(g, 1.0 - b2, out=a)
+            a *= g
+            v += a
+            np.divide(m, m_scale, out=a)
+            a *= lr
+            np.divide(v, v_scale, out=b)
+            np.sqrt(b, out=b)
+            b += EPSILON
+            a /= b
+            p -= a
+            finite = finite and ad.all_finite(p)
+        if not finite:
+            name = next(k for k, p in state.parameter.items() if not ad.all_finite(p))
+            raise ValueError(f"parameter '{name}' contains non-finite values")
     return params, state
 
 
@@ -288,8 +289,10 @@ def fit(what: str, store: ParamStore, data: np.ndarray, batch_size: int, epochs:
     """Mini-batch Adam over fixed batches of ``data``; returns the final store,
     copied out of Adam's buffer, and the ``(epoch, mean batch loss)`` curve.
 
-    Training starts from a fresh Adam state and from a copy of ``store``,
-    which ``update`` may change in place; the caller's store is not changed.
+    A fresh Adam state's buffer holds the one copy of the parameters, which
+    ``update`` changes in place, and the tape writes each step's gradients
+    into its gradient row.  The caller's store is copied, not changed: a
+    trainer pops it from its model first, so no second copy lives on.
     ``data`` is cut once, in order, into batches of ``batch_size`` rows that
     every epoch sweeps in the same order.  ``program_for(batch)`` returns the
     loss program of one step (drawing that step's noise, if any);
@@ -299,15 +302,13 @@ def fit(what: str, store: ParamStore, data: np.ndarray, batch_size: int, epochs:
     TrainingDiverged naming ``what`` and the epoch.
     """
     batches = [data[lo:lo + batch_size] for lo in range(0, len(data), batch_size)]
-    store = ParamStore(store)
-    state = AdamState.fresh(store, learning_rate)   # copies the parameters
+    state = AdamState.fresh(store := ParamStore(store), learning_rate)   # copies the parameters
     curve: list[tuple[int, float]] = []
     for epoch in range(epochs):
         losses = []
         for batch in batches:
-            program = program_for(batch)
             try:
-                loss, grads = ad.evaluate_with_gradients(program, store)
+                loss, grads = ad.evaluate_with_gradients(program_for(batch), store, state.gradient)
             except ad.NonFiniteError as exc:
                 raise TrainingDiverged(
                     f"{what} training diverged at epoch {epoch}: {exc}", store) from exc

@@ -19,7 +19,6 @@ zero-initialized, so a fresh surrogate predicts zero pressure.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -122,11 +121,12 @@ def train_surrogate(dataset: np.ndarray, config: SurrogateSection, seed: int,
     def program_for(y_batch):
         return lambda leaves: energy_loss(y_batch, sp, config.source, leaves)
 
-    store, curve = fit("surrogate", sp.store, data[rng.permutation(n)], config.batch_size,
-                       config.epochs, config.learning_rate, program_for, adam_step)
+    sp.store, curve = fit("surrogate", vars(sp).pop("store"), data[rng.permutation(n)],
+                          config.batch_size, config.epochs, config.learning_rate,
+                          program_for, adam_step)
     if curve_path is not None:
         write_loss_curve(curve_path, curve)
-    return dataclasses.replace(sp, store=store)
+    return sp
 
 
 def surrogate_relative_error(sp: SurrogateParams, test_fields: np.ndarray,

@@ -17,7 +17,6 @@ Both networks live in one ``ParamStore``: the encoder's layers under
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -180,11 +179,11 @@ def train_vae(dataset: np.ndarray, config: VaeSection, seed: int,
 
         return program
 
-    store, curve = fit("VAE", vae.store, flat, config.batch_size, config.epochs,
-                       config.learning_rate, program_for, adam_step)
+    vae.store, curve = fit("VAE", vars(vae).pop("store"), flat, config.batch_size,
+                           config.epochs, config.learning_rate, program_for, adam_step)
     if curve_path is not None:
         write_loss_curve(curve_path, curve)
-    return dataclasses.replace(vae, store=store)
+    return vae
 
 
 def decode_blocks(n: int) -> list[slice]:

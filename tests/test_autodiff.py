@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -575,3 +576,75 @@ def test_one_pass_finite_checks_raise_exactly_on_a_non_finite_entry(values):
         assert leaf == "non-finite values produced by op 'leaf 'x''"
         assert gradient == "non-finite values produced by op 'mul'"   # 0 * inf is nan
         assert adam == "parameter 'x' contains non-finite values"
+
+
+@pytest.mark.parametrize("values", [[1e308, 1e308], [-1e308, -1e308, 1.0], [np.inf, 1.0],
+                                    [-np.inf, 1.0]])
+def test_finite_checks_warn_on_nothing_and_name_an_infinite_entry(values):
+    # finite entries whose sum overflows pass the leaf, gradient and Adam
+    # checks without a warning; an infinite entry raises each check's error
+    x = np.array(values)
+    finite = bool(np.isfinite(x).all())
+    # w's gradient is x; w = 0 keeps the value 0, and w = 1 carries an inf on
+    # through mul and sum without an invalid operation
+    w = np.zeros_like(x) if finite else np.ones_like(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        leaf = _error(lambda: evaluate_with_gradients(lambda t: ad.sum_(t["w"]),
+                                                      {"w": w, "x": x}))
+        gradient = _error(lambda: evaluate_with_gradients(
+            lambda t: ad.sum_(ad.mul(t["w"], x)), {"w": w}))
+        adam = _error(lambda: _zero_adam_step(x))
+    if finite:
+        assert leaf is gradient is adam is None
+    else:
+        assert leaf == "non-finite values produced by op 'leaf 'x''"
+        assert gradient == "non-finite values produced by op 'mul'"
+        assert adam == "parameter 'x' contains non-finite values"
+
+
+class _NoCopy(np.ndarray):
+    """A gradient row that fails a test if anything is copied into it."""
+
+    def __setitem__(self, index, value):
+        raise AssertionError("a gradient was copied into a row dense should have written")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(widths=st.lists(st.integers(1, 5), min_size=1, max_size=3), batch=st.integers(1, 5),
+       relu=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_gradients_written_into_rows_are_the_bytes_returned_without_rows(widths, batch, relu,
+                                                                        seed):
+    # a random dense stack, then one square layer read twice (its W and b
+    # gradients sum two terms), a scale read by mul and a leaf never read:
+    # each row ends with the bytes evaluate_with_gradients returns without rows
+    rng = np.random.default_rng(seed)
+    sizes = [3, *widths]
+    entries = {}
+    for i, (n_in, n_out) in enumerate(zip(sizes, sizes[1:])):
+        entries[f"W{i}"] = rng.standard_normal((n_in, n_out))
+        entries[f"b{i}"] = rng.standard_normal(n_out)
+    k = sizes[-1]
+    entries.update(Wsq=rng.standard_normal((k, k)), bsq=rng.standard_normal(k),
+                   scale=rng.standard_normal(k), unread=rng.standard_normal((2, 2)))
+    params = ParamStore(entries)
+    x = rng.standard_normal((batch, 3))
+
+    def program(t):
+        h = x
+        for i in range(len(widths)):
+            h = ad.dense(h, t[f"W{i}"], t[f"b{i}"], relu)
+        for _ in range(2):
+            h = ad.dense(h, t["Wsq"], t["bsq"], relu)
+        return ad.sum_(ad.mul(h, t["scale"]))
+
+    value, expected = evaluate_with_gradients(program, params)
+    # dense computes the gradients of the leaves it alone reads into their
+    # rows, so nothing is copied into those
+    rows = {name: np.full(a.shape, np.pi).view(_NoCopy if name[1:].isdigit() else np.ndarray)
+            for name, a in params.items()}
+    row_value, grads = evaluate_with_gradients(program, params, rows)
+    assert row_value == value
+    for name, row in rows.items():
+        assert grads[name] is row
+        assert row.tobytes() == expected[name].tobytes(), name

@@ -13,11 +13,17 @@ from krflow.flow import (
     krnet_forward,
     krnet_inverse,
     layer_names,
-    log_density,
     _split,
 )
+from krflow.nets import std_normal_logpdf
 from krflow.params import ParamStore, load_model, save_model
 from krflow.report import read_json, write_json
+
+
+def log_density(x, params, config=None):
+    """log q(x) = log N(f(x); 0, I) + log|det df/dx| of a (B, d) batch; (B,)."""
+    z, logdet = krnet_forward(x, params, config)
+    return ad.add(std_normal_logpdf(z), logdet)
 
 
 def dependency_mask(config: FlowConfig) -> np.ndarray:

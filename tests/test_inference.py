@@ -250,6 +250,11 @@ class TestPosteriorMoments:
         np.testing.assert_allclose(summary.variance_field.ravel(),
                                    np.exp(logvar).mean(axis=0))
 
+    def test_moments_from_no_states_raise(self):
+        vae = init_vae(4, 4, 2, seed=0, encoder_hidden=(6,), decoder_hidden=(6,))
+        with pytest.raises(ValueError, match=r"^posterior_moments_from_states: no states given$"):
+            posterior_moments_from_states(np.zeros((0, 2)), vae)
+
 
 class TestPcnMcmc:
     def test_flat_likelihood_preserves_standard_normal(self):

@@ -1,6 +1,7 @@
 import re
 import struct
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -10,13 +11,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from krflow import autodiff as ad
+from krflow import inference, surrogate, vae
 from krflow.config import InferenceSection, SurrogateSection, VaeSection
 from krflow.darcy import ObservationSet, lattice_operator
 from krflow.flow import FlowConfig
 from krflow.inference import train_posterior_flow
 from krflow.params import ADAM_BLOCK, AdamState, ParamStore, TrainingDiverged, adam_step, fit
 from krflow.report import write_json, write_loss_curve
-from krflow.surrogate import init_surrogate, train_surrogate
+from krflow.surrogate import energy_loss, init_surrogate, train_surrogate
 from krflow.vae import init_vae, train_vae
 
 prefixed_names = st.builds(lambda prefix, rest: prefix + rest,
@@ -328,6 +330,29 @@ class TestAdam:
         np.testing.assert_array_equal(store["w"], before)
         assert not np.array_equal(trained["w"], before)
 
+    def test_fit_steps_on_gradient_rows_and_returns_a_store_of_its_own(self):
+        # the tape writes each step's gradients into Adam's gradient row, and
+        # the trained store shares no memory with that row or the moments
+        data = np.random.default_rng(3).normal(size=(8, 4, 4))
+        config = SurrogateSection(hidden=(6,), epochs=2, batch_size=4, learning_rate=1e-2,
+                                  source=3.0)
+        sp = init_surrogate(4, 4, seed=1, hidden=(6,))
+        states = []
+
+        def update(params, grads, state):
+            assert all(grads[k] is state.gradient[k] for k in params)
+            states.append(state)
+            return adam_step(params, grads, state)
+
+        trained, _ = fit("surrogate", sp.store, data, config.batch_size, config.epochs,
+                         config.learning_rate,
+                         lambda batch: lambda leaves: energy_loss(batch, sp, 3.0, leaves), update)
+        state = states[0]
+        assert len(states) == 4 and all(s is state for s in states)
+        rows = [*state.parameter.values(), *state.gradient.values(),
+                *state.first_moment.values(), *state.second_moment.values()]
+        assert not any(np.shares_memory(p, row) for p in trained.values() for row in rows)
+
 
 # each trainer at tiny shapes with two batches per epoch; returns the final store
 def _train_vae(epochs):
@@ -363,14 +388,39 @@ def test_divergence_names_loop_and_epoch_and_keeps_last_finite_store(monkeypatch
     evaluate = ad.evaluate_with_gradients
     calls = []
 
-    def third_call_fails(program, params):
+    def third_call_fails(program, params, rows=None):
         calls.append(None)
         if len(calls) == 3:
             raise ad.NonFiniteError("injected")
-        return evaluate(program, params)
+        return evaluate(program, params, rows)
 
     monkeypatch.setattr(ad, "evaluate_with_gradients", third_call_fails)
     with pytest.raises(TrainingDiverged,
                        match=rf"^{what} training diverged at epoch 1: injected$") as info:
         train(epochs=3)
     assert info.value.last_params == after_two_updates
+
+
+@pytest.mark.parametrize("module, init, train", [(vae, "init_vae", _train_vae),
+                                                 (surrogate, "init_surrogate", _train_surrogate),
+                                                 (inference, "init_flow", _train_flow)],
+                         ids=["vae", "surrogate", "flow"])
+def test_trainers_hold_no_initial_store_while_fit_runs(monkeypatch, module, init, train):
+    # every array of the initial store is freed before the first Adam step:
+    # Adam's buffer holds the only copy of the parameters
+    refs, freed = [], []
+    make = getattr(module, init)
+
+    def recording_init(*args, **kwargs):
+        model = make(*args, **kwargs)
+        refs.extend(weakref.ref(a) for a in model.store.values())
+        return model
+
+    def step(params, grads, state):
+        freed.append(all(ref() is None for ref in refs))
+        return adam_step(params, grads, state)
+
+    monkeypatch.setattr(module, init, recording_init)
+    monkeypatch.setattr(module, "adam_step", step)
+    train(epochs=1)
+    assert refs and freed == [True, True]
