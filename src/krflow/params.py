@@ -226,18 +226,19 @@ def adam_step(params: ParamStore, gradients: Mapping[str, np.ndarray],
     """One bias-corrected Adam update of the store ``state`` was made from, in
     place; returns ``params`` and ``state``.
 
-    A gradient that is not its row of the state's buffer already is copied
-    there.  Then the parameters, both moments and the step count are updated
-    in place, a block at a time, through ``out=`` ufuncs and the scratch
-    rows, by the textbook formula's operations in its order, to its bits:
+    A gradient not already in its row of the state's buffer is copied there;
+    then the parameters, moments and step count are updated in place, a block
+    at a time, with ``out=`` ufuncs and the scratch rows, by these operations:
 
-        m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
-        p = p - (lr * m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps)
+        m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g;  p = p - (alpha_t*m)/(sqrt(v) + eps_t)
+        alpha_t = lr*sqrt(1-b2^t)/(1-b1^t);  eps_t = eps*sqrt(1-b2^t)
 
-    A gradient of the wrong shape, or a store entry that is not the array
-    ``fresh`` bound, raises ValueError naming the parameter before anything
-    is updated.  Once the whole sweep is done, a parameter that is not
-    finite raises ValueError naming the first such parameter.
+    This is the textbook update in exact arithmetic, with the bias corrections
+    folded into two scalars (Kingma & Ba 2015, end of sec. 2).  A gradient of
+    the wrong shape, or a store entry that is not the array ``fresh`` bound,
+    raises ValueError naming the parameter before anything is updated.  Once
+    the whole sweep is done, a parameter that is not finite raises ValueError
+    naming the first such parameter.
     """
     for name, p in state.parameter.items():
         g, row = gradients[name], state.gradient[name]
@@ -249,8 +250,9 @@ def adam_step(params: ParamStore, gradients: Mapping[str, np.ndarray],
         if g is not row:
             row[...] = g
     state.step_count += 1
-    b1, b2, lr, t = BETA1, BETA2, state.learning_rate, state.step_count
-    m_scale, v_scale = 1.0 - b1 ** t, 1.0 - b2 ** t
+    b1, b2, t = BETA1, BETA2, state.step_count
+    root = math.sqrt(1.0 - b2 ** t)
+    alpha_t, eps_t = state.learning_rate * root / (1.0 - b1 ** t), EPSILON * root
     finite = True
     with np.errstate(over="ignore", invalid="ignore"):   # a non-finite parameter is named
         for p, g, m, v, a, b in state.blocks:
@@ -261,11 +263,9 @@ def adam_step(params: ParamStore, gradients: Mapping[str, np.ndarray],
             np.multiply(g, 1.0 - b2, out=a)
             a *= g
             v += a
-            np.divide(m, m_scale, out=a)
-            a *= lr
-            np.divide(v, v_scale, out=b)
-            np.sqrt(b, out=b)
-            b += EPSILON
+            np.multiply(m, alpha_t, out=a)
+            np.sqrt(v, out=b)
+            b += eps_t
             a /= b
             p -= a
             finite = finite and ad.all_finite(p)

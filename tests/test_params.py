@@ -1,3 +1,4 @@
+import math
 import re
 import struct
 import tempfile
@@ -169,6 +170,12 @@ def test_failed_loss_curve_write_leaves_no_file(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def _folded(lr, eps, t, b1=0.9, b2=0.999):
+    """Adam's step size and epsilon at step t with the bias corrections folded in."""
+    root = math.sqrt(1.0 - b2 ** t)
+    return lr * root / (1.0 - b1 ** t), eps * root
+
+
 class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
         params = ParamStore({"p": np.array([1.0, -2.0])})
@@ -228,7 +235,7 @@ class TestAdam:
         assert (state.second_moment["p"] >= 0.0).all()
 
     def test_in_place_update_matches_pure_formula_bitwise(self):
-        # the textbook update, written out with fresh arrays each step
+        # the update with folded bias corrections, written out with fresh arrays each step
         rng = np.random.default_rng(12)
         shapes = {"w": (5, 3), "b": (3,), "scale": (), "k": (2, 2, 2)}
         start = {k: rng.standard_normal(s) for k, s in shapes.items()}
@@ -242,12 +249,11 @@ class TestAdam:
         v = {k: np.zeros_like(a) for k, a in start.items()}
         for t, g in enumerate(grads, start=1):
             params, state = adam_step(params, g, state)
+            alpha_t, eps_t = _folded(lr, eps, t)
             for k in shapes:
                 m[k] = b1 * m[k] + (1.0 - b1) * g[k]
                 v[k] = b2 * v[k] + (1.0 - b2) * g[k] * g[k]
-                m_hat = m[k] / (1.0 - b1 ** t)
-                v_hat = v[k] / (1.0 - b2 ** t)
-                p[k] = p[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
+                p[k] = p[k] - alpha_t * m[k] / (np.sqrt(v[k]) + eps_t)
         assert state.step_count == 5
         for k, shape in shapes.items():
             assert params[k] is arrays[k]
@@ -283,16 +289,34 @@ class TestAdam:
         for t in range(1, 6):
             g = {k: rng.standard_normal(a.shape) for k, a in start.items()}
             params, state = adam_step(params, g, state)
+            alpha_t, eps_t = _folded(lr, eps, t)
             for k in names:
                 m[k] = b1 * m[k] + (1.0 - b1) * g[k]
                 v[k] = b2 * v[k] + (1.0 - b2) * g[k] * g[k]
-                p[k] = p[k] - lr * (m[k] / (1.0 - b1 ** t)) / (np.sqrt(v[k] / (1.0 - b2 ** t))
-                                                                + eps)
+                p[k] = p[k] - alpha_t * m[k] / (np.sqrt(v[k]) + eps_t)
         for k in names:
             assert params[k].shape == start[k].shape
             assert params[k].tobytes() == p[k].tobytes()
             assert state.first_moment[k].tobytes() == m[k].tobytes()
             assert state.second_moment[k].tobytes() == v[k].tobytes()
+
+    def test_folded_update_stays_within_a_few_ulps_of_the_textbook_one(self):
+        # 50 steps from |p| in [1, 2] at lr 3e-3 keep |p| near 1, so a relative
+        # bound of 4 eps is a few units in the last place
+        rng = np.random.default_rng(21)
+        lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
+        start = rng.uniform(1.0, 2.0, 300) * rng.choice([-1.0, 1.0], 300)
+        params = ParamStore({"w": start.copy()})
+        state = AdamState.fresh(params, learning_rate=lr)
+        p, m, v = start.copy(), np.zeros(300), np.zeros(300)
+        for t in range(1, 51):
+            g = rng.standard_normal(300) * 10.0 ** rng.uniform(-3, 3)
+            params, state = adam_step(params, {"w": g}, state)
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            p = p - lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+        assert not np.array_equal(params["w"], p)   # the two differ in the last bits
+        np.testing.assert_allclose(params["w"], p, rtol=4 * np.finfo(float).eps, atol=0)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @settings(max_examples=8, deadline=None, derandomize=True, database=None)
