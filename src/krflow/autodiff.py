@@ -457,7 +457,7 @@ def evaluate_with_gradients(program: Callable, params: Mapping[str, np.ndarray],
     the op of the first node, in evaluation order, that holds one; if no node
     does, it names the first non-finite gradient.
     """
-    with np.errstate(over="ignore", invalid="ignore"):   # all_finite's sums; see there
+    with np.errstate(over="ignore", invalid="ignore"):   # all_finite's sum may overflow
         leaves = {name: Tensor.leaf(arr, name, (rows or {}).get(name))
                   for name, arr in params.items()}
     trail: list[Tensor] = []

@@ -254,7 +254,7 @@ def adam_step(params: ParamStore, gradients: Mapping[str, np.ndarray],
     root = math.sqrt(1.0 - b2 ** t)
     alpha_t, eps_t = state.learning_rate * root / (1.0 - b1 ** t), EPSILON * root
     finite = True
-    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite parameter is named
+    with np.errstate(over="ignore", invalid="ignore"):   # all_finite's sums; named below
         for p, g, m, v, a, b in state.blocks:
             m *= b1
             np.multiply(g, 1.0 - b1, out=a)
