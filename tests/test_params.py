@@ -262,7 +262,6 @@ class TestAdam:
             assert state.first_moment[k].tobytes() == m[k].tobytes()
             assert state.second_moment[k].tobytes() == v[k].tobytes()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_update_names_parameter(self):
         params = ParamStore({"a": np.zeros(2), "big": np.array([1e308, 0.0])})
         state = AdamState.fresh(params, learning_rate=-1e308)
@@ -318,7 +317,6 @@ class TestAdam:
         assert not np.array_equal(params["w"], p)   # the two differ in the last bits
         np.testing.assert_allclose(params["w"], p, rtol=4 * np.finfo(float).eps, atol=0)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @settings(max_examples=8, deadline=None, derandomize=True, database=None)
     @given(n_after=st.integers(0, 4), bad_at=st.integers(0, 4))
     def test_overflow_in_a_later_block_names_that_parameter(self, n_after, bad_at):
