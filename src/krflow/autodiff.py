@@ -3,29 +3,22 @@
 A ``Tensor`` wraps a numpy array and the backward function of the operation
 that produced it.  ``evaluate_with_gradients`` records every node in build
 order (the trail), and ``backward`` replays that trail in reverse, so each
-node holds its whole gradient before it passes it on to its operands.  The
-op set is what the dense networks and coupling flows in this package build;
-each op, ``sub`` included, is one tape node made by ``node``, as is the FV
-energy of :func:`krflow.darcy.energy`:
+node holds its whole gradient before it passes it on to its operands.  Ops
+are plain functions, each one node made by ``node``: ``add``, ``sub``,
+``mul``, ``exp``, ``tanh``, ``relu``, ``square``, ``clip``, ``matmul``,
+``sum_``, ``mean_``, ``reshape``, ``take_cols``, ``concat`` and ``dense``,
+a whole dense layer.  The hot chains of the models are single nodes too,
+each built with ``node`` and a hand-written backward that keeps the composed
+ops' bytes: the Gaussian log-densities of :mod:`krflow.nets`, the affine
+coupling of :func:`krflow.flow.coupling` and the FV energy of
+:func:`krflow.darcy.energy`.
 
-- elementwise: ``add``, ``sub``, ``mul``, ``exp``, ``tanh``, ``relu``,
-  ``square`` and ``clip``;
-- linear algebra and reductions: ``matmul``, ``dense`` (a whole dense
-  layer, its ReLU optional), ``sum_`` and ``mean_``;
-- structural: ``reshape``, ``take_cols`` and ``concat``.
-
-Ops are plain functions; ``Tensor`` has no operator overloads.
-
-Every op dispatches on its input type, so the same network code runs either
-on the tape (``Tensor`` inputs, gradients available) or as plain numpy
-(``ndarray`` inputs, no tape overhead) for sampling and MCMC hot loops.
-On the tape, a float or ndarray operand of ``add``, ``sub``, ``mul``,
-``matmul``, ``dense`` or ``concat`` is read as it is and never wrapped in a
-constant ``Tensor``.
-
-Finiteness is checked once per ``evaluate_with_gradients`` (see there), not
-on every node.  A gradient reaches a tensor by assignment the first time and
-by out-of-place addition after that, so one array may be shared by several
+Every op dispatches on its input type, so the same code runs on the tape
+(``Tensor`` inputs) or as plain numpy (``ndarray`` inputs, no tape cost).
+On the tape, a float or ndarray operand is read as it is, never wrapped in
+a constant ``Tensor``.  Finiteness is checked once per evaluation, not per
+node.  A gradient reaches a tensor by assignment the first time and by
+out-of-place addition after that, so one array may be shared by several
 tensors: no backward function updates a received gradient in place.
 """
 
@@ -53,7 +46,8 @@ def _as_array(x) -> np.ndarray:
 
 def all_finite(data: np.ndarray) -> bool:
     """``np.isfinite(data).all()``, in one pass when True: a finite sum has finite terms."""
-    return math.isfinite(np.add.reduce(data, axis=None)) or bool(np.isfinite(data).all())
+    with np.errstate(over="ignore", invalid="ignore"):   # finite terms may sum to inf
+        return math.isfinite(np.add.reduce(data, axis=None)) or bool(np.isfinite(data).all())
 
 
 def _check_finite(data: np.ndarray, op: str) -> None:
@@ -99,9 +93,11 @@ class Tensor:
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
-    def leaf(data, name: str = "", row: np.ndarray | None = None) -> "Tensor":
+    def leaf(data, name: str = "", row: np.ndarray | None = None,
+             checked: bool = False) -> "Tensor":
         t = Tensor(_as_array(data), requires_grad=True)
-        _check_finite(t.data, f"leaf '{name}'")
+        if not checked:   # else the caller found data finite
+            _check_finite(t.data, f"leaf '{name}'")
         t.row = row
         return t
 
@@ -112,9 +108,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, op={self.op!r})"
 
     # -- backprop -------------------------------------------------------------
 
@@ -375,12 +368,14 @@ def take_cols(a, idx):
             raise ValueError(f"take_cols: repeated column indices {idx.tolist()} on the tape")
     data = a.data[..., idx]
 
-    def backward(g):
-        full = np.zeros_like(a.data)
-        full[..., idx] = g
-        a._accumulate(full)
+    return node(data, "take_cols", (a,), lambda g: scatter(a, idx, g))
 
-    return node(data, "take_cols", (a,), backward)
+
+def scatter(a: Tensor, idx, g: np.ndarray) -> None:
+    """Pass ``a`` the gradient ``g`` of its columns ``idx``, and zero elsewhere."""
+    full = np.zeros_like(a.data)
+    full[..., idx] = g
+    a._accumulate(full)
 
 
 def concat(parts: Sequence, axis: int = -1):
@@ -440,26 +435,30 @@ def fixed_conv2d(field, kernel) -> "Tensor | np.ndarray":
 
 
 def evaluate_with_gradients(program: Callable, params: Mapping[str, np.ndarray],
-                            rows: Mapping[str, np.ndarray] | None = None
+                            rows: Mapping[str, np.ndarray] | None = None,
+                            flat: np.ndarray | None = None
                             ) -> tuple[float, dict[str, np.ndarray]]:
     """Run ``program(leaves)`` to a scalar and return (value, gradients).
 
     ``params`` is any name-to-array mapping; each entry becomes a leaf tensor,
-    as it is if C-contiguous float64 already (as ParamStore entries are), and
-    a leaf holding a NaN or Inf raises NonFiniteError naming it.  Gradients
-    are exact reverse-mode derivatives of the scalar output with respect to
-    every entry; entries the program never touches get zero gradients.  Two
-    entries may share one gradient array, so do not update one in place.  The
-    gradient of an entry ``rows`` names is written, to the same bytes, into
-    that float64 array of the entry's shape, and returned as that array.
+    as it is if C-contiguous float64 already (as ParamStore entries are).
+    Gradients are exact reverse-mode derivatives of the scalar output with
+    respect to every entry, zero for entries the program never reads; two
+    entries may share one gradient array, so do not update one in place.
+    The gradient of an entry ``rows`` names is written, to the same bytes,
+    into that float64 array of the entry's shape, and returned as that array.
 
-    A NaN or Inf in the value or in any gradient raises NonFiniteError naming
-    the op of the first node, in evaluation order, that holds one; if no node
-    does, it names the first non-finite gradient.
+    A leaf holding a NaN or Inf raises NonFiniteError naming it.  A NaN or
+    Inf in the value or in a gradient raises it naming the op of the first
+    node, in evaluation order, that holds one, else the first non-finite
+    gradient.  ``flat``, when ``rows`` names every entry, is a (2, n) array
+    whose rows hold the entries and the gradient rows, as AdamState's buffer
+    does: each row is then checked once, and by name only if it fails.
     """
-    with np.errstate(over="ignore", invalid="ignore"):   # all_finite's sum may overflow
-        leaves = {name: Tensor.leaf(arr, name, (rows or {}).get(name))
-                  for name, arr in params.items()}
+    rows = rows or {}
+    checked = flat is not None and all_finite(flat[0])
+    leaves = {name: Tensor.leaf(arr, name, rows.get(name), checked)
+              for name, arr in params.items()}
     trail: list[Tensor] = []
     token = _trail.set(trail)
     try:
@@ -475,14 +474,14 @@ def evaluate_with_gradients(program: Callable, params: Mapping[str, np.ndarray],
         _trail.reset(token)
     grads = {name: leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
              for name, leaf in leaves.items()}
-    for name, row in (rows or {}).items():   # where a gradient was not computed into its row
+    for name, row in rows.items():   # where a gradient was not computed into its row
         if grads[name] is not row:
             row[...], grads[name] = grads[name], row
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not (math.isfinite(value) and all(all_finite(g) for g in grads.values())):
-            for node in trail:
-                _check_finite(node.data, node.op)
-            for name, g in grads.items():
-                _check_finite(g, f"gradient of '{name}'")
-            _check_finite(out.data, "program output")
+    if not (math.isfinite(value) and (all_finite(flat[1]) if flat is not None
+                                      else all(all_finite(g) for g in grads.values()))):
+        for node in trail:
+            _check_finite(node.data, node.op)
+        for name, g in grads.items():
+            _check_finite(g, f"gradient of '{name}'")
+        _check_finite(out.data, "program output")
     return value, grads

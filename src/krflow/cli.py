@@ -21,43 +21,16 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import NonFiniteError
-from .config import (
-    ConfigError,
-    ExperimentConfig,
-    config_hash,
-    load_config,
-    override_all_seeds,
-)
-from .darcy import (
-    DarcySolveError,
-    add_noise,
-    lattice_operator,
-    load_observations_csv,
-    observe,
-    save_observations_csv,
-    solve_darcy,
-)
+from .config import (ConfigError, ExperimentConfig, config_hash, load_config,
+                     override_all_seeds)
+from .darcy import (DarcySolveError, add_noise, lattice_operator, load_observations_csv,
+                    observe, save_observations_csv, solve_darcy)
 from .flow import FlowConfig
-from .grf import (
-    CovarianceSpec,
-    Grid,
-    assemble_covariance_matrix,
-    dataset_to_array,
-    generate_prior_dataset,
-    load_dataset,
-    sample_field,
-    save_dataset,
-    save_manifest,
-    truncated_kle,
-)
-from .inference import (
-    make_surrogate_loglike,
-    pcn_mcmc,
-    posterior_moments,
-    posterior_moments_from_states,
-    relative_error,
-    train_posterior_flow,
-)
+from .grf import (CovarianceSpec, Grid, assemble_covariance_matrix, dataset_to_array,
+                  generate_prior_dataset, load_dataset, sample_field, save_dataset,
+                  save_manifest, truncated_kle)
+from .inference import (make_surrogate_loglike, pcn_mcmc, posterior_moments,
+                        posterior_moments_from_states, relative_error, train_posterior_flow)
 from .params import TrainingDiverged, load_model, save_model
 from .report import (load_field_csv, read_json, replacing, save_field_csv, save_field_pgm,
                      write_json)

@@ -17,12 +17,11 @@ it once, for one field or a batch, and ``_apply`` is its matvec.  Numbering
 the H x m unknowns (the m = W-2 interior columns) row by row makes it a band
 matrix of half-bandwidth m; :func:`solve_darcy` stores its lower half in LAPACK
 band storage and solves it by one banded Cholesky (``pbsv``), where each
-rank-1 update reads a contiguous column: 0.32 ms per 32x32 system, against
-2.2 ms in upper storage and 0.31 ms for a padded band LU (2-CPU Xeon, OpenBLAS
-0.3.31).  The contract: a relative residual A u - b below 1e-10, or
-DarcySolveError, which a failed factorization also raises, naming LAPACK's
-info.  :func:`energy` is the surrogate's loss 1/2 u^T A u - b^T u of the same
-system, with its exact gradient A u - b.
+rank-1 update reads a contiguous column (README has the timings).  The
+contract: a relative residual A u - b below 1e-10, or DarcySolveError, which
+a failed factorization also raises, naming LAPACK's info.  :func:`energy` is
+the surrogate's loss 1/2 u^T A u - b^T u of the same system, with its exact
+gradient A u - b.
 
 ``dpbsv`` is ``scipy.linalg.lapack.dpbsv``, which :func:`_load_flapack` takes
 from scipy's compiled wrapper alone: ``import krflow`` never imports the
@@ -159,10 +158,11 @@ def _apply(u: np.ndarray, diag: np.ndarray, t_e: np.ndarray, t_n: np.ndarray) ->
     return au
 
 
-def energy(u, log_perms: np.ndarray, grid: Grid, source: float = 3.0):
+def energy(u, log_perms: np.ndarray, grid: Grid, source: float = 3.0, stencil=None):
     """The (B,) energies 1/2 u^T A(y) u - b^T u of (B, H*(W-2)) unknowns, row by
     row, on a (B, H, W) batch; each minimizer is :func:`solve_darcy`'s interior.
     A ``Tensor`` ``u`` gives one tape node, whose backward is g[:, None] * (A u - b).
+    ``stencil`` is the batch's ``_stencil(log_perms, grid, source)``, if assembled.
     """
     log_perms = np.asarray(log_perms, dtype=np.float64)
     if log_perms.ndim != 3 or log_perms.shape[1:] != (grid.height, grid.width):
@@ -171,7 +171,7 @@ def energy(u, log_perms: np.ndarray, grid: Grid, source: float = 3.0):
     value = u.data if isinstance(u, ad.Tensor) else np.asarray(u, dtype=np.float64)
     if value.shape != (len(log_perms), grid.height * (grid.width - 2)):
         raise ValueError(f"unknowns of shape {value.shape} do not fit fields {log_perms.shape}")
-    diag, t_e, t_n, load = _stencil(log_perms, grid, source)
+    diag, t_e, t_n, load = stencil or _stencil(log_perms, grid, source)
     au = _apply(value.reshape(len(value), grid.height, -1), diag, t_e, t_n).reshape(len(value), -1)
     b = load.ravel()
     energies = np.einsum("bk,bk->b", value, 0.5 * au - b)

@@ -95,44 +95,56 @@ def init_flow(config: FlowConfig, seed: int) -> FlowParams:
     return flow
 
 
-def _coupling_scale_shift(params: Mapping[str, object], kept_vals, config: FlowConfig,
-                          prefix: str, n_trans: int):
-    raw = mlp_forward(params, kept_vals, prefix=prefix)
-    s = ad.mul(ad.tanh(ad.take_cols(raw, slice(n_trans))), config.scale_bound)
-    t = ad.take_cols(raw, slice(n_trans, 2 * n_trans))
-    return s, t
-
-
-def _reassemble(kept_vals, trans_vals, kept, trans, active_dim: int):
-    """Scatter the two halves back to their original column positions."""
-    perm = np.empty(active_dim, dtype=np.intp)
-    perm[kept] = np.arange(len(kept))
-    perm[trans] = len(kept) + np.arange(len(trans))
-    return ad.take_cols(ad.concat([kept_vals, trans_vals], axis=-1), perm)
-
-
-def coupling_forward(x_active, params: Mapping[str, object], config: FlowConfig,
-                     prefix: str, split: tuple[np.ndarray, np.ndarray]):
-    """One affine coupling layer on the active block; returns (out, logdet)."""
+def coupling(x, params: Mapping[str, object], config: FlowConfig, prefix: str,
+             split: tuple[np.ndarray, np.ndarray], inverse: bool = False):
+    """One affine coupling layer on the active block, or its exact inverse;
+    returns (out, logdet).  On the tape the kept columns' gather and the net
+    are nodes of their own and the rest is one op, whose two tensors share a
+    backward: it passes on the composed ops' gradient bytes, summing both
+    parts of ds before tanh's backward.
+    """
     kept, trans = split
-    xk = ad.take_cols(x_active, kept)
-    xt = ad.take_cols(x_active, trans)
-    s, t = _coupling_scale_shift(params, xk, config, prefix, len(trans))
-    yt = ad.add(ad.mul(xt, ad.exp(s)), t)
-    out = _reassemble(xk, yt, kept, trans, x_active.shape[-1])
-    return out, ad.sum_(s, axis=-1)
+    xk = ad.take_cols(x, kept)
+    raw = mlp_forward(params, xk, prefix=prefix)
+    n, tape, rv = len(trans), isinstance(raw, ad.Tensor), ad._value(raw)
+    xt, t = np.asarray(ad._value(x))[..., trans], rv[..., n:]
+    # a tape gather is a C-ordered copy, numpy's is not, and sums follow the layout
+    th = np.tanh(ad._as_array(rv[..., :n]) if tape else ad.take_cols(rv, slice(n)))
+    s = th * config.scale_bound
+    if inverse:
+        e = np.exp(s * -1.0)
+        yt, ld = (xt - t) * e, np.add.reduce(s, axis=-1) * -1.0
+    else:
+        e = np.exp(s)
+        yt, ld = xt * e + t, np.add.reduce(s, axis=-1)
+    perm = np.argsort(np.concatenate([kept, trans]))   # out's column j is column perm[j]
+    out = np.concatenate([ad._value(xk), yt], axis=-1)[..., perm]
+    if not tape:
+        return out, ld
 
+    def backward(_):   # at whichever of the two tensors the walk reaches first
+        out._backward = ld._backward = None
+        g_out, g_ld, g_s = out.grad, ld.grad, None
+        if g_ld is not None:   # through the sum of s
+            g_s = np.repeat((g_ld * -1.0 if inverse else g_ld)[..., None], n, axis=-1)
+        if g_out is not None:   # through the gathers, then the affine map
+            g_y = g_out[..., trans]
+            if ad._wants_grad(xk):
+                xk._accumulate(g_out[..., kept])
+            g_x = g_y * e   # of xt forward, of xt - t inverse
+            if inverse:
+                g_t, g_e = -g_x, (g_y * (xt - t)) * e * -1.0
+            else:
+                g_t, g_e = g_y, (g_y * xt) * e
+            g_s = g_e if g_s is None else g_s + g_e
+            ad.scatter(raw, slice(n, None), g_t)
+            if ad._wants_grad(x):
+                ad.scatter(x, trans, g_x)
+        ad.scatter(raw, slice(n), (g_s * config.scale_bound) * (1.0 - th * th))
 
-def coupling_inverse(z_active, params: Mapping[str, object], config: FlowConfig,
-                     prefix: str, split: tuple[np.ndarray, np.ndarray]):
-    """Exact algebraic inverse of coupling_forward; returns (out, logdet_inv)."""
-    kept, trans = split
-    zk = ad.take_cols(z_active, kept)
-    zt = ad.take_cols(z_active, trans)
-    s, t = _coupling_scale_shift(params, zk, config, prefix, len(trans))
-    xt = ad.mul(ad.sub(zt, t), ad.exp(ad.mul(s, -1.0)))
-    out = _reassemble(zk, xt, kept, trans, z_active.shape[-1])
-    return out, ad.mul(ad.sum_(s, axis=-1), -1.0)
+    ld = ad.node(ld, "coupling", (x, raw), backward)
+    out = ad.node(out, "coupling", (x, raw), backward)
+    return out, ld
 
 
 def krnet_forward(x, params: Mapping[str, object] | FlowParams, config: FlowConfig | None = None):
@@ -145,7 +157,7 @@ def krnet_forward(x, params: Mapping[str, object] | FlowParams, config: FlowConf
     for t, m in enumerate(config.active_dims()):
         for l in range(config.layers_per_stage):
             prefix = f"s{t}.l{l}."
-            cur, ld = coupling_forward(cur, params, config, prefix, _split(m, l))
+            cur, ld = coupling(cur, params, config, prefix, _split(m, l))
             logdet = ld if logdet is None else ad.add(logdet, ld)
         # freeze the last group of the active block
         keep = m - config.group_size
@@ -175,7 +187,7 @@ def krnet_inverse(z, params: Mapping[str, object] | FlowParams, config: FlowConf
         offset += config.group_size
         for l in reversed(range(config.layers_per_stage)):
             prefix = f"s{t}.l{l}."
-            cur, ld = coupling_inverse(cur, params, config, prefix, _split(m, l))
+            cur, ld = coupling(cur, params, config, prefix, _split(m, l), inverse=True)
             logdet = ld if logdet is None else ad.add(logdet, ld)
     return (cur, logdet) if with_logdet else cur
 

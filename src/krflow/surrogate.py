@@ -26,7 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .config import SurrogateSection
-from .darcy import energy, solve_darcy
+from .darcy import _stencil, energy, solve_darcy
 from .grf import Grid
 from .nets import dense_layers, init_mlp, mlp_forward
 from .params import ParamStore, adam_step, fit, load_model
@@ -92,17 +92,17 @@ def pressure_layers(sp: SurrogateParams, readout: np.ndarray
 
 
 def energy_loss(batch: np.ndarray, sp: SurrogateParams, source: float = 3.0,
-                params: Mapping[str, object] | None = None):
+                params: Mapping[str, object] | None = None, stencil=None):
     """Mean FV energy of the predicted pressures of a (B, H, W) batch.
 
     ``params`` defaults to ``sp.store`` and gives a plain float; tape leaves
-    give a scalar ``Tensor`` for training.
+    give a scalar ``Tensor`` for training.  ``stencil`` is passed to ``energy``.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 3 or len(batch) == 0 or batch.shape[1:] != (sp.height, sp.width):
         raise ValueError(f"batch {batch.shape} must be a nonempty (B, H, W) array on {sp.grid}")
     u = _unknowns(batch.reshape(len(batch), -1), sp.store if params is None else params, sp)
-    mean = ad.mean_(energy(u, batch, sp.grid, source))
+    mean = ad.mean_(energy(u, batch, sp.grid, source, stencil))
     return float(mean) if params is None else mean
 
 
@@ -117,9 +117,13 @@ def train_surrogate(dataset: np.ndarray, config: SurrogateSection, seed: int,
     scale = scale if scale > 0 else 1.0
     sp = init_surrogate(height, width, seed, config.hidden, offset=offset, scale=scale)
     rng = np.random.default_rng(seed)
+    stencils = {}   # id -> (batch, its FV system); holding the batch keeps its id unique
 
-    def program_for(y_batch):
-        return lambda leaves: energy_loss(y_batch, sp, config.source, leaves)
+    def program_for(y_batch):   # fit sweeps the same batch arrays every epoch
+        if id(y_batch) not in stencils:
+            stencils[id(y_batch)] = y_batch, _stencil(y_batch, sp.grid, config.source)
+        stencil = stencils[id(y_batch)][1]
+        return lambda leaves: energy_loss(y_batch, sp, config.source, leaves, stencil)
 
     sp.store, curve = fit("surrogate", vars(sp).pop("store"), data[rng.permutation(n)],
                           config.batch_size, config.epochs, config.learning_rate,

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from krflow import autodiff as ad
 from krflow.autodiff import Tensor, evaluate_with_gradients, fixed_conv2d
-from krflow.nets import diag_gaussian_logpdf, init_mlp, mlp_forward
+from krflow.nets import LOG_2PI, diag_gaussian_logpdf, init_mlp, mlp_forward, std_normal_logpdf
 from krflow.params import AdamState, ParamStore, adam_step
 
 
@@ -290,6 +290,66 @@ def test_gaussian_logpdf_gradient():
         assert relative_error(grads[name], fd[name]) < 1e-5
 
 
+def composed_diag_gaussian_logpdf(x, mean, logvar):
+    """diag_gaussian_logpdf composed of single ops: its reference."""
+    delta = ad.sub(x, mean)
+    quad = ad.mul(ad.mul(delta, delta), ad.exp(ad.mul(logvar, -1.0)))
+    terms = ad.mul(ad.add(ad.add(quad, logvar), LOG_2PI), -0.5)
+    return ad.sum_(terms, axis=-1)
+
+
+def composed_std_normal_logpdf(x):
+    """std_normal_logpdf composed of single ops: its reference."""
+    quad = ad.add(ad.mul(x, x), LOG_2PI)
+    return ad.mul(ad.sum_(quad, axis=-1), -0.5)
+
+
+def _same_bytes(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(batch=st.integers(1, 5), dim=st.integers(1, 12), broadcast=st.booleans(),
+       taped=st.lists(st.booleans(), min_size=3, max_size=3), fortran=st.booleans(),
+       twice=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_fused_gaussian_densities_are_the_composed_bytes(batch, dim, broadcast, taped,
+                                                         fortran, twice, seed):
+    # value and gradients of the one-node densities equal their composed
+    # references bit for bit: each operand a leaf or an ndarray (C- or
+    # F-ordered), a (1, D) or (B, D) mean, and x read once or also by a
+    # second density, so that its gradient sums several terms
+    rng = np.random.default_rng(seed)
+    order = "F" if fortran else "C"
+    values = {"x": rng.standard_normal((batch, dim)),
+              "mean": rng.standard_normal((1 if broadcast else batch, dim)),
+              "logvar": rng.standard_normal((batch, dim)) * 0.5}
+    params = {k: v for (k, v), leaf in zip(values.items(), taped) if leaf}
+    arrays = {k: np.asarray(v, order=order) for k, v in values.items()}
+    weights = rng.standard_normal(batch)
+
+    def program(diag, std):
+        def run(t):
+            x, mean, logvar = (t.get(k, arrays[k]) for k in values)
+            out = ad.sum_(ad.mul(diag(x, mean, logvar), weights))
+            if twice:
+                out = ad.add(out, ad.sum_(std(x)))
+            return ad.add(out, ad.sum_(ad.mul(std(x), weights)))
+        return run
+
+    fused = evaluate_with_gradients(
+        program(diag_gaussian_logpdf, std_normal_logpdf), params)
+    composed = evaluate_with_gradients(
+        program(composed_diag_gaussian_logpdf, composed_std_normal_logpdf), params)
+    assert _same_bytes(fused[0], composed[0])
+    for name in params:
+        assert _same_bytes(fused[1][name], composed[1][name]), name
+    # without a tape, the plain numpy values match too
+    args = arrays.values()
+    assert _same_bytes(diag_gaussian_logpdf(*args), composed_diag_gaussian_logpdf(*args))
+    assert _same_bytes(std_normal_logpdf(arrays["x"]), composed_std_normal_logpdf(arrays["x"]))
+
+
 class TestFixedConv2d:
     def test_identity_kernel(self):
         rng = np.random.default_rng(23)
@@ -563,13 +623,13 @@ def test_one_pass_finite_checks_raise_exactly_on_a_non_finite_entry(values):
     # when np.isfinite(x).all() is False, also where the sum of x overflows
     x = np.array(values)
     finite = bool(np.isfinite(x).all())
-    with np.errstate(over="ignore", invalid="ignore"):   # the sums may overflow
-        assert ad.all_finite(x) is finite
-        leaf = _error(lambda: Tensor.leaf(x, name="x"))
-        # w's gradient is x; the zero weight keeps the value 0 where x is finite
+    assert ad.all_finite(x) is finite
+    leaf = _error(lambda: Tensor.leaf(x, name="x"))
+    # w's gradient is x; the zero weight keeps the value 0 where x is finite
+    with np.errstate(invalid="ignore"):   # and makes it 0 * inf = nan where not
         gradient = _error(lambda: evaluate_with_gradients(
             lambda t: ad.sum_(ad.mul(t["w"], x)), {"w": np.zeros_like(x)}))
-        adam = _error(lambda: _zero_adam_step(x))
+    adam = _error(lambda: _zero_adam_step(x))
     if finite:
         assert leaf is gradient is adam is None
     else:
@@ -581,8 +641,9 @@ def test_one_pass_finite_checks_raise_exactly_on_a_non_finite_entry(values):
 @pytest.mark.parametrize("values", [[1e308, 1e308], [-1e308, -1e308, 1.0], [np.inf, 1.0],
                                     [-np.inf, 1.0]])
 def test_finite_checks_warn_on_nothing_and_name_an_infinite_entry(values):
-    # finite entries whose sum overflows pass the leaf, gradient and Adam
-    # checks without a warning; an infinite entry raises each check's error
+    # finite entries whose sum overflows pass all_finite, the leaf, gradient
+    # and Adam checks without a warning, each called on its own; an infinite
+    # entry raises each check's error
     x = np.array(values)
     finite = bool(np.isfinite(x).all())
     # w's gradient is x; w = 0 keeps the value 0, and w = 1 carries an inf on
@@ -590,8 +651,10 @@ def test_finite_checks_warn_on_nothing_and_name_an_infinite_entry(values):
     w = np.zeros_like(x) if finite else np.ones_like(x)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        leaf = _error(lambda: evaluate_with_gradients(lambda t: ad.sum_(t["w"]),
-                                                      {"w": w, "x": x}))
+        assert ad.all_finite(x) is finite
+        leaf = _error(lambda: Tensor.leaf(x, name="x"))
+        assert leaf == _error(lambda: evaluate_with_gradients(lambda t: ad.sum_(t["w"]),
+                                                              {"w": w, "x": x}))
         gradient = _error(lambda: evaluate_with_gradients(
             lambda t: ad.sum_(ad.mul(t["w"], x)), {"w": w}))
         adam = _error(lambda: _zero_adam_step(x))

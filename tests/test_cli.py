@@ -316,7 +316,7 @@ class TestDependencyGates:
         copy = tmp_path / "run"
         shutil.copytree(out, copy)
 
-        def diverge(program, params, rows=None):
+        def diverge(program, params, rows=None, flat=None):
             raise ad.NonFiniteError("injected")
 
         monkeypatch.setattr(ad, "evaluate_with_gradients", diverge)

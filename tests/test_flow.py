@@ -7,15 +7,14 @@ from krflow import autodiff as ad
 from krflow.flow import (
     FlowConfig,
     FlowParams,
-    coupling_forward,
-    coupling_inverse,
+    coupling,
     init_flow,
     krnet_forward,
     krnet_inverse,
     layer_names,
     _split,
 )
-from krflow.nets import std_normal_logpdf
+from krflow.nets import mlp_forward, std_normal_logpdf
 from krflow.params import ParamStore, load_model, save_model
 from krflow.report import read_json, write_json
 
@@ -24,6 +23,44 @@ def log_density(x, params, config=None):
     """log q(x) = log N(f(x); 0, I) + log|det df/dx| of a (B, d) batch; (B,)."""
     z, logdet = krnet_forward(x, params, config)
     return ad.add(std_normal_logpdf(z), logdet)
+
+
+def _scale_shift(params, kept_vals, config: FlowConfig, prefix: str, n_trans: int):
+    raw = mlp_forward(params, kept_vals, prefix=prefix)
+    s = ad.mul(ad.tanh(ad.take_cols(raw, slice(n_trans))), config.scale_bound)
+    t = ad.take_cols(raw, slice(n_trans, 2 * n_trans))
+    return s, t
+
+
+def _reassemble(kept_vals, trans_vals, kept, trans, active_dim: int):
+    """Scatter the two halves back to their original column positions."""
+    perm = np.empty(active_dim, dtype=np.intp)
+    perm[kept] = np.arange(len(kept))
+    perm[trans] = len(kept) + np.arange(len(trans))
+    return ad.take_cols(ad.concat([kept_vals, trans_vals], axis=-1), perm)
+
+
+def coupling_forward(x_active, params, config: FlowConfig, prefix: str, split):
+    """The coupling layer composed of single ops: the reference for flow.coupling."""
+    kept, trans = split
+    xk = ad.take_cols(x_active, kept)
+    xt = ad.take_cols(x_active, trans)
+    s, t = _scale_shift(params, xk, config, prefix, len(trans))
+    yt = ad.add(ad.mul(xt, ad.exp(s)), t)
+    out = _reassemble(xk, yt, kept, trans, x_active.shape[-1])
+    return out, ad.sum_(s, axis=-1)
+
+
+def coupling_inverse(z_active, params, config: FlowConfig, prefix: str, split):
+    """The inverse coupling composed of single ops: the reference for
+    flow.coupling(..., inverse=True)."""
+    kept, trans = split
+    zk = ad.take_cols(z_active, kept)
+    zt = ad.take_cols(z_active, trans)
+    s, t = _scale_shift(params, zk, config, prefix, len(trans))
+    xt = ad.mul(ad.sub(zt, t), ad.exp(ad.mul(s, -1.0)))
+    out = _reassemble(zk, xt, kept, trans, z_active.shape[-1])
+    return out, ad.mul(ad.sum_(s, axis=-1), -1.0)
 
 
 def dependency_mask(config: FlowConfig) -> np.ndarray:
@@ -93,7 +130,7 @@ class TestCouplingLayer:
     def test_zero_parameters_identity(self):
         flow, (_, _, prefix, split) = self._layer(zero=True)
         x = np.random.default_rng(0).standard_normal((4, 6))
-        out, logdet = coupling_forward(x, dict(flow.store.items()), self.CFG, prefix, split)
+        out, logdet = coupling(x, dict(flow.store.items()), self.CFG, prefix, split)
         np.testing.assert_array_equal(out, x)
         np.testing.assert_array_equal(logdet, np.zeros(4))
 
@@ -106,7 +143,7 @@ class TestCouplingLayer:
         bias[:n_trans] = np.arctanh(np.log(2.0) / self.CFG.scale_bound)
         store[prefix + "b2"] = bias
         x = np.random.default_rng(1).standard_normal(6)
-        out, logdet = coupling_forward(x, store, self.CFG, prefix, split)
+        out, logdet = coupling(x, store, self.CFG, prefix, split)
         np.testing.assert_allclose(out[split[1]], 2.0 * x[split[1]], rtol=1e-12)
         np.testing.assert_array_equal(out[split[0]], x[split[0]])
         assert logdet == pytest.approx(3 * np.log(2.0), rel=1e-12)
@@ -116,10 +153,10 @@ class TestCouplingLayer:
         store = dict(flow.store.items())
         rng = np.random.default_rng(4)
         x = rng.standard_normal((10, 6))
-        z, _ = coupling_forward(x, store, self.CFG, prefix, split)
-        back, _ = coupling_inverse(z, store, self.CFG, prefix, split)
+        z, _ = coupling(x, store, self.CFG, prefix, split)
+        back, _ = coupling(z, store, self.CFG, prefix, split, inverse=True)
         assert np.abs(back - x).max() < 1e-10
-        fwd_again, _ = coupling_forward(back, store, self.CFG, prefix, split)
+        fwd_again, _ = coupling(back, store, self.CFG, prefix, split)
         assert np.abs(fwd_again - z).max() < 1e-10
 
     def test_logdet_matches_numerical_jacobian(self):
@@ -128,14 +165,79 @@ class TestCouplingLayer:
         x = np.random.default_rng(6).standard_normal(6)
 
         def fwd(v):
-            out, _ = coupling_forward(v, store, self.CFG, prefix, split)
+            out, _ = coupling(v, store, self.CFG, prefix, split)
             return out
 
         jac = numerical_jacobian(fwd, x)
-        _, logdet = coupling_forward(x, store, self.CFG, prefix, split)
+        _, logdet = coupling(x, store, self.CFG, prefix, split)
         sign, ref = np.linalg.slogdet(jac)
         assert sign == 1.0
         assert abs(float(logdet) - ref) < 1e-6
+
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(group_size=st.integers(1, 4), n_groups=st.integers(2, 3), layer=st.integers(0, 1),
+           hidden_depth=st.integers(1, 2), batch=st.integers(1, 6), inverse=st.booleans(),
+           taped=st.booleans(), use=st.sampled_from(["both", "out", "logdet"]),
+           seed=st.integers(0, 2 ** 16))
+    def test_fused_coupling_is_the_composed_bytes(self, group_size, n_groups, layer,
+                                                   hidden_depth, batch, inverse, taped, use,
+                                                   seed):
+        # value and gradients equal the composed reference's bit for bit, in
+        # both directions, with x a leaf or an ndarray, and with only the
+        # output, only the log-determinant or both read
+        config = FlowConfig(dim=group_size * n_groups, n_groups=n_groups, layers_per_stage=2,
+                            hidden_width=5, hidden_depth=hidden_depth, scale_bound=1.5)
+        flow = random_flow(config, seed, scale=0.5)
+        _, _, prefix, split = layer_names(config)[layer]
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((batch, config.dim))
+        w, v = rng.standard_normal((batch, config.dim)), rng.standard_normal(batch)
+        reference = coupling_inverse if inverse else coupling_forward
+
+        def program(layer_map):
+            def run(t):
+                out, logdet = layer_map(t["x"] if taped else x, t, config, prefix, split)
+                terms = {"out": ad.sum_(ad.mul(out, w)), "logdet": ad.sum_(ad.mul(logdet, v))}
+                return ad.add(*terms.values()) if use == "both" else terms[use]
+            return run
+
+        params = {**flow.store, "x": x}
+        fused = ad.evaluate_with_gradients(
+            program(lambda *args: coupling(*args, inverse=inverse)), params)
+        composed = ad.evaluate_with_gradients(program(reference), params)
+        assert fused[0].hex() == composed[0].hex()
+        for name in params:
+            assert fused[1][name].tobytes() == composed[1][name].tobytes(), name
+        # as plain numpy too, to the layout
+        for got, want in zip(coupling(x, flow.store, config, prefix, split, inverse),
+                             reference(x, flow.store, config, prefix, split)):
+            assert got.tobytes() == want.tobytes() and got.strides == want.strides
+
+    @pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+    def test_gradients_match_central_differences(self, inverse):
+        flow, (_, _, prefix, split) = self._layer(seed=7, zero=False)
+        rng = np.random.default_rng(8)
+        params = {**flow.store, "x": rng.standard_normal((3, 6))}
+        w, v = rng.standard_normal((3, 6)), rng.standard_normal(3)
+
+        def program(t):
+            out, logdet = coupling(t["x"], t, self.CFG, prefix, split, inverse)
+            return ad.add(ad.sum_(ad.mul(out, w)), ad.sum_(ad.mul(logdet, v)))
+
+        _, grads = ad.evaluate_with_gradients(program, params)
+        h = 1e-6
+        for name, arr in params.items():
+            flat = arr.ravel()
+            for k in range(0, flat.size, max(1, flat.size // 4)):
+                orig = flat[k]
+                flat[k] = orig + h
+                up, _ = ad.evaluate_with_gradients(program, params)
+                flat[k] = orig - h
+                down, _ = ad.evaluate_with_gradients(program, params)
+                flat[k] = orig
+                fd, got = (up - down) / (2 * h), grads[name].ravel()[k]
+                assert abs(got - fd) / max(abs(fd), abs(got), 1e-8) < 1e-5, (name, k)
 
 
 class TestKrnetMap:
@@ -210,7 +312,7 @@ class TestKrnetMap:
         for t, l, prefix, split in layer_names(config):
             if t > 0:
                 break
-            cur, _ = coupling_forward(cur, store, config, prefix, split)
+            cur, _ = coupling(cur, store, config, prefix, split)
         np.testing.assert_array_equal(z[:, 6:9], cur[:, 6:9])
 
     def test_logdet_matches_numerical_jacobian(self):
@@ -250,7 +352,7 @@ class TestKrnetMap:
         frozen = []
         for t, m in enumerate(config.active_dims()):
             for l in range(config.layers_per_stage):
-                cur, ld = coupling_forward(cur, store, config, f"s{t}.l{l}.", _split(m, l))
+                cur, ld = coupling(cur, store, config, f"s{t}.l{l}.", _split(m, l))
                 total = total + ld
             frozen.append(cur[:, m - config.group_size:m])
             cur = cur[:, :m - config.group_size]

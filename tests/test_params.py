@@ -410,11 +410,11 @@ def test_divergence_names_loop_and_epoch_and_keeps_last_finite_store(monkeypatch
     evaluate = ad.evaluate_with_gradients
     calls = []
 
-    def third_call_fails(program, params, rows=None):
+    def third_call_fails(program, params, rows=None, flat=None):
         calls.append(None)
         if len(calls) == 3:
             raise ad.NonFiniteError("injected")
-        return evaluate(program, params, rows)
+        return evaluate(program, params, rows, flat)
 
     monkeypatch.setattr(ad, "evaluate_with_gradients", third_call_fails)
     with pytest.raises(TrainingDiverged,
@@ -446,3 +446,50 @@ def test_trainers_hold_no_initial_store_while_fit_runs(monkeypatch, module, init
     monkeypatch.setattr(module, "adam_step", step)
     train(epochs=1)
     assert refs and freed == [True, True]
+
+
+# before these nodes were fused, the two steps built 48 and 54 nodes
+@pytest.mark.parametrize("train, most", [(_train_vae, 29), (_train_flow, 30)],
+                         ids=["vae", "flow"])
+def test_trail_length_per_step(monkeypatch, train, most):
+    # each Gaussian log-density and each affine coupling is one tape op (the
+    # coupling's log-determinant a second tensor), so a tiny step builds few
+    # nodes; these shapes build the nodes of tiny_pipeline's steps
+    lengths = []
+    backward = ad.Tensor.backward
+
+    def recording(self, trail):
+        lengths.append(len(trail))
+        return backward(self, trail)
+
+    monkeypatch.setattr(ad.Tensor, "backward", recording)
+    train(epochs=1)
+    assert len(lengths) == 2 and max(lengths) <= most
+
+
+@pytest.mark.parametrize("row", ["parameter", "gradient"])
+def test_a_non_finite_entry_of_a_row_names_its_parameter(row):
+    # fit checks each of Adam's rows once per step; when one fails, the
+    # search by name gives the message the per-name checks gave
+    store = ParamStore({"a": np.ones(2), "w": np.ones(1), "c": np.zeros(3)})
+    planted = []
+
+    def program_for(batch):
+        def program(t):   # 1e308 * w**2 is finite at w = 1, its gradient 2e308 is not
+            big = 1e308 if row == "gradient" else 1.0
+            return ad.add(ad.sum_(t["a"]), ad.sum_(ad.mul(ad.square(t["w"]), big)))
+        return program
+
+    def update(params, grads, state):
+        params, state = adam_step(params, grads, state)
+        if not planted:
+            planted.append(state.parameter["c"].__setitem__(1, np.nan))
+        return params, state
+
+    name, epoch = ("w", 0) if row == "gradient" else ("c", 0)
+    what = f"gradient of '{name}'" if row == "gradient" else f"leaf '{name}'"
+    with np.errstate(over="ignore"), pytest.raises(TrainingDiverged) as info:
+        fit("test", store, np.ones((4, 1)), 1, 2, 0.1, program_for,
+            adam_step if row == "gradient" else update)
+    assert str(info.value) == (f"test training diverged at epoch {epoch}: "
+                               f"non-finite values produced by op '{what}'")
