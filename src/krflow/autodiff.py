@@ -10,8 +10,9 @@ are plain functions, each one node made by ``node``: ``add``, ``sub``,
 a whole dense layer.  The hot chains of the models are single nodes too,
 each built with ``node`` and a hand-written backward that keeps the composed
 ops' bytes: the Gaussian log-densities of :mod:`krflow.nets`, the affine
-coupling of :func:`krflow.flow.coupling` and the FV energy of
-:func:`krflow.darcy.energy`.
+coupling of :func:`krflow.flow.coupling`, the FV energy of
+:func:`krflow.darcy.energy` and the tail of the latent likelihood of
+:func:`krflow.inference.make_surrogate_loglike`.
 
 Every op dispatches on its input type, so the same code runs on the tape
 (``Tensor`` inputs) or as plain numpy (``ndarray`` inputs, no tape cost).
@@ -393,9 +394,6 @@ def concat(parts: Sequence, axis: int = -1):
                 p._accumulate(g[tuple(idx)])
 
     return node(data, "concat", tuple(parts), backward)
-
-
-# -- fixed-kernel 2-D convolution ----------------------------------------------------
 
 
 # Unused by the models; kept only because the benchmark's tracer rebinds it by name.

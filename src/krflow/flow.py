@@ -101,8 +101,7 @@ def coupling(x, params: Mapping[str, object], config: FlowConfig, prefix: str,
     returns (out, logdet).  On the tape the kept columns' gather and the net
     are nodes of their own and the rest is one op, whose two tensors share a
     backward: it passes on the composed ops' gradient bytes, summing both
-    parts of ds before tanh's backward.
-    """
+    parts of ds before tanh's backward."""
     kept, trans = split
     xk = ad.take_cols(x, kept)
     raw = mlp_forward(params, xk, prefix=prefix)

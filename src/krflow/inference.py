@@ -3,9 +3,7 @@
 The trained decoder fixes a map from latents x to fields y, and the trained
 surrogate replaces the forward solve inside the likelihood.  Both methods
 target pi(x | D) ~ pi(D | surrogate(mu_de(x))) N(x; 0, I) through one latent
-likelihood, the folded dense layers of :func:`make_surrogate_loglike`, which
-runs as plain numpy for pCN and on the tape for the flow; each hidden layer
-is one fused :func:`krflow.autodiff.dense` on either path.
+likelihood, :func:`make_surrogate_loglike`.
 
 The coupling flow is fitted by reverse KL: draw z ~ N(0, I), pull back
 through the flow inverse x = f^{-1}(z), and minimize
@@ -52,10 +50,9 @@ from .report import write_loss_curve
 from .surrogate import SurrogateParams, pressure_layers, surrogate_forward_batch  # noqa: F401
 from .vae import VaeParams, decode_batch, decode_blocks, decoder_mean_layers
 
-# Rows per batched likelihood call when pCN prefetches proposals.  A desk
-# call reads 3.7 MB of weights whatever the batch, so 8 or 12 rows take about
-# 0.4 ms (2-CPU Xeon) and a chain's time follows its calls; 8 rows took the
-# fewest rows and about as little time as 12.
+# Rows per batched likelihood call when pCN prefetches proposals.  A desk call
+# reads 3.7 MB of weights whatever the batch, so 8 or 12 rows take about 0.4 ms
+# (2-CPU Xeon) and a chain's time follows its calls; 8 evaluates fewer rows.
 PREFETCH_WIDTH = 8
 
 # pcn_mcmc(step_size=0): burn-in steps per step update, and the target acceptance
@@ -180,10 +177,9 @@ def make_surrogate_loglike(vae: VaeParams, surrogate: SurrogateParams,
                            obs: ObservationSet) -> Callable:
     """Latent-space log-likelihood x -> log pi(D | mu_de(x)) via the surrogate.
 
-    The one latent likelihood of the package: pCN calls it on ndarrays and
-    the flow on the tape.  The returned function takes one (d,) latent and
-    returns a ``float``, an (n, d) batch and returns an (n,) array, or an
-    (n, d) ``Tensor`` and returns an (n,) ``Tensor``; it carries
+    pCN calls it on ndarrays and the flow on the tape: it takes one (d,)
+    latent and returns a ``float``, an (n, d) batch and returns an (n,)
+    array, or an (n, d) ``Tensor`` and returns an (n,) ``Tensor``; it carries
     ``vectorized = True``, so :func:`pcn_mcmc` evaluates its prefetched
     proposals in one call.  The weights are folded once, here, into dense
     layers that keep only what the likelihood reads; everything between two
@@ -194,19 +190,19 @@ def make_surrogate_loglike(vae: VaeParams, surrogate: SurrogateParams,
       standardization and the surrogate's first layer become one layer;
     - the surrogate's output layer, the sensor interpolation's rows at its
       pressure unknowns (the Dirichlet columns are zero) and the division by
-      the noise standard deviations become one (hidden, m) map
-      to the whitened residual.
+      the noise standard deviations become one (hidden, m) map to the
+      whitened residual.
 
-    The hidden layers of both networks are kept as they are.  A call is a
-    chain of relu(h @ W + b), each one ``ad.dense``, and one affine map.  The
-    folds reassociate sums, so the value matches the composition decode_batch
-    -> surrogate_forward_batch -> observation_matrix to 1e-12 relative, not bit
-    for bit.  The tape and the ndarray batch compute the same values.  A
-    batch row goes through matrix-matrix products where a (d,) call goes
-    through vector-matrix ones, so these two agree in the last bits only:
-    within 1e-15 of sum |z| (|target| + |h| @ |w_out|), the size of the
-    terms the whitened residual z is summed from.  That is about 1e-15 of
-    the value, and up to 1e-14 where z cancels.
+    The hidden layers of both networks are kept.  A call is a chain of
+    relu(h @ W + b), each one ``ad.dense``, then one tape node: -|z|^2 / 2
+    plus the log normalizer of z = target - h @ w_out, with the composed
+    ops' bytes.  The folds reassociate sums, so the value matches the
+    composition decode_batch -> surrogate_forward_batch -> observation_matrix
+    to 1e-12 relative, not bit for bit.  The tape and the ndarray batch
+    compute the same values.  A batch row goes through matrix-matrix
+    products where a (d,) call goes through vector-matrix ones, so these two
+    agree in the last bits only: within 1e-15 of sum |z| (|target| + |h| @
+    |w_out|), about 1e-15 of the value and up to 1e-14 where z cancels.
     """
     hidden, w_out, target, log_norm = _folded_likelihood(vae, surrogate, obs)
 
@@ -214,8 +210,14 @@ def make_surrogate_loglike(vae: VaeParams, surrogate: SurrogateParams,
         h = x
         for w, b in hidden:
             h = ad.dense(h, w, b, relu=True)
-        z = ad.sub(target, ad.matmul(h, w_out))
-        return ad.add(ad.mul(ad.sum_(ad.square(z), axis=-1), -0.5), log_norm)
+        z = target - np.asarray(ad._value(h)) @ w_out
+        value = np.add.reduce(z * z, axis=-1) * -0.5 + log_norm
+        if not isinstance(h, ad.Tensor):
+            return value
+        # each factor of z * z passes z -g z / 2, and their sum, exactly -2 times
+        # one, goes to h through -(h @ w_out), as the composed ops passed them
+        return ad.node(value, "likelihood", (h,),
+                       lambda g: h._accumulate(((g * -0.5)[..., None] * z * -2.0) @ w_out.T))
 
     log_like.vectorized = True
     return log_like

@@ -599,6 +599,53 @@ HIDDEN_SHAPES = st.one_of(st.just(()), st.tuples(st.integers(1, 12)),
                           st.tuples(st.integers(1, 12), st.integers(1, 12)))
 
 
+def composed_surrogate_loglike(vae, sp, obs):
+    """make_surrogate_loglike with its tail composed of single ops: its reference."""
+    hidden, w_out, target, log_norm = _folded_likelihood(vae, sp, obs)
+
+    def log_like(x):
+        h = x
+        for w, b in hidden:
+            h = ad.dense(h, w, b, relu=True)
+        z = ad.sub(target, ad.matmul(h, w_out))
+        return ad.add(ad.mul(ad.sum_(ad.square(z), axis=-1), -0.5), log_norm)
+
+    return log_like
+
+
+def _same_bytes(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(HIDDEN_SHAPES, HIDDEN_SHAPES, st.integers(1, 6), st.booleans(), st.integers(0, 1000))
+def test_fused_likelihood_is_the_composed_bytes(decoder_hidden, surrogate_hidden, n, twice,
+                                                seed):
+    # the likelihood's one-node tail gives the composed ops' bytes: the value
+    # and gradient on the tape (x also read elsewhere, so that its gradient
+    # sums two terms), and the value of a (d,) row and an (n, d) batch
+    vae, sp = _random_model(decoder_hidden, surrogate_hidden, seed=seed)
+    obs = _noisy_obs(vae, sp, sigma=0.05, seed=seed)
+    fused = make_surrogate_loglike(vae, sp, obs)
+    composed = composed_surrogate_loglike(vae, sp, obs)
+    rng = np.random.default_rng(seed + 1)
+    xs, weights = rng.standard_normal((n, D)), rng.standard_normal(n)
+
+    def program(log_like):
+        def run(t):
+            out = ad.sum_(ad.mul(log_like(t["x"]), weights))
+            return ad.add(out, ad.sum_(ad.mul(t["x"], t["x"]))) if twice else out
+        return run
+
+    value, grads = ad.evaluate_with_gradients(program(fused), {"x": xs})
+    ref_value, ref_grads = ad.evaluate_with_gradients(program(composed), {"x": xs})
+    assert _same_bytes(value, ref_value) and _same_bytes(grads["x"], ref_grads["x"])
+    for x in (xs, xs[0]):
+        assert _same_bytes(fused(x), composed(x))
+    assert isinstance(fused(xs[0]), float)
+
+
 @settings(max_examples=25, derandomize=True, database=None, deadline=None)
 @given(HIDDEN_SHAPES, HIDDEN_SHAPES, st.integers(0, 1000))
 def test_tape_likelihood_matches_numpy_value_and_central_differences(

@@ -449,12 +449,12 @@ def test_trainers_hold_no_initial_store_while_fit_runs(monkeypatch, module, init
 
 
 # before these nodes were fused, the two steps built 48 and 54 nodes
-@pytest.mark.parametrize("train, most", [(_train_vae, 29), (_train_flow, 30)],
+@pytest.mark.parametrize("train, most", [(_train_vae, 29), (_train_flow, 25)],
                          ids=["vae", "flow"])
 def test_trail_length_per_step(monkeypatch, train, most):
-    # each Gaussian log-density and each affine coupling is one tape op (the
-    # coupling's log-determinant a second tensor), so a tiny step builds few
-    # nodes; these shapes build the nodes of tiny_pipeline's steps
+    # each Gaussian log-density, each affine coupling (its log-determinant a
+    # second tensor) and the likelihood's tail is one tape op, so a tiny step
+    # builds few nodes; these shapes build the nodes of tiny_pipeline's steps
     lengths = []
     backward = ad.Tensor.backward
 
