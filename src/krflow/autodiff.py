@@ -5,9 +5,9 @@ that produced it.  ``evaluate_with_gradients`` records every node in build
 order (the trail), and ``backward`` replays that trail in reverse, so each
 node holds its whole gradient before it passes it on to its operands.  Ops
 are plain functions, each one node made by ``node``: ``add``, ``sub``,
-``mul``, ``exp``, ``tanh``, ``relu``, ``square``, ``clip``, ``matmul``,
-``sum_``, ``mean_``, ``reshape``, ``take_cols``, ``concat`` and ``dense``,
-a whole dense layer.  The hot chains of the models are single nodes too,
+``mul``, ``exp``, ``tanh``, ``relu``, ``clip``, ``matmul``, ``sum_``,
+``mean_``, ``reshape``, ``take_cols``, ``concat`` and ``dense``, a whole
+dense layer.  The hot chains of the models are single nodes too,
 each built with ``node`` and a hand-written backward that keeps the composed
 ops' bytes: the Gaussian log-densities of :mod:`krflow.nets`, the affine
 coupling of :func:`krflow.flow.coupling`, the FV energy of
@@ -322,10 +322,6 @@ def relu(a):
         a._accumulate(g * (a.data > 0.0))
 
     return node(data, "relu", (a,), backward)
-
-
-def square(a):
-    return mul(a, a) if _is_tape(a) else np.square(a)
 
 
 def clip(a, lo: float, hi: float):

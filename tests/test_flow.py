@@ -174,7 +174,6 @@ class TestCouplingLayer:
         assert sign == 1.0
         assert abs(float(logdet) - ref) < 1e-6
 
-
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(group_size=st.integers(1, 4), n_groups=st.integers(2, 3), layer=st.integers(0, 1),
            hidden_depth=st.integers(1, 2), batch=st.integers(1, 6), inverse=st.booleans(),

@@ -608,7 +608,7 @@ def composed_surrogate_loglike(vae, sp, obs):
         for w, b in hidden:
             h = ad.dense(h, w, b, relu=True)
         z = ad.sub(target, ad.matmul(h, w_out))
-        return ad.add(ad.mul(ad.sum_(ad.square(z), axis=-1), -0.5), log_norm)
+        return ad.add(ad.mul(ad.sum_(ad.mul(z, z), axis=-1), -0.5), log_norm)
 
     return log_like
 
