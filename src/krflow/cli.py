@@ -180,9 +180,9 @@ def cmd_infer_krnet(config: ExperimentConfig, out_dir: Path) -> None:
                                 np.random.default_rng(config.seeds.posterior),
                                 exact_field=truth)
     # error of the decoder prior's mean field, for reference
-    prior_fields = sample_prior(vae, config.inference.posterior_samples,
-                                np.random.default_rng(config.seeds.posterior))
-    prior_err = relative_error(prior_fields.mean(axis=0), truth)
+    prior_mean = sample_prior(vae, config.inference.posterior_samples,
+                              np.random.default_rng(config.seeds.posterior)).mean(axis=0)
+    prior_err = relative_error(prior_mean, truth)
     _write_posterior_outputs(stage_dir, summary, chash, "krnet", vae.latent_dim,
                              {"acceptance_rate": None,
                               "prior_mean_relative_error": prior_err})
@@ -220,11 +220,10 @@ def cmd_report(run_dirs: list[Path], out_path: Path | None) -> None:
         wall = sum(read_json(p, "wall_time_seconds")["wall_time_seconds"] for p in timing_files)
         acc = summary.get("acceptance_rate")
         rows.append((summary["method"], summary["d"], summary["relative_error"],
-                     wall, "" if acc is None else acc))
+                     wall, "" if acc is None else repr(acc)))
     rows.sort(key=lambda r: (r[0], r[1]))
     lines = [["method", "d", "relative_error", "wall_time", "acceptance_rate"]]
-    lines += [[r[0], str(r[1]), repr(r[2]), repr(r[3]),
-               "" if r[4] == "" else repr(r[4])] for r in rows]
+    lines += [[r[0], str(r[1]), repr(r[2]), repr(r[3]), r[4]] for r in rows]
     text = "\n".join(",".join(line) for line in lines) + "\n"
     if out_path is None:
         sys.stdout.write(text)
@@ -279,9 +278,8 @@ def main(argv: list[str] | None = None) -> int:
         config = load_config(args.config)
         if args.seed_override is not None:
             override_all_seeds(config, args.seed_override)
-        out_dir = args.out
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _STAGES[args.command](config, out_dir)
+        args.out.mkdir(parents=True, exist_ok=True)
+        _STAGES[args.command](config, args.out)
         return 0
     except (ConfigError, DependencyError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -141,11 +141,7 @@ _PARSERS = {
 
 
 def _render_value(value) -> str:
-    if isinstance(value, tuple):
-        return ",".join(repr(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return ",".join(repr(v) for v in value) if isinstance(value, tuple) else repr(value)
 
 
 def parse_config(text: str) -> ExperimentConfig:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.linalg.lapack import dpbsv
 
 from krflow import autodiff as ad
-from krflow import darcy
+from krflow import darcy, grf
 from krflow.darcy import (
     DarcySolveError,
     ObservationOperator,
@@ -263,7 +263,7 @@ class TestLapackLoad:
         with pytest.raises(ImportError, match=f"no scipy.linalg._flapack extension in "
                                               f"{re.escape(str(tmp_path))} "
                                               rf"\(scipy {re.escape(scipy.__version__)}\)$"):
-            darcy._load_flapack(str(tmp_path))
+            grf._load_flapack(str(tmp_path))
 
     def test_import_leaves_scipy_linalg_unimported(self):
         # this process imported scipy.linalg already, so only a new one can tell
@@ -273,8 +273,10 @@ class TestLapackLoad:
     @pytest.mark.parametrize("first,second", [("krflow.darcy", "scipy.linalg.lapack"),
                                               ("scipy.linalg.lapack", "krflow.darcy")])
     def test_dpbsv_is_scipy_lapack_dpbsv(self, first, second):
+        # one wrapper module serves both: grf's dsyevd is scipy's too
         assert run_fresh_python(f"import {first}, {second}; "
-                                "print(krflow.darcy.dpbsv is scipy.linalg.lapack.dpbsv)") == "True"
+                                "print(krflow.darcy.dpbsv is scipy.linalg.lapack.dpbsv, "
+                                "krflow.grf.dsyevd is scipy.linalg.lapack.dsyevd)") == "True True"
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)

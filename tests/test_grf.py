@@ -1,10 +1,14 @@
 import csv
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import svd
 
+from krflow import grf
 from krflow.grf import (
     CovarianceSpec,
     FieldSample,
@@ -24,6 +28,36 @@ from krflow.params import ParamStore
 @pytest.fixture
 def small_grid():
     return Grid(8, 8)
+
+
+def composed_covariance(grid, spec):
+    """The kernel as one composed expression: the reference for the in-place assembly."""
+    pts = grid.points()
+    d1 = (pts[:, None, 0] - pts[None, :, 0]) / spec.length_scale_1
+    d2 = (pts[:, None, 1] - pts[None, :, 1]) / spec.length_scale_2
+    return spec.variance * np.exp(-np.sqrt(d1 * d1 + d2 * d2))
+
+
+def eigh_reference(cov, energy_fraction):
+    """Descending eigenpairs from np.linalg.eigh and the truncation rule."""
+    lam, vec = np.linalg.eigh(cov)
+    lam, vec = np.clip(lam[::-1], 0.0, None), vec[:, ::-1]
+    cum = np.cumsum(lam)
+    d_kl = int(np.searchsorted(cum, energy_fraction * cum[-1] - 1e-12 * cum[-1]) + 1)
+    return lam, vec, min(d_kl, int((lam > 0).sum()))
+
+
+grid_shapes = st.tuples(st.integers(3, 20), st.integers(3, 20)).map(lambda hw: Grid(*hw))
+specs = st.builds(CovarianceSpec, st.floats(0.1, 2.0), st.floats(0.05, 1.0), st.floats(0.05, 1.0))
+
+
+def peak_traced_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestCovariance:
@@ -48,8 +82,55 @@ class TestCovariance:
         assert cov[p, q] == pytest.approx(0.5 * np.exp(-2.5), rel=1e-12)
         assert cov[p, q] == pytest.approx(0.0410425, abs=5e-8)
 
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(grid=grid_shapes, spec=specs)
+    def test_in_place_assembly_is_the_composed_bytes(self, grid, spec):
+        assert (assemble_covariance_matrix(grid, spec).tobytes()
+                == composed_covariance(grid, spec).tobytes())
+
+    def test_assembly_holds_two_matrices_at_most(self):
+        # the (n, n) result and the second axis's term; the slack is numpy's
+        # ufunc buffers, which do not grow with n
+        grid = Grid(20, 20)
+        peak = peak_traced_bytes(assemble_covariance_matrix, grid, CovarianceSpec(0.5, 0.2, 0.3))
+        assert peak <= 2 * 8 * grid.n_points ** 2 + 256 * 1024
+
 
 class TestTruncatedKle:
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(grid=grid_shapes, spec=specs, energy_fraction=st.floats(0.5, 0.99))
+    def test_matches_numpy_eigh(self, grid, spec, energy_fraction):
+        # equal up to sign, not to the bit: numpy and scipy may bundle
+        # different LAPACK builds.  Below 100% energy every kept eigenvalue is
+        # far above roundoff, where two builds can differ relatively
+        cov = assemble_covariance_matrix(grid, spec)
+        basis = truncated_kle(cov, energy_fraction, grid)
+        lam, vec, d_kl = eigh_reference(cov, energy_fraction)
+        assert basis.d_kl == d_kl
+        np.testing.assert_allclose(basis.eigenvalues, lam[:d_kl], rtol=1e-12, atol=0)
+        flat = basis.eigenfunctions.reshape(d_kl, -1)
+        gaps = np.abs(np.diff(lam))
+        for k in range(d_kl):
+            neighbours = gaps[max(k - 1, 0):k + 1]
+            if neighbours.min() > 1e-3 * lam[0]:
+                ref = vec[:, k] * np.sign(vec[:, k] @ flat[k])
+                np.testing.assert_allclose(flat[k], ref, rtol=0, atol=1e-8)
+
+    def test_holds_the_owned_copy_and_lapack_workspace_at_most(self):
+        # dsyevd overwrites one Fortran copy with the eigenvectors and needs
+        # 2 n^2 + O(n) of workspace; the caller's matrix is not traced
+        grid = Grid(20, 20)
+        cov = assemble_covariance_matrix(grid, CovarianceSpec(0.5, 0.2, 0.3))
+        peak = peak_traced_bytes(truncated_kle, cov, 0.95, grid)
+        assert peak <= 3 * 8 * grid.n_points ** 2 + 16 * 8 * grid.n_points
+
+    @pytest.mark.parametrize("info", [3, -4])
+    def test_lapack_failure_names_info(self, monkeypatch, info):
+        monkeypatch.setattr(grf, "dsyevd", lambda a, **kwargs: (a[0], a, info))
+        with pytest.raises(ValueError, match=rf"^covariance eigendecomposition failed: "
+                                             rf"LAPACK dsyevd info = {info}$"):
+            truncated_kle(np.eye(16), 0.95, Grid(4, 4))
+
     def test_identity_covariance_keeps_ceil(self):
         grid = Grid(4, 4)
         basis = truncated_kle(np.eye(16), 0.95, grid)
@@ -95,6 +176,13 @@ class TestTruncatedKle:
         recon = (flat.T * basis.eigenvalues) @ flat
         rel = np.linalg.norm(cov - recon) / np.linalg.norm(cov)
         assert rel <= (1.0 - frac) + 1e-6
+
+    @pytest.mark.parametrize("cov", [np.eye(64)[0], np.eye(64)[:8], np.eye(16)],
+                             ids=["1-D", "not-square", "other-grid"])
+    def test_covariance_of_another_shape_rejected(self, small_grid, cov):
+        with pytest.raises(ValueError, match=rf"^covariance {re.escape(str(cov.shape))} "
+                                             r"does not fit a 64-node grid$"):
+            truncated_kle(cov, 0.95, small_grid)
 
     def test_asymmetric_input_rejected(self, small_grid):
         cov = np.eye(64)
