@@ -222,8 +222,11 @@ def render_config(config: ExperimentConfig) -> str:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path) as fh:
+            return parse_config(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_config(path, config: ExperimentConfig) -> None:

@@ -5,12 +5,12 @@ included; :func:`observe` reads it at the sensors on the grid of its shape,
 and an :class:`ObservationSet` carries one noise sigma per sensor.
 
 The pressure equation -div(exp(y) grad u) = h is discretized on the node
-grid of :class:`krflow.grf.Grid` with a 5-point stencil.  Interface
-conductivities are harmonic means of exp(y) at the two neighbouring nodes,
-the standard choice for discontinuous coefficients.  Pressure is pinned to
-Dirichlet data on the left/right columns (s1 = 0 and s1 = 1, zero by
-default) and zero normal flux is imposed on the top/bottom rows, which get
-half-height control volumes.
+grid of :class:`krflow.grf.Grid` with a 5-point stencil, for one constant
+source h.  Interface conductivities are harmonic means of exp(y) at the two
+neighbouring nodes, the standard choice for discontinuous coefficients.
+Pressure is zero on the left/right columns (s1 = 0 and s1 = 1) and zero
+normal flux is imposed on the top/bottom rows, which get half-height control
+volumes.
 
 The resulting system is symmetric positive definite.  ``_stencil`` assembles
 it once, for one field or a batch, and ``_apply`` is its matvec.  Numbering
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -99,29 +98,17 @@ def _transmissibilities(log_perm: np.ndarray, grid: Grid):
     return t_h, t_v, heights
 
 
-def _load(source, grid: Grid, heights: np.ndarray) -> np.ndarray:
-    """Source integral over each unknown's control volume, (H, W-2); ``source``
-    is a number or a callable h(s1, s2) whose value broadcasts to (H, W)."""
-    shape = (grid.height, grid.width)
-    value = source(*grid.points().T.reshape(2, *shape)) if callable(source) else source
-    try:
-        h_val = np.full(shape, value if callable(source) else float(value), dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ValueError(f"source gave shape {np.shape(value)}; expected a number or a "
-                         f"callable h(s1, s2) whose value broadcasts to {shape}") from None
-    return h_val[:, 1:-1] * (heights[:, None] * grid.spacing_1)
-
-
-def _stencil(log_perm: np.ndarray, grid: Grid, source):
+def _stencil(log_perm: np.ndarray, grid: Grid, source: float):
     """The system A(y) u = b of one (H, W) field or a (..., H, W) batch, with
-    zero Dirichlet columns: ``(diag, t_e, t_n, load)``, A's diagonal and the
-    negated couplings along rows and columns of the (..., H, W-2) unknowns."""
+    zero Dirichlet columns: ``(diag, t_e, t_n, load)``, A's diagonal, the negated
+    couplings of the (..., H, W-2) unknowns along rows and columns, and b, (H, W-2)."""
     t_h, t_v, heights = _transmissibilities(log_perm, grid)
     t_e, t_n = t_h[..., 1:-1], t_v[..., 1:-1]
     diag = t_h[..., :, :-1] + t_h[..., :, 1:]   # west and east faces
     diag[..., 1:, :] += t_n    # south faces; none on the top Neumann row
     diag[..., :-1, :] += t_n   # north faces; none on the bottom Neumann row
-    return diag, t_e, t_n, _load(source, grid, heights)
+    load = np.full(diag.shape[-2:], float(source)) * (heights[:, None] * grid.spacing_1)
+    return diag, t_e, t_n, load
 
 
 def _apply(u: np.ndarray, diag: np.ndarray, t_e: np.ndarray, t_n: np.ndarray) -> np.ndarray:
@@ -156,27 +143,8 @@ def energy(u, log_perms: np.ndarray, grid: Grid, source: float = 3.0, stencil=No
     return ad.node(energies, "energy", (u,), lambda g: u._accumulate(g[:, None] * (au - b)))
 
 
-def _dirichlet(values, name: str, rows: int) -> np.ndarray:
-    """One Dirichlet column: None means zeros, a scalar is broadcast."""
-    g = np.asarray(0.0 if values is None else values, dtype=np.float64)
-    g = np.full(rows, g) if g.ndim == 0 else g
-    if g.shape != (rows,):
-        raise ValueError(f"{name} has shape {g.shape}, expected ({rows},): "
-                         f"one value per grid row (grid.height = {rows})")
-    return g
-
-
-def solve_darcy(log_perm: np.ndarray, grid: Grid,
-                source: float | Callable[[np.ndarray, np.ndarray], np.ndarray] = 3.0,
-                dirichlet_left: np.ndarray | None = None,
-                dirichlet_right: np.ndarray | None = None) -> np.ndarray:
-    """The (H, W) nodal pressure, Dirichlet columns included, of one log-permeability field.
-
-    ``source`` may be a constant or a callable h(s1, s2) evaluated at the
-    nodes.  Nonzero Dirichlet columns are supported for diagnostics; the
-    physical setup uses the default homogeneous data.  Each Dirichlet column
-    is a scalar or one value per grid row.
-    """
+def solve_darcy(log_perm: np.ndarray, grid: Grid, source: float = 3.0) -> np.ndarray:
+    """The (H, W) nodal pressure of one log-permeability field, its Dirichlet columns zero."""
     log_perm = np.asarray(log_perm, dtype=np.float64)
     if log_perm.shape != (grid.height, grid.width):
         raise ValueError(f"field shape {log_perm.shape} does not match grid "
@@ -199,14 +167,7 @@ def solve_darcy(log_perm: np.ndarray, grid: Grid,
             f"about 354.5 and underflow below about -354.5")
 
     h_rows = grid.height
-    g_left = _dirichlet(dirichlet_left, "dirichlet_left", h_rows)
-    g_right = _dirichlet(dirichlet_right, "dirichlet_right", h_rows)
-
     diag, t_e, t_n, rhs = _stencil(log_perm, grid, source)
-    if g_left.any() or g_right.any():
-        t_h = _transmissibilities(log_perm, grid)[0]
-        rhs[:, 0] += t_h[:, 0] * g_left
-        rhs[:, -1] += t_h[:, -1] * g_right
 
     # LAPACK lower band storage, A[i + k, i] at ab[k, i]: the diagonal at k = 0,
     # the row neighbour at k = 1 and the column neighbour at k = m.  Fortran
@@ -230,7 +191,9 @@ def solve_darcy(log_perm: np.ndarray, grid: Grid,
         raise DarcySolveError(f"linear solve failed: relative residual {rel:.3e}, diagonal "
                               f"range [{diag.min():.3e}, {diag.max():.3e}]")
 
-    return np.column_stack([g_left, u_inner, g_right])
+    pressure = np.zeros((h_rows, grid.width))
+    pressure[:, 1:-1] = u_inner
+    return pressure
 
 
 def observe(pressure: np.ndarray, op: ObservationOperator) -> np.ndarray:

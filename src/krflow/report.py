@@ -40,8 +40,11 @@ def read_csv_floats(path, header: Sequence[str] | None = None) -> np.ndarray:
     every row must be as wide as the header or the first row, so a file cut
     short mid-row fails here, and every entry must be finite.
     """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     skip = 0 if header is None else 1
     if skip and rows[:1] != [list(header)]:
         raise ValueError(f"{path}: expected the header {','.join(header)}")
@@ -104,7 +107,7 @@ def read_json(path, *required: str) -> dict:
     with open(path) as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(f"{path}: {exc}") from exc
     for key in required:
         if not isinstance(payload, dict) or key not in payload:

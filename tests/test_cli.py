@@ -199,6 +199,21 @@ class TestDependencyGates:
                   ".json": r".* line \d+ column \d+"}[Path(artifact).suffix]
         assert re.search(rf"{re.escape(artifact)}: {reason}", capsys.readouterr().err)
 
+    # one byte that no UTF-8 text holds, in an artifact or in the config itself
+    @pytest.mark.parametrize("artifact", ["vae.json", "observations.csv", "truth_field.csv",
+                                          "cfg.ini"])
+    def test_undecodable_byte_exits_1_naming_it(self, run_dir, tmp_path, capsys, artifact):
+        _, cfg_path, out = run_dir
+        copy = tmp_path / "run"
+        shutil.copytree(out, copy)
+        shutil.copy(cfg_path, copy / "cfg.ini")
+        path = copy / artifact
+        data = path.read_bytes()
+        path.write_bytes(data[:len(data) // 2] + b"\xff" + data[len(data) // 2 + 1:])
+        assert main(["infer-mcmc", "--config", str(copy / "cfg.ini"), "--out", str(copy)]) == 1
+        assert re.fullmatch(rf"error: {re.escape(str(path))}: '[-\w]+' codec can't decode "
+                            r"byte 0xff in position \d+: .*\n", capsys.readouterr().err)
+
     # whole containers at odds with their sidecars, or holding a name twice
     @pytest.mark.parametrize("artifact,edit,reason", [
         ("vae.bin", lambda run: shutil.copy(run / "surrogate.bin", run / "vae.bin"),
