@@ -1,26 +1,25 @@
-"""Reverse-mode automatic differentiation on dense float64 arrays.
+"""Reverse-mode automatic differentiation on dense float32 or float64 arrays.
 
 A ``Tensor`` wraps a numpy array and the backward function of the operation
 that produced it.  ``evaluate_with_gradients`` records every node in build
-order (the trail), and ``backward`` replays that trail in reverse, so each
-node holds its whole gradient before it passes it on to its operands.  Ops
-are plain functions, each one node made by ``node``: ``add``, ``sub``,
-``mul``, ``exp``, ``tanh``, ``relu``, ``clip``, ``matmul``, ``sum_``,
-``mean_``, ``reshape``, ``take_cols``, ``concat`` and ``dense``, a whole
-dense layer.  The hot chains of the models are single nodes too,
-each built with ``node`` and a hand-written backward that keeps the composed
-ops' bytes: the Gaussian log-densities of :mod:`krflow.nets`, the affine
-coupling of :func:`krflow.flow.coupling`, the FV energy of
-:func:`krflow.darcy.energy` and the tail of the latent likelihood of
-:func:`krflow.inference.make_surrogate_loglike`.
+order (the trail), and ``backward`` replays it in reverse, so each node holds
+its whole gradient before it passes it on.  Ops are plain functions, each one
+node made by ``node``: ``add``, ``sub``, ``mul``, ``exp``, ``tanh``, ``relu``,
+``clip``, ``matmul``, ``sum_``, ``mean_``, ``reshape``, ``take_cols``,
+``concat`` and ``dense``, a whole dense layer.  The models' hot chains are
+single nodes too, whose hand-written backwards keep the composed ops' bytes:
+the Gaussian log-densities of :mod:`krflow.nets`, the affine coupling of
+:func:`krflow.flow.coupling`, the FV energy of :func:`krflow.darcy.energy`
+and the likelihood's tail in :func:`krflow.inference.make_surrogate_loglike`.
 
 Every op dispatches on its input type, so the same code runs on the tape
 (``Tensor`` inputs) or as plain numpy (``ndarray`` inputs, no tape cost).
-On the tape, a float or ndarray operand is read as it is, never wrapped in
-a constant ``Tensor``.  Finiteness is checked once per evaluation, not per
-node.  A gradient reaches a tensor by assignment the first time and by
-out-of-place addition after that, so one array may be shared by several
-tensors: no backward function updates a received gradient in place.
+On the tape, a float or ndarray operand is read as it is, never wrapped in a
+constant ``Tensor``.  Leaves keep their float dtype: float32 leaves, operands
+and Python float constants (NEP 50) give a float32 tape.  Finiteness is
+checked once per evaluation, not per node.  A gradient reaches a tensor by
+assignment the first time and by out-of-place addition after that, so one
+array may be shared by several tensors: no backward updates one in place.
 """
 
 from __future__ import annotations
@@ -41,8 +40,9 @@ class NonFiniteError(FloatingPointError):
 
 
 def _as_array(x) -> np.ndarray:
-    """``x`` as a C-contiguous float64 array, itself if it is one already."""
-    return np.asarray(x, dtype=np.float64, order="C")
+    """``x`` as a C-contiguous float (else float64) array, itself if it is one."""
+    x = np.asarray(x, order="C")
+    return x if x.dtype.kind == "f" else x.astype(np.float64)
 
 
 def all_finite(data: np.ndarray) -> bool:
@@ -74,9 +74,9 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class Tensor:
-    """Node of the reverse-mode tape; holds float64 data and (later) a gradient.
+    """Node of the reverse-mode tape; holds float data and (later) a gradient.
 
-    ``data`` is stored as given, so it must already be a C-contiguous float64
+    ``data`` is stored as given, so it must already be a C-contiguous float
     array; ``leaf`` and ``constant`` coerce theirs.
     """
 
@@ -435,19 +435,19 @@ def evaluate_with_gradients(program: Callable, params: Mapping[str, np.ndarray],
     """Run ``program(leaves)`` to a scalar and return (value, gradients).
 
     ``params`` is any name-to-array mapping; each entry becomes a leaf tensor,
-    as it is if C-contiguous float64 already (as ParamStore entries are).
+    as it is if a C-contiguous float array already (as ParamStore entries are).
     Gradients are exact reverse-mode derivatives of the scalar output with
     respect to every entry, zero for entries the program never reads; two
     entries may share one gradient array, so do not update one in place.
     The gradient of an entry ``rows`` names is written, to the same bytes,
-    into that float64 array of the entry's shape, and returned as that array.
+    into that array of the entry's shape and dtype, and returned as it.
 
-    A leaf holding a NaN or Inf raises NonFiniteError naming it.  A NaN or
-    Inf in the value or in a gradient raises it naming the op of the first
-    node, in evaluation order, that holds one, else the first non-finite
-    gradient.  ``flat``, when ``rows`` names every entry, is a (2, n) array
-    whose rows hold the entries and the gradient rows, as AdamState's buffer
-    does: each row is then checked once, and by name only if it fails.
+    A leaf holding a NaN or Inf raises NonFiniteError naming it; a NaN or Inf
+    in the value or a gradient raises it naming the op of the first node, in
+    evaluation order, holding one, else the first non-finite gradient.
+    ``flat``, when ``rows`` names every entry, is a (2, n) array whose rows
+    hold the entries and the gradient rows, as AdamState's buffer does: each
+    row is then checked once, and by name only if it fails.
     """
     rows = rows or {}
     checked = flat is not None and all_finite(flat[0])

@@ -1,11 +1,10 @@
 """Command-line pipeline: data generation, training, inference, reporting.
 
 Every stage reads one config file and one run directory.  Stages record the
-config hash in their outputs and refuse to consume upstream artifacts whose
-hash differs, so a run directory always holds a consistent chain.  Outputs
-are byte-reproducible given the same config; per-stage wall times go to
-separate ``*_timing.json`` files, which are the only non-reproducible
-artifacts.
+config hash in their outputs and refuse upstream artifacts whose hash
+differs, so a run directory always holds a consistent chain.  Outputs are
+byte-reproducible given the same config, except the per-stage wall times in
+the ``*_timing.json`` files.
 
 Exit codes: 0 success, 1 validation/dependency error, 2 numerical failure.
 """
@@ -66,17 +65,18 @@ def cmd_generate_data(config: ExperimentConfig, out_dir: Path) -> None:
     grid = Grid(config.grid.height, config.grid.width)
     chash = config_hash(config)
 
+    ob = config.observation
+    bases = {ob.truth_scale: None}   # the dataset's basis at the truth's scale, if it has one
     samples = generate_prior_dataset(
         grid, config.kle.variance, config.kle.mean, config.kle.length_scales,
-        config.kle.per_scale, config.seeds.data, config.kle.energy_fraction)
+        config.kle.per_scale, config.seeds.data, config.kle.energy_fraction, bases)
     save_dataset(out_dir / "dataset.bin", dataset_to_array(samples))
     save_manifest(out_dir / "dataset_manifest.csv", samples)
 
     # held-out truth from the configured in-distribution length scale
-    ob = config.observation
     spec = CovarianceSpec.isotropic(config.kle.variance, ob.truth_scale, config.kle.mean)
-    basis = truncated_kle(assemble_covariance_matrix(grid, spec),
-                          config.kle.energy_fraction, grid)
+    basis = bases[ob.truth_scale] or truncated_kle(assemble_covariance_matrix(grid, spec),
+                                                   config.kle.energy_fraction, grid)
     truth = sample_field(basis, spec, np.random.default_rng(config.seeds.truth),
                          seed=config.seeds.truth)
     save_field_csv(out_dir / "truth_field.csv", truth.values)

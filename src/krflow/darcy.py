@@ -4,24 +4,23 @@
 included; :func:`observe` reads it at the sensors on the grid of its shape,
 and an :class:`ObservationSet` carries one noise sigma per sensor.
 
-The pressure equation -div(exp(y) grad u) = h is discretized on the node
-grid of :class:`krflow.grf.Grid` with a 5-point stencil, for one constant
-source h.  Interface conductivities are harmonic means of exp(y) at the two
-neighbouring nodes, the standard choice for discontinuous coefficients.
-Pressure is zero on the left/right columns (s1 = 0 and s1 = 1) and zero
-normal flux is imposed on the top/bottom rows, which get half-height control
-volumes.
+The pressure equation -div(exp(y) grad u) = h, for one constant source h, is
+discretized on the nodes of :class:`krflow.grf.Grid` with a 5-point stencil
+whose interface conductivities are harmonic means of exp(y), the standard
+choice for discontinuous coefficients.  Pressure is zero on the left and
+right columns (s1 = 0, 1); the top and bottom rows have zero normal flux and
+half-height control volumes.
 
-The resulting system is symmetric positive definite.  ``_stencil`` assembles
-it once, for one field or a batch, and ``_apply`` is its matvec.  Numbering
-the H x m unknowns (the m = W-2 interior columns) row by row makes it a band
-matrix of half-bandwidth m; :func:`solve_darcy` stores its lower half in LAPACK
-band storage and solves it by one banded Cholesky (``pbsv``), where each
-rank-1 update reads a contiguous column (README has the timings).  The
+The system is symmetric positive definite; ``_stencil`` assembles it once,
+for a field or a batch, and ``_apply`` is its matvec.  Numbered row by row,
+the H x m unknowns (m = W-2 interior columns) form a band matrix of
+half-bandwidth m, whose lower half :func:`solve_darcy` factors in LAPACK band
+storage by one banded Cholesky (``dpbsv``, scipy's, loaded by grf), each
+rank-1 update reading a contiguous column (README has the timings).  The
 contract: a relative residual A u - b below 1e-10, or DarcySolveError, which
 a failed factorization also raises, naming LAPACK's info.  :func:`energy` is
-the surrogate's loss 1/2 u^T A u - b^T u of the same system, with its exact
-gradient A u - b.  ``dpbsv`` is ``scipy.linalg.lapack.dpbsv``, loaded by grf.
+the surrogate's loss 1/2 u^T A u - b^T u, in float64, with exact gradient
+A u - b.
 """
 
 from __future__ import annotations
@@ -124,23 +123,26 @@ def _apply(u: np.ndarray, diag: np.ndarray, t_e: np.ndarray, t_n: np.ndarray) ->
 def energy(u, log_perms: np.ndarray, grid: Grid, source: float = 3.0, stencil=None):
     """The (B,) energies 1/2 u^T A(y) u - b^T u of (B, H*(W-2)) unknowns, row by
     row, on a (B, H, W) batch; each minimizer is :func:`solve_darcy`'s interior.
-    A ``Tensor`` ``u`` gives one tape node, whose backward is g[:, None] * (A u - b).
-    ``stencil`` is the batch's ``_stencil(log_perms, grid, source)``, if assembled.
+    They are float64 for any ``u``; a ``Tensor`` ``u`` gives one tape node, whose
+    backward is g[:, None] * (A u - b) in u's dtype.  ``stencil`` is the batch's
+    ``_stencil(log_perms, grid, source)``, if assembled, and then only the
+    shape of ``log_perms`` is read.
     """
-    log_perms = np.asarray(log_perms, dtype=np.float64)
-    if log_perms.ndim != 3 or log_perms.shape[1:] != (grid.height, grid.width):
-        raise ValueError(f"fields of shape {log_perms.shape} are not a (B, "
+    shape = np.shape(log_perms)
+    if len(shape) != 3 or shape[1:] != (grid.height, grid.width):
+        raise ValueError(f"fields of shape {shape} are not a (B, "
                          f"{grid.height}, {grid.width}) batch")
-    value = u.data if isinstance(u, ad.Tensor) else np.asarray(u, dtype=np.float64)
-    if value.shape != (len(log_perms), grid.height * (grid.width - 2)):
-        raise ValueError(f"unknowns of shape {value.shape} do not fit fields {log_perms.shape}")
-    diag, t_e, t_n, load = stencil or _stencil(log_perms, grid, source)
+    value = np.asarray(u.data if isinstance(u, ad.Tensor) else u, dtype=np.float64)
+    if value.shape != (shape[0], grid.height * (grid.width - 2)):
+        raise ValueError(f"unknowns of shape {value.shape} do not fit fields {shape}")
+    diag, t_e, t_n, load = stencil or _stencil(np.asarray(log_perms, np.float64), grid, source)
     au = _apply(value.reshape(len(value), grid.height, -1), diag, t_e, t_n).reshape(len(value), -1)
     b = load.ravel()
     energies = np.einsum("bk,bk->b", value, 0.5 * au - b)
     if not isinstance(u, ad.Tensor):
         return energies
-    return ad.node(energies, "energy", (u,), lambda g: u._accumulate(g[:, None] * (au - b)))
+    return ad.node(energies, "energy", (u,), lambda g: u._accumulate(
+        (g[:, None] * (au - b)).astype(u.data.dtype, copy=False)))
 
 
 def solve_darcy(log_perm: np.ndarray, grid: Grid, source: float = 3.0) -> np.ndarray:

@@ -1,22 +1,17 @@
 """Invertible triangular transport map built from grouped affine couplings.
 
 The latent dimension is split into K equal groups.  Stage t applies L affine
-coupling layers to the currently active block (the first ``d - (t-1)*d/K``
-coordinates) and then freezes that block's last group: frozen coordinates
-pass through all later layers bitwise unchanged and are never read by later
-coupling networks.  After K-1 stages only the first group remains and no
-further layers act.
-
-Within a stage the coupling layers alternate which half of the active block
-is transformed (even positions conditioned on odd, then swapped).  Each
+coupling layers to the active block (the first ``d - (t-1)*d/K`` coordinates)
+and then freezes its last group, which passes through all later layers
+bitwise unchanged and unread; after K-1 stages only the first group remains.
+Within a stage the layers alternate which half of the active block is
+transformed (even positions conditioned on odd, then swapped).  Each
 transformed coordinate gets ``x * exp(s) + t`` where ``(s_raw, t)`` come from
 a small dense network fed by the kept half and ``s = bound * tanh(s_raw)``
 keeps the scale numerically safe.  Coupling nets have zero-initialized final
-layers, so a fresh flow is exactly the identity.
-
-Log-determinants accumulate as plain sums of ``s`` (forward) or ``-s``
-(inverse), making densities exact, and the whole map runs either on plain
-numpy arrays or on the autodiff tape.
+layers, so a fresh flow is exactly the identity.  Log-determinants are plain
+sums of ``s`` (forward) or ``-s`` (inverse), making densities exact, and the
+whole map runs on plain numpy arrays or on the autodiff tape.
 """
 
 from __future__ import annotations
@@ -87,11 +82,12 @@ def layer_names(config: FlowConfig):
     return out
 
 
-def init_flow(config: FlowConfig, seed: int) -> FlowParams:
+def init_flow(config: FlowConfig, seed: int, dtype=np.float64) -> FlowParams:
     rng = np.random.default_rng(seed)
     flow = FlowParams(ParamStore(), config)
-    flow.store = ParamStore(item for prefix, sizes in flow.layer_sizes.items()
-                            for item in init_mlp(rng, sizes, prefix, zero_last=True).items())
+    flow.store = ParamStore((item for prefix, sizes in flow.layer_sizes.items()
+                             for item in init_mlp(rng, sizes, prefix, zero_last=True).items()),
+                            dtype)
     return flow
 
 

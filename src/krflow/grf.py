@@ -4,17 +4,14 @@ Fields live on a uniform grid over the unit square.  The first coordinate s1
 runs along columns (width W), the second coordinate s2 along rows (height H),
 so ``field[i, j]`` is the value at ``(s1, s2) = (j/(W-1), i/(H-1))``.
 
-The covariance is discretized by pointwise kernel evaluation at the grid
-nodes (no quadrature weights), and eigenvectors of that matrix are therefore
-orthonormal under the plain grid inner product ``sum_p f_p g_p``.  It is
+The covariance is the kernel at the grid nodes (no quadrature weights), so
+its eigenvectors are orthonormal under the plain grid inner product.  It is
 assembled in place, and LAPACK ``dsyevd`` (what ``eigh`` runs) overwrites one
 owned copy of it.  ``dsyevd`` and darcy's ``dpbsv`` come from scipy's compiled
 ``scipy.linalg._flapack``, which :func:`_load_flapack` loads without importing
-``scipy.linalg`` (0.2 s and 20 MB per CLI process).
-
-The prior dataset file is a ``params.ParamStore`` container with one
-``fields`` entry of shape (N, H, W); each sample's length scale and seed are
-recorded only in the manifest CSV written alongside it.
+``scipy.linalg`` (0.2 s and 20 MB per CLI process).  The prior dataset file
+is a float64 ``params.ParamStore`` container with one (N, H, W) ``fields``
+entry; each sample's length scale and seed are only in the manifest CSV.
 """
 
 from __future__ import annotations
@@ -183,11 +180,12 @@ def _sample_seed(base_seed: int, scale_index: int, sample_index: int) -> int:
 
 def generate_prior_dataset(grid: Grid, variance: float, mean: float,
                            length_scales: Sequence[float], per_scale: int,
-                           base_seed: int, energy_fraction: float = 0.95
-                           ) -> list[FieldSample]:
+                           base_seed: int, energy_fraction: float = 0.95,
+                           bases: dict | None = None) -> list[FieldSample]:
     """Historical prior data: per_scale draws for each length scale, concatenated.
 
-    Each scale gets its own covariance and its own 95%-energy truncation.
+    Each scale gets its own covariance and its own 95%-energy truncation;
+    each key of ``bases`` that is one of the scales gets that scale's basis.
     Sample seeds are keyed by (base_seed, scale index, sample index), so the
     dataset is reproducible and individual samples can be regenerated.
     """
@@ -199,6 +197,8 @@ def generate_prior_dataset(grid: Grid, variance: float, mean: float,
     for si, scale in enumerate(length_scales):
         spec = CovarianceSpec.isotropic(variance, scale, mean)
         basis = truncated_kle(assemble_covariance_matrix(grid, spec), energy_fraction, grid)
+        if bases is not None and scale in bases:
+            bases[scale] = basis
         for k in range(per_scale):
             seed = _sample_seed(base_seed, si, k)
             rng = np.random.default_rng(seed)

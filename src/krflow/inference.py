@@ -1,9 +1,9 @@
 """Latent-space posterior approximation and the pCN-MCMC baseline.
 
-The trained decoder fixes a map from latents x to fields y, and the trained
-surrogate replaces the forward solve inside the likelihood.  Both methods
-target pi(x | D) ~ pi(D | surrogate(mu_de(x))) N(x; 0, I) through one latent
-likelihood, :func:`make_surrogate_loglike`.
+The trained decoder maps latents x to fields y and the trained surrogate
+replaces the forward solve, so both methods target pi(x | D) ~
+pi(D | surrogate(mu_de(x))) N(x; 0, I) through one latent likelihood,
+:func:`make_surrogate_loglike`.
 
 The coupling flow is fitted by reverse KL: draw z ~ N(0, I), pull back
 through the flow inverse x = f^{-1}(z), and minimize
@@ -11,24 +11,20 @@ through the flow inverse x = f^{-1}(z), and minimize
     mean log q(x)  -  mean log pi(D | x)  -  mean log N(x; 0, I),
 
 where log q(x) = log N(z; 0, I) + log|det dx/dz|^{-1} is exact.  Decoder and
-surrogate parameters stay frozen; gradients flow to the coupling networks
-through the inverse map and the folded likelihood.
+surrogate stay frozen; gradients reach the coupling networks through the
+inverse map and the folded likelihood.  Posterior moments average decoder
+means (the mean field) and decoder variances (the variance field) over the
+samples, leaving out the spread of decoder means across samples.
 
-Posterior moments use the decoder-Gaussian estimators: the mean field is the
-average of decoder means over flow samples and the variance field is the
-average of decoder variances (the spread of decoder means across samples is
-not folded in).
-
-The pCN baseline samples the same latent posterior with the proposal
-x' = sqrt(1 - beta^2) x + beta xi, whose acceptance ratio depends only on
-the likelihood, and pushes retained states through the same decoder.  Given
-step 0, the chain adapts beta during burn-in and freezes it for the retained
-steps (Andrieu & Thoms 2008).  Every step draws its xi and its uniform
-whether it accepts or not, so the next few proposals are fixed in advance
-along a run of rejects or of accepts.  pCN evaluates the likelier run in
-one call (up to ``PREFETCH_WIDTH`` proposals for a ``vectorized``
-likelihood, one for any other) and walks it with the pre-drawn uniforms:
-predictive prefetching (Brockwell 2006; Angelino et al. 2014).
+The pCN baseline samples the same posterior with the proposal
+x' = sqrt(1 - beta^2) x + beta xi, whose acceptance ratio is the likelihood
+ratio alone; given step 0 it adapts beta during burn-in and freezes it for
+the retained steps (Andrieu & Thoms 2008).  Every step draws its xi and its
+uniform whether it accepts or not, so the proposals along a run of rejects
+or of accepts are fixed in advance: pCN evaluates the likelier run in one
+call (up to ``PREFETCH_WIDTH`` proposals for a ``vectorized`` likelihood)
+and walks it with the pre-drawn uniforms, predictive prefetching (Brockwell
+2006; Angelino et al. 2014).
 """
 
 from __future__ import annotations
@@ -51,8 +47,8 @@ from .surrogate import SurrogateParams, pressure_layers, surrogate_forward_batch
 from .vae import VaeParams, decode_batch, decode_blocks, decoder_mean_layers
 
 # Rows per batched likelihood call when pCN prefetches proposals.  A desk call
-# reads 3.7 MB of weights whatever the batch, so 8 or 12 rows take about 0.4 ms
-# (2-CPU Xeon) and a chain's time follows its calls; 8 evaluates fewer rows.
+# reads 1.9 MB of weights (float32 layers, float64 w_out) whatever the batch:
+# 1, 4, 8 and 12 rows take 0.09, 0.16, 0.19 and 0.28 ms (2-CPU Xeon).
 PREFETCH_WIDTH = 8
 
 # pcn_mcmc(step_size=0): burn-in steps per step update, and the target acceptance
@@ -108,10 +104,11 @@ def train_posterior_flow(flow_config: FlowConfig, vae: VaeParams,
     """Fit the coupling flow to the latent posterior by mini-batch Adam.
 
     The base dataset Z of ``config.sample_size`` standard-normal draws is
-    generated once; every epoch sweeps its mini-batches.  Decoder and
-    surrogate are frozen throughout, folded once into the likelihood pCN
-    uses.  Returns the final-epoch parameters.
+    generated once, in the VAE's dtype, the flow's; every epoch sweeps its
+    mini-batches.  Decoder and surrogate are frozen throughout, folded once
+    into the likelihood pCN uses.  Returns the final-epoch parameters.
     """
+    dtype = vae.store.dtype
     z_data = np.random.default_rng(seed).standard_normal((config.sample_size, flow_config.dim))
     log_like = make_surrogate_loglike(vae, surrogate, obs)
 
@@ -123,8 +120,9 @@ def train_posterior_flow(flow_config: FlowConfig, vae: VaeParams,
 
         return program
 
-    store, curve = fit("flow", init_flow(flow_config, seed).store, z_data, config.batch_size,
-                       config.epochs, config.learning_rate, program_for, adam_step)
+    store, curve = fit("flow", init_flow(flow_config, seed, dtype).store, z_data.astype(dtype),
+                       config.batch_size, config.epochs, config.learning_rate, program_for,
+                       adam_step)
     if curve_path is not None:
         write_loss_curve(curve_path, curve)
     return FlowParams(store, flow_config)
@@ -177,62 +175,61 @@ def make_surrogate_loglike(vae: VaeParams, surrogate: SurrogateParams,
                            obs: ObservationSet) -> Callable:
     """Latent-space log-likelihood x -> log pi(D | mu_de(x)) via the surrogate.
 
-    pCN calls it on ndarrays and the flow on the tape: it takes one (d,)
-    latent and returns a ``float``, an (n, d) batch and returns an (n,)
-    array, or an (n, d) ``Tensor`` and returns an (n,) ``Tensor``; it carries
-    ``vectorized = True``, so :func:`pcn_mcmc` evaluates its prefetched
-    proposals in one call.  The weights are folded once, here, into dense
-    layers that keep only what the likelihood reads; everything between two
-    ReLUs is affine, so:
+    It maps one (d,) latent to a ``float``, an (n, d) batch to (n,) values and
+    the flow's (n, d) ``Tensor`` to an (n,) ``Tensor``; ``vectorized = True``
+    lets :func:`pcn_mcmc` evaluate its prefetched proposals in one call.  The
+    weights are folded once, in float64, into dense layers that keep only
+    what the likelihood reads.  Everything between two ReLUs is affine, so
+    the decoder's mean head (its first H*W columns), the map back to raw field
+    units, the surrogate's input standardization and its first layer become
+    one layer, and the surrogate's output layer, the sensor interpolation's
+    rows at its pressure unknowns (the Dirichlet columns are zero) and the
+    division by the noise standard deviations one (hidden, m) map to the
+    whitened residual.
 
-    - the decoder's mean head (its first H*W columns; the log-variance head
-      is dropped), the map back to raw field units, the surrogate's input
-      standardization and the surrogate's first layer become one layer;
-    - the surrogate's output layer, the sensor interpolation's rows at its
-      pressure unknowns (the Dirichlet columns are zero) and the division by
-      the noise standard deviations become one (hidden, m) map to the
-      whitened residual.
-
-    The hidden layers of both networks are kept.  A call is a chain of
-    relu(h @ W + b), each one ``ad.dense``, then one tape node: -|z|^2 / 2
-    plus the log normalizer of z = target - h @ w_out, with the composed
-    ops' bytes.  The folds reassociate sums, so the value matches the
+    A call runs the hidden layers in the VAE's dtype, each one ``ad.dense``,
+    then one float64 tape node: -|z|^2 / 2 plus the log normalizer of
+    z = target - h @ w_out, with the composed ops' bytes, passing h its
+    gradient in h's dtype.  With float64 stores the value matches the
     composition decode_batch -> surrogate_forward_batch -> observation_matrix
-    to 1e-12 relative, not bit for bit.  The tape and the ndarray batch
-    compute the same values.  A batch row goes through matrix-matrix
-    products where a (d,) call goes through vector-matrix ones, so these two
-    agree in the last bits only: within 1e-15 of sum |z| (|target| + |h| @
-    |w_out|), about 1e-15 of the value and up to 1e-14 where z cancels.
+    to 1e-12 relative (the folds reassociate sums), and a (d,) call, through
+    vector-matrix products, its batch row within 1e-15 of sum |z| (|target| +
+    |h| @ |w_out|).  With the float32 stores the CLI trains, two desk models'
+    values at 2,000 prior draws (-26,588 to 100, median about -1,400) came
+    within 0.013 of the float64 composition (median 3e-4), and (d,) calls
+    within 0.015 of their batch rows.
     """
     hidden, w_out, target, log_norm = _folded_likelihood(vae, surrogate, obs)
+    dtype = vae.store.dtype
 
     def log_like(x):
-        h = x
+        h = x if isinstance(x, ad.Tensor) else np.asarray(x, dtype)
         for w, b in hidden:
             h = ad.dense(h, w, b, relu=True)
-        z = target - np.asarray(ad._value(h)) @ w_out
+        z = target - np.asarray(ad._value(h), np.float64) @ w_out
         value = np.add.reduce(z * z, axis=-1) * -0.5 + log_norm
         if not isinstance(h, ad.Tensor):
             return value
         # each factor of z * z passes z -g z / 2, and their sum, exactly -2 times
         # one, goes to h through -(h @ w_out), as the composed ops passed them
-        return ad.node(value, "likelihood", (h,),
-                       lambda g: h._accumulate(((g * -0.5)[..., None] * z * -2.0) @ w_out.T))
+        return ad.node(value, "likelihood", (h,), lambda g: h._accumulate(
+            (((g * -0.5)[..., None] * z * -2.0) @ w_out.T).astype(dtype, copy=False)))
 
     log_like.vectorized = True
     return log_like
 
 
 def _folded_likelihood(vae: VaeParams, surrogate: SurrogateParams, obs: ObservationSet):
-    """The folds of :func:`make_surrogate_loglike`: the hidden (W, b) layers,
-    the output map and target of the whitened residual z = target - h @ w_out,
-    and the log normalizer."""
+    """The folds of :func:`make_surrogate_loglike`, made in float64: the hidden
+    (W, b) layers in the VAE's dtype, the float64 output map and target of the
+    whitened residual z = target - h @ w_out, and the log normalizer."""
     obs_matrix = observation_matrix(obs.operator, surrogate.grid)      # (m, HW)
     decoder = decoder_mean_layers(vae)
     body = pressure_layers(surrogate, obs_matrix.T / obs.sigma)
     (w1, b1), (w2, b2) = decoder[-1], body[0]   # no ReLU between them
     layers = decoder[:-1] + [(w1 @ w2, b1 @ w2 + b2)] + body[1:]
-    hidden, (w_out, b_out) = layers[:-1], layers[-1]
+    hidden = [tuple(a.astype(vae.store.dtype, copy=False) for a in wb) for wb in layers[:-1]]
+    w_out, b_out = layers[-1]
     log_norm = float(np.sum(-np.log(obs.sigma) - 0.5 * np.log(2.0 * np.pi)))
     return hidden, w_out, obs.values / obs.sigma - b_out, log_norm
 
@@ -243,28 +240,24 @@ def pcn_mcmc(log_like: Callable[[np.ndarray], float], dim: int, steps: int,
 
     Proposal x' = sqrt(1 - beta^2) x + beta xi with xi ~ N(0, I) preserves
     N(0, I), so the acceptance probability is the likelihood ratio alone.
-    The last ``burn_keep`` states are retained; at least one must be.  Each
-    step draws ``standard_normal(dim)`` and then ``uniform()`` from one
-    generator seeded by ``seed``, whether the step accepts or not.
+    The last ``burn_keep`` >= 1 states are retained.  Each step draws
+    ``standard_normal(dim)`` then ``uniform()`` from one generator seeded by
+    ``seed``, whether it accepts or not.  ``step_size`` is beta in (0, 1], or
+    0 to adapt beta during burn-in, the first ``steps - burn_keep`` steps:
+    from 0.2, each whole block n of ``ADAPT_BLOCK`` burn-in steps with
+    acceptance a_n multiplies beta by exp((a_n - ADAPT_TARGET) / sqrt(n)),
+    clipped to [1e-4, 1]; the result reports the frozen beta as ``step_size``.
 
-    ``step_size`` is beta in (0, 1], or 0 to adapt beta during burn-in, the
-    first ``steps - burn_keep`` steps: from 0.2, each whole block n of
-    ``ADAPT_BLOCK`` burn-in steps with acceptance a_n multiplies beta by
-    exp((a_n - ADAPT_TARGET) / sqrt(n)), clipped to [1e-4, 1].  The retained
-    steps run at the frozen beta, which the result reports as ``step_size``.
-
-    Proposals are evaluated in prefetched paths (see :func:`_pcn_prefetch`).
-    A ``log_like`` with a true ``vectorized`` attribute must also take an
-    (n, d) array and return n values; it must not keep the array, which is
-    reused.  It gets paths of at most ``PREFETCH_WIDTH`` proposals per call.
-    Every step still sees its own xi and u and makes the same comparison, so
-    the states and the accepted count are those of one call per step, as
-    long as a batch row equals the (d,) value; where the two differ in the
-    last bits, a decision could differ only when log u falls within that
-    difference of the log ratio.  Any other callable gets paths of one, so
-    it is called once per step with its own (d,) array.
-    ``likelihood_evaluations`` of the result counts the rows evaluated, so
-    its ratio to ``total_steps`` shows the prefetched work that went unused.
+    Proposals are evaluated in prefetched paths (see :func:`_pcn_prefetch`)
+    of at most ``PREFETCH_WIDTH`` rows for a ``log_like`` with a true
+    ``vectorized`` attribute, which must also map an (n, d) array, not kept
+    (it is reused), to n values; any other callable gets one (d,) array per
+    call.  Every step sees its own xi and u and makes the same comparison, so
+    states and accepted count are those of one call per step as long as a
+    batch row equals the (d,) value; where they differ, a decision could
+    differ only if log u falls within that difference of the log ratio.
+    ``likelihood_evaluations`` counts the rows evaluated, so its ratio to
+    ``total_steps`` shows the prefetched work that went unused.
     """
     if not 0.0 <= step_size <= 1.0:
         raise ValueError("step_size must be 0 (adapt during burn-in) or lie in (0, 1]")
@@ -293,21 +286,19 @@ def _pcn_prefetch(log_like, width, x, current_ll, steps, step_size, adapt_steps,
                   kept_states, kept_ll) -> tuple[int, int, float]:
     """The pCN loop of :func:`pcn_mcmc`, its proposals evaluated in straight paths.
 
-    Step t's proposal depends only on the state before it and on xi_t, and
-    its decision only on the two log-likelihoods and u_t.  The draws do not
-    depend on the decisions, so each round fixes its next n <= ``width``
-    proposals in advance along one path: all from the current state (the
-    reject path) while the chain's acceptance so far, (accepted + 1) /
-    (steps done + 2), is at most 1/2, otherwise each from the one before
-    (the accept path).  The path is evaluated in one call, then walked with
-    the pre-drawn log u values exactly as one proposal per step decides, up
-    to and including the first step that leaves it; the draws of steps not
-    walked carry over to the next round.  At width 1 the path is one
-    proposal, passed as a (d,) copy: the plain loop.  In the first
-    ``adapt_steps`` steps, where the step adapts, a round stops at the next
-    block boundary, so no step_size * xi spans a step change.  Returns the
-    accepted count, the likelihood rows evaluated (the initial state
-    included) and the final step.
+    Step t's proposal depends only on the state before it and on xi_t, its
+    decision only on the two log-likelihoods and u_t, and no draw depends on
+    a decision.  So each round fixes its next n <= ``width`` proposals along
+    one path: all from the current state (the reject path) while the
+    acceptance so far, (accepted + 1) / (steps done + 2), is at most 1/2,
+    else each from the one before (the accept path).  One call evaluates the
+    path, which is walked with the pre-drawn log u exactly as one proposal
+    per step decides, up to and including the first step that leaves it; the
+    draws of steps not walked carry over.  At width 1 the path is one (d,)
+    copy: the plain loop.  In the first ``adapt_steps`` steps a round stops
+    at the next block boundary, so no step_size * xi spans a step change.
+    Returns the accepted count, the likelihood rows evaluated (the initial
+    state included) and the final step.
     """
     dim = len(x)
     first_kept = steps - len(kept_ll)

@@ -69,12 +69,11 @@ def dense_layers(params: Mapping[str, object], prefix: str = "") -> list[tuple]:
 
 
 def mlp_forward(params: Mapping[str, object], x, prefix: str = ""):
-    """Apply the dense stack named ``{prefix}W{i}``/``{prefix}b{i}``.
-
-    Each layer is one ``ad.dense``, with ReLU after every layer except the last.
-    """
+    """Apply the dense stack named ``{prefix}W{i}``/``{prefix}b{i}``, each layer
+    one ``ad.dense`` with ReLU after all but the last; an array ``x`` enters in
+    the weights' dtype."""
     layers = dense_layers(params, prefix)
-    h = x
+    h = x if isinstance(x, ad.Tensor) else np.asarray(x, ad._value(layers[0][0]).dtype)
     for i, (w, b) in enumerate(layers):
         h = ad.dense(h, w, b, relu=i < len(layers) - 1)
     return h

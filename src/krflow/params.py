@@ -1,22 +1,24 @@
 """Named parameter collections, their container, model checkpoints, Adam and training.
 
 Every binary artifact a stage writes is this container: the model checkpoints
-and the prior dataset alike.  Its layout (little-endian throughout):
+(float32) and the prior dataset (float64) alike.  Its layout (little-endian
+throughout):
 
     magic   4 bytes  b"KRFL"
-    version u32      currently 2
+    version u32      currently 3
     count   u32      number of entries
     then, for every entry in insertion order:
         name_len u32
         name     utf-8 bytes
         rank     u32
         dims     rank * u64
-        payload  prod(dims) * f64, row-major
+        dtype    3 bytes, b"<f4" or b"<f8"
+        payload  prod(dims) values of that dtype, row-major
 
-The payload bytes are written verbatim from the float64 arrays, so a
-save/load round trip is bit-exact.  A file cut anywhere, with bytes after its
-last entry, or with a name that repeats, fails to load with a ValueError
-naming it.
+A store, and so a container, holds one dtype.  Payloads are written verbatim,
+so a round trip is bit-exact.  A file cut anywhere, with bytes after its last
+entry, a name that repeats or a dtype not known or not the first entry's,
+fails to load with a ValueError naming it.
 """
 
 from __future__ import annotations
@@ -37,26 +39,31 @@ from .nets import check_dense_stacks
 from .report import read_json, replacing, write_json
 
 MAGIC = b"KRFL"
-VERSION = 2
+VERSION = 3
+DTYPES = {b"<f4": np.dtype(np.float32), b"<f8": np.dtype(np.float64)}   # an entry's dtype field
 BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8   # Adam's fixed settings (Kingma & Ba 2015)
 ADAM_BLOCK = 65_536   # elements per block of adam_step's sweep: the fastest of 8,192-131,072
+ADAM_FLUSH = 64   # adam_step's steps between flushes of first moments near the subnormals
+TRAIN_DTYPE = np.float32   # the nets' in training; the solver, data and samplers stay float64
 
 
 class ParamStore(Mapping):
-    """Ordered mapping from parameter name to float64 array.
+    """Ordered mapping from parameter name to array of the store's ``dtype``, by
+    default that of ``entries`` if a ParamStore, else float64.
 
     Iteration order is insertion order, which makes optimizer sweeps and
     serialization deterministic given construction order.
     """
 
-    def __init__(self, entries=()):
+    def __init__(self, entries=(), dtype=None):
+        self.dtype = np.dtype(getattr(entries, "dtype", np.float64) if dtype is None else dtype)
         self._entries: dict[str, np.ndarray] = {}
         items = entries.items() if isinstance(entries, Mapping) else entries
         for name, arr in items:
             self[name] = arr
 
     def __setitem__(self, name: str, arr) -> None:
-        arr = np.asarray(arr, dtype=np.float64, order="C")
+        arr = np.asarray(arr, dtype=self.dtype, order="C")
         if not np.isfinite(arr).all():
             raise ValueError(f"parameter '{name}' contains non-finite values")
         self._entries[name] = arr
@@ -84,13 +91,14 @@ class ParamStore(Mapping):
         with replacing(path, "wb") as fh:
             fh.write(MAGIC)
             fh.write(struct.pack("<II", VERSION, len(self._entries)))
+            code = self.dtype.newbyteorder("<").str
             for name, arr in self._entries.items():
                 raw = name.encode("utf-8")
                 fh.write(struct.pack("<I", len(raw)))
                 fh.write(raw)
                 fh.write(struct.pack("<I", arr.ndim))
                 fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-                fh.write(arr.astype("<f8", copy=False).tobytes(order="C"))
+                fh.write(code.encode() + arr.astype(code, copy=False).tobytes(order="C"))
 
     @classmethod
     def load(cls, path) -> "ParamStore":
@@ -107,11 +115,16 @@ class ParamStore(Mapping):
                 name = read_exact(fh, name_len, path)
                 (rank,) = struct.unpack("<I", read_exact(fh, 4, path))
                 dims = struct.unpack(f"<{rank}Q", read_exact(fh, 8 * rank, path))
-                payload = read_exact(fh, 8 * math.prod(dims), path)
-                try:   # a name that is not utf-8 or repeats, or a non-finite payload
+                code = read_exact(fh, 3, path)
+                size = DTYPES[code].itemsize * math.prod(dims) if code in DTYPES else 0
+                payload = read_exact(fh, size, path)
+                try:   # a name that is not utf-8 or repeats, a bad dtype, a non-finite payload
                     if (name := name.decode()) in store:
                         raise ValueError(f"entry '{name}' appears twice")
-                    store[name] = np.frombuffer(payload, "<f8").reshape(dims).copy()
+                    if code not in (known := [store.dtype.str.encode()] if store else [*DTYPES]):
+                        raise ValueError(f"entry '{name}' has dtype code {code!r}, not {known}")
+                    store.dtype = DTYPES[code]
+                    store[name] = np.frombuffer(payload, code.decode()).reshape(dims).copy()
                 except ValueError as exc:
                     raise ValueError(f"{path}: {exc}") from exc
             left = os.fstat(fh.fileno()).st_size - fh.tell()
@@ -191,8 +204,8 @@ class AdamState:
     """Adam's gradients, moments, step count and learning rate, over one flat layout.
 
     :meth:`fresh` copies the store's parameters, in store order, into row 0
-    of one (4, n) float64 buffer, ``flat``, whose rows 1-3 hold the gradients
-    and the two moments, and rebinds each store entry to its view there;
+    of one (4, n) buffer of its dtype, ``flat``, whose rows 1-3 hold the
+    gradients and the two moments, and rebinds each store entry to its view;
     ``parameter`` to ``second_moment`` map names to the views of rows 0-3.
     ``blocks`` cuts the rows into slices of at most ``ADAM_BLOCK`` elements,
     each with two scratch rows, so that :func:`adam_step` allocates nothing.
@@ -210,7 +223,8 @@ class AdamState:
     @classmethod
     def fresh(cls, params: ParamStore, learning_rate: float) -> "AdamState":
         n = params.n_scalars()
-        flat, scratch = np.zeros((4, n)), np.empty((2, min(n, ADAM_BLOCK)))
+        flat = np.zeros((4, n), params.dtype)
+        scratch = np.empty((2, min(n, ADAM_BLOCK)), params.dtype)
         ends = np.cumsum([p.size for p in params.values()], dtype=np.intp)[:-1]
         views = [{name: part.reshape(params[name].shape)
                   for name, part in zip(params, np.split(row, ends))} for row in flat]
@@ -228,18 +242,20 @@ def adam_step(params: ParamStore, gradients: Mapping[str, np.ndarray],
     place; returns ``params`` and ``state``.
 
     A gradient not already in its row of the state's buffer is copied there;
-    then the parameters, moments and step count are updated in place, a block
-    at a time, with ``out=`` ufuncs and the scratch rows, by these operations:
+    then parameters, moments and step count are updated in place, a block at
+    a time, with ``out=`` ufuncs and the scratch rows, by these operations:
 
         m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g;  p = p - (alpha_t*m)/(sqrt(v) + eps_t)
         alpha_t = lr*sqrt(1-b2^t)/(1-b1^t);  eps_t = eps*sqrt(1-b2^t)
 
-    This is the textbook update in exact arithmetic, with the bias corrections
-    folded into two scalars (Kingma & Ba 2015, end of sec. 2).  A gradient of
-    the wrong shape, or a store entry that is not the array ``fresh`` bound,
-    raises ValueError naming the parameter before anything is updated.  Once
-    the whole sweep is done, a parameter that is not finite raises ValueError
-    naming the first such parameter.
+    the textbook update in exact arithmetic, its bias corrections folded into
+    two Python floats (Kingma & Ba 2015, end of sec. 2), which keep a float32
+    buffer float32 (NEP 50).  A gradient of the wrong shape, or a store entry
+    that is not the array ``fresh`` bound, raises ValueError naming it before
+    anything is updated; after the sweep, a non-finite parameter does.  Every
+    ``ADAM_FLUSH`` steps, m too small to move a parameter is zeroed: under a
+    zero gradient (a dead ReLU) m decays by b1 a step, into the subnormals,
+    ten times as slow an operation, within 700 float32 steps (6,700 float64).
     """
     for name, p in state.parameter.items():
         g, row = gradients[name], state.gradient[name]
@@ -273,6 +289,10 @@ def adam_step(params: ParamStore, gradients: Mapping[str, np.ndarray],
         if not finite:
             name = next(k for k, p in state.parameter.items() if not ad.all_finite(p))
             raise ValueError(f"parameter '{name}' contains non-finite values")
+    if t % ADAM_FLUSH == 0:   # no m, nor alpha * m, can decay to a subnormal before the next
+        floor = np.finfo(state.flat.dtype).tiny / b1 ** ADAM_FLUSH / min(alpha_t, 1.0)
+        for _, _, m, _, a, _ in state.blocks:
+            np.copyto(m, 0.0, where=np.abs(m, out=a) < floor)
     return params, state
 
 
@@ -290,17 +310,16 @@ def fit(what: str, store: ParamStore, data: np.ndarray, batch_size: int, epochs:
     """Mini-batch Adam over fixed batches of ``data``; returns the final store,
     copied out of Adam's buffer, and the ``(epoch, mean batch loss)`` curve.
 
-    A fresh Adam state's buffer holds the one copy of the parameters, which
-    ``update`` changes in place; the tape writes each step's gradients into
-    its gradient row, and each row is checked for finiteness once a step.
-    The caller's store is copied, not changed (trainers pop it from their
-    model first).  ``data`` is cut once, in order, into batches of
-    ``batch_size`` rows that every epoch sweeps in the same order;
-    ``program_for(batch)`` returns one step's loss program (drawing its
-    noise, if any), and ``update(store, grads, state)`` applies the optimizer
-    step.  Callers pass their own module's ``adam_step``, so rebinding that
-    name there reaches every step.  A non-finite value on the tape raises
-    TrainingDiverged naming ``what`` and the epoch.
+    A fresh Adam state's buffer holds the one copy of the parameters, copied
+    from the caller's store (trainers pop it from their model first), which
+    ``update(store, grads, state)`` changes in place; the tape writes each
+    step's gradients into its gradient row, and each row is checked for
+    finiteness once a step.  ``data`` is cut once, in order, into batches of
+    ``batch_size`` rows that every epoch sweeps in order; ``program_for(batch)``
+    returns one step's loss program (drawing its noise, if any).  Callers pass
+    their own module's ``adam_step``, so rebinding that name there reaches
+    every step.  A non-finite value on the tape raises TrainingDiverged
+    naming ``what`` and the epoch.
     """
     batches = [data[lo:lo + batch_size] for lo in range(0, len(data), batch_size)]
     state = AdamState.fresh(store := ParamStore(store), learning_rate)   # copies the parameters
@@ -317,4 +336,4 @@ def fit(what: str, store: ParamStore, data: np.ndarray, batch_size: int, epochs:
             store, state = update(store, grads, state)
             losses.append(loss)
         curve.append((epoch, float(np.mean(losses))))
-    return ParamStore((k, v.copy()) for k, v in store.items()), curve
+    return ParamStore(((k, v.copy()) for k, v in store.items()), store.dtype), curve

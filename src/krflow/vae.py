@@ -7,12 +7,10 @@ Monte Carlo ELBO estimate per sample,
 
     log p(y | x) - (log q(x | y) - log p(x)),    x = mu_en + sigma_en * eps,
 
-by mini-batch Adam, and the probabilistic decoder of the final epoch is the
-prior handed to the inference stage.  Log-variance heads are clamped to
-[-10, 10] to keep likelihoods non-degenerate.
-
-Both networks live in one ``ParamStore``: the encoder's layers under
-``enc.`` and the decoder's under ``dec.``, the layout ``vae.bin`` holds.
+by mini-batch Adam; the final epoch's decoder is the inference stage's
+prior.  Log-variance heads are clamped to [-10, 10] to keep likelihoods
+non-degenerate.  Both networks live in one ``ParamStore``, the encoder under
+``enc.`` and the decoder under ``dec.``, the layout ``vae.bin`` holds.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from .config import VaeSection
 from .nets import dense_layers, diag_gaussian_logpdf, init_mlp, mlp_forward, std_normal_logpdf
-from .params import ParamStore, adam_step, fit
+from .params import TRAIN_DTYPE, ParamStore, adam_step, fit
 from .report import write_loss_curve
 
 LOGVAR_BOUND = 10.0
@@ -64,12 +62,12 @@ class ElboBreakdown:
 
 def init_vae(height: int, width: int, latent_dim: int, seed: int,
              encoder_hidden: Sequence[int], decoder_hidden: Sequence[int],
-             offset: float = 0.0, scale: float = 1.0) -> VaeParams:
+             offset: float = 0.0, scale: float = 1.0, dtype=np.float64) -> VaeParams:
     rng = np.random.default_rng(seed)
     vae = VaeParams(ParamStore(), latent_dim, height, width,
                     tuple(encoder_hidden), tuple(decoder_hidden), offset, scale)
-    vae.store = ParamStore(item for prefix, sizes in vae.layer_sizes.items()
-                           for item in init_mlp(rng, sizes, prefix).items())
+    vae.store = ParamStore((item for prefix, sizes in vae.layer_sizes.items()
+                            for item in init_mlp(rng, sizes, prefix).items()), dtype)
     return vae
 
 
@@ -87,30 +85,28 @@ def encode_batch(y_flat, params, vae: VaeParams):
 
 
 def decode_batch(x, params, vae: VaeParams):
-    """(B, d) latents -> (mu_de, logvar_de), each (B, H*W).  Tape or numpy.
-
-    The network heads live in standardized field space; the mean is mapped
-    back through the affine transform and the log-variance is shifted by
-    2*log(scale) (then clamped), so the returned Gaussian is over raw fields.
+    """(B, d) latents -> (mu_de, logvar_de), each (B, H*W).  Tape or numpy,
+    whose heads leave the network in float64.  The heads live in standardized
+    field space: the mean is mapped back through the affine transform and the
+    log-variance shifted by 2*log(scale) (then clamped), so the returned
+    Gaussian is over raw fields.
     """
     out = mlp_forward(params, x, prefix="dec.")
+    out = out if isinstance(out, ad.Tensor) else out.astype(np.float64, copy=False)
     n = vae.height * vae.width
     mu_raw = ad.take_cols(out, slice(n))
     logvar_raw = ad.take_cols(out, slice(n, 2 * n))
     mu = ad.add(ad.mul(mu_raw, vae.scale), vae.offset)
-    logvar = ad.clip(ad.add(logvar_raw, 2.0 * np.log(vae.scale)),
+    logvar = ad.clip(ad.add(logvar_raw, 2.0 * float(np.log(vae.scale))),
                      -LOGVAR_BOUND, LOGVAR_BOUND)
     return mu, logvar
 
 
 def decoder_mean_layers(vae: VaeParams) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The decoder mean as dense ``(W, b)`` layers with a ReLU between each two.
-
-    The last layer keeps only the mean head's columns and maps straight to
-    raw field units, so the stack computes decode_batch's mean (up to
-    rounding) without the log-variance head.
-    """
-    layers = dense_layers(vae.store, prefix="dec.")
+    """The decoder mean as float64 dense ``(W, b)`` layers, a ReLU between each
+    two, the last cut to the mean head's columns and mapped straight to raw
+    field units: decode_batch's mean up to rounding, without the log-variance."""
+    layers = dense_layers(ParamStore(vae.store, np.float64), prefix="dec.")
     w, b = layers[-1]
     n = vae.height * vae.width
     layers[-1] = (w[:, :n] * vae.scale, b[:n] * vae.scale + vae.offset)
@@ -136,11 +132,11 @@ def _elbo_terms(params, y_flat: np.ndarray, eps: np.ndarray, vae: VaeParams):
 def elbo_batch(batch: np.ndarray, vae: VaeParams,
                rng: np.random.Generator) -> tuple[float, ElboBreakdown]:
     """Negative mean ELBO of a (B, H, W) batch with a fresh noise draw."""
-    batch = np.asarray(batch, dtype=np.float64)
+    batch = np.asarray(batch, dtype=vae.store.dtype)
     if batch.ndim != 3 or batch.shape[0] == 0:
         raise ValueError("batch must be a nonempty (B, H, W) array")
     y_flat = batch.reshape(batch.shape[0], -1)
-    eps = rng.standard_normal((batch.shape[0], vae.latent_dim))
+    eps = rng.standard_normal((batch.shape[0], vae.latent_dim)).astype(batch.dtype, copy=False)
     recon, log_p, log_q = _elbo_terms(vae.store, y_flat, eps, vae)
     breakdown = ElboBreakdown(
         reconstruction_term=float(recon),
@@ -155,9 +151,10 @@ def train_vae(dataset: np.ndarray, config: VaeSection, seed: int,
               curve_path=None) -> VaeParams:
     """Mini-batch Adam maximization of the ELBO; returns last-epoch parameters.
 
-    The dataset is shuffled once (seeded) and split into fixed mini-batches;
-    every batch draws a fresh reparameterization noise set each epoch.  A
-    per-epoch loss curve is written to ``curve_path`` when given.
+    The network, data and noise are ``TRAIN_DTYPE``.  The dataset is shuffled
+    (seeded) and cast once and split into fixed mini-batches; every batch
+    draws a fresh reparameterization noise set each epoch.  A per-epoch loss
+    curve is written to ``curve_path`` when given.
     """
     data = np.asarray(dataset, dtype=np.float64)
     if data.ndim != 3 or len(data) == 0:
@@ -165,13 +162,13 @@ def train_vae(dataset: np.ndarray, config: VaeSection, seed: int,
     n, height, width = data.shape
     offset, scale = float(data.mean()), float(data.std())
     scale = scale if scale > 0 else 1.0
-    vae = init_vae(height, width, config.latent_dim, seed,
-                   config.encoder_hidden, config.decoder_hidden, offset, scale)
+    vae = init_vae(height, width, config.latent_dim, seed, config.encoder_hidden,
+                   config.decoder_hidden, offset, scale, TRAIN_DTYPE)
     rng = np.random.default_rng(seed)
-    flat = data.reshape(n, -1)[rng.permutation(n)]
+    flat = data.reshape(n, -1)[rng.permutation(n)].astype(TRAIN_DTYPE)
 
     def program_for(y_batch):
-        eps = rng.standard_normal((len(y_batch), config.latent_dim))
+        eps = rng.standard_normal((len(y_batch), config.latent_dim), TRAIN_DTYPE)
 
         def program(leaves):
             recon, log_p, log_q = _elbo_terms(leaves, y_batch, eps, vae)

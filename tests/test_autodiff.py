@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from krflow import autodiff as ad
 from krflow.autodiff import Tensor, evaluate_with_gradients, fixed_conv2d
+from krflow.flow import FlowConfig, coupling, init_flow, layer_names
 from krflow.nets import LOG_2PI, diag_gaussian_logpdf, init_mlp, mlp_forward, std_normal_logpdf
 from krflow.params import AdamState, ParamStore, adam_step
 
@@ -349,6 +350,33 @@ def test_fused_gaussian_densities_are_the_composed_bytes(batch, dim, broadcast, 
     args = arrays.values()
     assert _same_bytes(diag_gaussian_logpdf(*args), composed_diag_gaussian_logpdf(*args))
     assert _same_bytes(std_normal_logpdf(arrays["x"]), composed_std_normal_logpdf(arrays["x"]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(relu=st.booleans(), rows=st.integers(1, 4), n_in=st.integers(1, 5),
+       n_out=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+def test_fused_nodes_are_the_composed_bytes_in_float32(relu, rows, n_in, n_out, seed):
+    # a dense layer feeding both Gaussian densities: float32 leaves and
+    # operands keep the tape float32, with the composed ops' bytes
+    rng = np.random.default_rng(seed)
+    leaves = {k: rng.standard_normal(shape).astype(np.float32) for k, shape in (
+        ("h", (rows, n_in)), ("w", (n_in, n_out)), ("b", (n_out,)), ("mean", (1, n_out)),
+        ("logvar", (rows, n_out)))}
+    weights = rng.standard_normal(rows).astype(np.float32)
+
+    def program(layer, diag, std):
+        def run(t):
+            x = layer(t["h"], t["w"], t["b"], relu)
+            return ad.sum_(ad.mul(ad.add(diag(x, t["mean"], t["logvar"]), std(x)), weights))
+        return run
+
+    fused = evaluate_with_gradients(
+        program(ad.dense, diag_gaussian_logpdf, std_normal_logpdf), leaves)
+    composed = evaluate_with_gradients(
+        program(_unfused_layer, composed_diag_gaussian_logpdf, composed_std_normal_logpdf), leaves)
+    assert fused[0] == composed[0]
+    for name, g in fused[1].items():
+        assert g.dtype == np.float32 and g.tobytes() == composed[1][name].tobytes(), name
 
 
 class TestFixedConv2d:
@@ -714,3 +742,52 @@ def test_gradients_written_into_rows_are_the_bytes_returned_without_rows(widths,
     for name, row in rows.items():
         assert grads[name] is row
         assert row.tobytes() == expected[name].tobytes(), name
+
+
+# Float32 against float64 on the same float32-representable inputs: a gradient
+# entry here sums at most 8 products, each through at most 8 roundings, so its
+# float32 error is about 64 float32 epsilons of its largest term at worst, and
+# the largest float64 gradient entry sets that scale (4.5 epsilons seen at most
+# over 1,200 draws)
+F32_TOLERANCE = 64 * np.finfo(np.float32).eps
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(op=st.sampled_from(["dense", "gaussian", "coupling"]), rows=st.integers(1, 4),
+       width=st.integers(1, 4), flag=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_float32_leaves_get_float32_gradients_near_float64_ones(op, rows, width, flag, seed):
+    # flag is dense's ReLU or the coupling's direction
+    rng = np.random.default_rng(seed)
+    if op == "dense":
+        arrays = {"h": rng.standard_normal((rows, width + 1)),
+                  "w": rng.standard_normal((width + 1, width)), "b": rng.standard_normal(width)}
+        weights = rng.standard_normal((rows, width))
+        layer = lambda t: ad.dense(t["h"], t["w"], t["b"], relu=flag)  # noqa: E731
+    elif op == "gaussian":
+        arrays = {"x": rng.standard_normal((rows, width)), "mean": rng.standard_normal(width),
+                  "logvar": rng.uniform(-2.0, 2.0, (rows, width))}
+        weights = rng.standard_normal(rows)
+        layer = lambda t: diag_gaussian_logpdf(t["x"], t["mean"], t["logvar"])  # noqa: E731
+    else:
+        config = FlowConfig(dim=2 * width, n_groups=2, layers_per_stage=1, hidden_width=5,
+                            hidden_depth=1, scale_bound=1.5)
+        _, _, prefix, split = layer_names(config)[0]
+        arrays = {k: v + 0.3 * rng.standard_normal(v.shape)
+                  for k, v in init_flow(config, seed).store.items()}
+        arrays["x"] = rng.standard_normal((rows, config.dim))
+        weights = rng.standard_normal((rows, config.dim + 1))
+
+        def layer(t):
+            out, logdet = coupling(t["x"], t, config, prefix, split, inverse=flag)
+            return ad.concat([out, ad.reshape(logdet, (rows, 1))])
+
+    grads = {}
+    for dtype in (np.float32, np.float64):
+        w = weights.astype(np.float32).astype(dtype)
+        leaves = {k: v.astype(np.float32).astype(dtype) for k, v in arrays.items()}
+        _, grads[dtype] = evaluate_with_gradients(
+            lambda t: ad.sum_(ad.mul(layer(t), w)), leaves)
+    scale = max(np.abs(g).max() for g in grads[np.float64].values())
+    for name, g in grads[np.float32].items():
+        assert g.dtype == np.float32, name
+        assert np.abs(g - grads[np.float64][name]).max() <= F32_TOLERANCE * scale, name

@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 
 from krflow import autodiff as ad
+from krflow import cli, grf
 from krflow.cli import main
 from krflow.config import desk_config, save_config
 from krflow.darcy import lattice_operator, observe, solve_darcy
-from krflow.grf import Grid
+from krflow.grf import (CovarianceSpec, Grid, assemble_covariance_matrix, sample_field,
+                        truncated_kle)
 from krflow.inference import PREFETCH_WIDTH
 from krflow.params import ParamStore
-from krflow.report import load_field_csv, read_json, write_json
+from krflow.report import load_field_csv, read_json, save_field_csv, write_json
 
 
 def tiny_config():
@@ -51,7 +53,7 @@ def _entry_ends(path):
     ends = {"": 12}
     end = 12
     for name, arr in ParamStore.load(path).items():
-        end += 4 + len(name.encode()) + 4 + 8 * arr.ndim + 8 * arr.size
+        end += 4 + len(name.encode()) + 4 + 8 * arr.ndim + 3 + arr.nbytes
         ends[name] = end
     return ends
 
@@ -115,6 +117,34 @@ class TestGenerateData:
                                    rtol=1e-12)
 
 
+@pytest.mark.parametrize("truth_scale, builds", [(0.25, 3), (0.35, 4)])
+def test_truth_takes_the_dataset_basis_at_its_scale(tmp_path, monkeypatch, truth_scale, builds):
+    # at the desk scales the truth's scale is one of the dataset's, and the
+    # truth is drawn from that basis: the bytes a basis of its own gives
+    cfg = tiny_config()
+    cfg.kle.length_scales, cfg.kle.per_scale = (0.2, 0.25, 0.3), 2
+    cfg.observation.truth_scale = truth_scale
+    save_config(tmp_path / "cfg.ini", cfg)
+    calls = []
+
+    def counting(*args):
+        calls.append(None)
+        return truncated_kle(*args)
+
+    monkeypatch.setattr(grf, "truncated_kle", counting)
+    monkeypatch.setattr(cli, "truncated_kle", counting)
+    assert main(["generate-data", "--config", str(tmp_path / "cfg.ini"),
+                 "--out", str(tmp_path / "run")]) == 0
+    assert len(calls) == builds
+    grid = Grid(cfg.grid.height, cfg.grid.width)
+    spec = CovarianceSpec.isotropic(cfg.kle.variance, truth_scale, cfg.kle.mean)
+    basis = truncated_kle(assemble_covariance_matrix(grid, spec), cfg.kle.energy_fraction, grid)
+    save_field_csv(tmp_path / "truth.csv",
+                   sample_field(basis, spec, np.random.default_rng(cfg.seeds.truth)).values)
+    assert (tmp_path / "truth.csv").read_bytes() == \
+        (tmp_path / "run" / "truth_field.csv").read_bytes()
+
+
 class TestPipelineOutputs:
     def test_summaries_have_finite_error_and_hash(self, run_dir):
         _, _, out = run_dir
@@ -132,6 +162,12 @@ class TestPipelineOutputs:
         # every step's proposal is evaluated once, plus the initial state and
         # the prefetched proposals the chain did not reach
         assert 301 <= summary["likelihood_evaluations"] <= 1 + PREFETCH_WIDTH * 300
+
+    def test_checkpoints_are_float32_and_the_dataset_float64(self, run_dir):
+        _, _, out = run_dir
+        for name in ("vae.bin", "surrogate.bin", "krnet/flow.bin"):
+            assert ParamStore.load(out / name).dtype == np.float32, name
+        assert ParamStore.load(out / "dataset.bin").dtype == np.float64
 
     def test_report_matches_summaries(self, run_dir, tmp_path):
         _, _, out = run_dir
@@ -213,6 +249,23 @@ class TestDependencyGates:
         assert main(["infer-mcmc", "--config", str(copy / "cfg.ini"), "--out", str(copy)]) == 1
         assert re.fullmatch(rf"error: {re.escape(str(path))}: '[-\w]+' codec can't decode "
                             r"byte 0xff in position \d+: .*\n", capsys.readouterr().err)
+
+    # a vae.bin of the version before dtypes were recorded, or with a dtype
+    # code the container does not know
+    @pytest.mark.parametrize("edit, reason", [
+        (lambda data: data[:4] + struct.pack("<I", 2) + data[8:],
+         "unsupported container version 2"),
+        (lambda data: data.replace(b"<f4", b"<i4", 1),
+         "entry 'enc.W0' has dtype code b'<i4', not [b'<f4', b'<f8']")], ids=["version-2", "dtype-i4"])
+    def test_old_version_or_unknown_dtype_exits_1_naming_it(self, run_dir, tmp_path, capsys,
+                                                             edit, reason):
+        _, cfg_path, out = run_dir
+        copy = tmp_path / "run"
+        shutil.copytree(out, copy)
+        path = copy / "vae.bin"
+        path.write_bytes(edit(path.read_bytes()))
+        assert main(["infer-mcmc", "--config", str(cfg_path), "--out", str(copy)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {reason}\n"
 
     # whole containers at odds with their sidecars, or holding a name twice
     @pytest.mark.parametrize("artifact,edit,reason", [

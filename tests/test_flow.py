@@ -213,6 +213,35 @@ class TestCouplingLayer:
                              reference(x, flow.store, config, prefix, split)):
             assert got.tobytes() == want.tobytes() and got.strides == want.strides
 
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(layer=st.integers(0, 3), batch=st.integers(1, 4), inverse=st.booleans(),
+           seed=st.integers(0, 2 ** 16))
+    def test_fused_coupling_is_the_composed_bytes_in_float32(self, layer, batch, inverse, seed):
+        # float32 leaves and operands keep the tape float32, and the fused
+        # node still gives the composed ops' value and gradient bytes
+        config = FlowConfig(dim=6, n_groups=3, layers_per_stage=2, hidden_width=5,
+                            hidden_depth=1, scale_bound=1.5)
+        _, _, prefix, split = layer_names(config)[layer]   # on an active block of 6 or 4
+        rng = np.random.default_rng(seed)
+        m = sum(map(len, split))
+        x, w, v = (rng.standard_normal(shape).astype(np.float32)
+                   for shape in ((batch, m), (batch, m), batch))
+        params = {**ParamStore(random_flow(config, seed, scale=0.5).store, np.float32), "x": x}
+
+        def program(layer_map):
+            def run(t):
+                out, logdet = layer_map(t["x"], t, config, prefix, split)
+                return ad.add(ad.sum_(ad.mul(out, w)), ad.sum_(ad.mul(logdet, v)))
+            return run
+
+        fused = ad.evaluate_with_gradients(
+            program(lambda *args: coupling(*args, inverse=inverse)), params)
+        composed = ad.evaluate_with_gradients(
+            program(coupling_inverse if inverse else coupling_forward), params)
+        assert fused[0] == composed[0]
+        for name, g in fused[1].items():
+            assert g.dtype == np.float32 and g.tobytes() == composed[1][name].tobytes(), name
+
     @pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
     def test_gradients_match_central_differences(self, inverse):
         flow, (_, _, prefix, split) = self._layer(seed=7, zero=False)

@@ -29,6 +29,7 @@ from krflow.inference import (
     train_posterior_flow,
 )
 from krflow.nets import std_normal_logpdf
+from krflow.params import ParamStore
 from krflow.surrogate import init_surrogate, surrogate_forward_batch
 from krflow.vae import VaeParams, decode_batch, init_vae
 
@@ -438,6 +439,18 @@ def test_pcn_with_folded_loglike_reproduces_reference_chain():
     assert chains[0].states.tobytes() == chains[1].states.tobytes()
     np.testing.assert_allclose(chains[0].log_likelihoods, chains[1].log_likelihoods,
                                rtol=1e-12)
+
+
+def test_float32_model_keeps_the_likelihood_and_the_chain_float64():
+    vae, sp = _random_model((12,), (16,), seed=5)
+    obs = _noisy_obs(vae, sp, sigma=0.05, seed=5)
+    vae.store, sp.store = ParamStore(vae.store, np.float32), ParamStore(sp.store, np.float32)
+    log_like = make_surrogate_loglike(vae, sp, obs)
+    x = np.random.default_rng(5).standard_normal((3, D))
+    assert np.asarray(log_like(x[0])).dtype == log_like(x).dtype == np.float64
+    assert log_like(ad.Tensor.leaf(x.astype(np.float32))).data.dtype == np.float64
+    chain = pcn_mcmc(log_like, D, steps=200, step_size=0.3, seed=5, burn_keep=50)
+    assert chain.states.dtype == chain.log_likelihoods.dtype == np.float64
 
 
 def _sequential_pcn(log_like, dim, steps, step_size, seed, burn_keep):

@@ -17,7 +17,8 @@ from krflow.config import InferenceSection, SurrogateSection, VaeSection
 from krflow.darcy import ObservationSet, lattice_operator
 from krflow.flow import FlowConfig
 from krflow.inference import train_posterior_flow
-from krflow.params import ADAM_BLOCK, AdamState, ParamStore, TrainingDiverged, adam_step, fit
+from krflow.params import (ADAM_BLOCK, DTYPES, TRAIN_DTYPE, AdamState, ParamStore,
+                           TrainingDiverged, adam_step, fit)
 from krflow.report import write_json, write_loss_curve
 from krflow.surrogate import energy_loss, init_surrogate, train_surrogate
 from krflow.vae import init_vae, train_vae
@@ -79,14 +80,15 @@ class TestParamStore:
 
     # offsets into a container holding W0 (3, 2) then b0 (2,): the version
     # field, the entry count, the end of the header, W0's name length, W0's
-    # dims, W0's payload, the end of W0, b0's rank, b0's payload
-    @pytest.mark.parametrize("cut", [6, 10, 12, 14, 24, 44, 86, 94, -3])
+    # dims, W0's dtype code, W0's payload (44 and 86), the end of W0, b0's
+    # name (94), b0's rank, b0's dtype code, b0's payload
+    @pytest.mark.parametrize("cut", [6, 10, 12, 14, 24, 39, 44, 86, 89, 94, 97, 108, -3])
     def test_truncated_file_names_path(self, tmp_path, cut):
         store = ParamStore({"W0": np.arange(6.0).reshape(3, 2), "b0": np.ones(2)})
         path = tmp_path / "vae.bin"
         store.save(path)
         data = path.read_bytes()
-        assert len(data) == 120
+        assert len(data) == 126
         path.write_bytes(data[:cut])
         with pytest.raises(ValueError, match=r"vae\.bin: truncated"):
             ParamStore.load(path)
@@ -99,6 +101,43 @@ class TestParamStore:
         path.write_bytes(path.read_bytes() + extra)
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {len(extra)} bytes "
                                              r"after the last of 2 entries$"):
+            ParamStore.load(path)
+
+    @pytest.mark.parametrize("dtype, tiny", [(np.float32, 2.0 ** -149), (np.float64, 2.0 ** -1074)],
+                             ids=["f4", "f8"])
+    def test_each_dtype_round_trips_bit_exact_and_is_recorded(self, tmp_path, dtype, tiny):
+        rng = np.random.default_rng(1)
+        store = ParamStore({"W0": rng.standard_normal((3, 2)), "denormal": np.array(tiny)},
+                           dtype)
+        path = tmp_path / "store.bin"
+        store.save(path)
+        code = np.dtype(dtype).str.encode()
+        assert path.read_bytes().count(code) >= 2 and code in DTYPES
+        loaded = ParamStore.load(path)
+        assert loaded.dtype == dtype and loaded["denormal"] == tiny
+        for name in store:
+            assert loaded[name].dtype == dtype
+            assert loaded[name].tobytes() == store[name].tobytes()
+
+    # a code no version knows in W0's dtype field, or float32 in b0's after float64 in W0's
+    @pytest.mark.parametrize("entry, code, reason", [
+        (0, b"<f2", "entry 'W0' has dtype code b'<f2', not [b'<f4', b'<f8']"),
+        (1, b"<f4", "entry 'b0' has dtype code b'<f4', not [b'<f8']")], ids=["unknown", "mixed"])
+    def test_unknown_or_mixed_dtype_names_path_and_entry(self, tmp_path, entry, code, reason):
+        path = tmp_path / "vae.bin"
+        ParamStore({"W0": np.ones((3, 2)), "b0": np.ones(2)}).save(path)
+        data = path.read_bytes()
+        at = [k for k in range(len(data)) if data.startswith(b"<f8", k)]
+        assert at == [38, 107]   # the dtype fields follow each entry's dims
+        path.write_bytes(data[:at[entry]] + code + data[at[entry] + 3:])
+        with pytest.raises(ValueError, match=rf"^{re.escape(f'{path}: {reason}')}$"):
+            ParamStore.load(path)
+
+    def test_version_2_container_rejected(self, tmp_path):
+        path = tmp_path / "vae.bin"
+        ParamStore({"W0": np.ones((2, 2))}).save(path)
+        path.write_bytes(b"KRFL" + struct.pack("<I", 2) + path.read_bytes()[8:])
+        with pytest.raises(ValueError, match=r"vae\.bin: unsupported container version 2"):
             ParamStore.load(path)
 
     def test_version_1_container_rejected(self, tmp_path):
@@ -262,6 +301,20 @@ class TestAdam:
             assert state.first_moment[k].tobytes() == m[k].tobytes()
             assert state.second_moment[k].tobytes() == v[k].tobytes()
 
+    def test_zero_gradients_leave_no_subnormal_first_moment(self):
+        # a dead unit's m decays by b1 a step and in float32 would be subnormal
+        # by step 745; the flush zeroes it first, while alpha_t * m is normal
+        params = ParamStore({"live": np.ones(4), "dead": np.ones(3)}, np.float32)
+        state = AdamState.fresh(params, learning_rate=1e-3)
+        tiny = np.finfo(np.float32).tiny
+        for t in range(1, 1001):
+            adam_step(params, {"live": np.full(4, (-1.0) ** t, np.float32),
+                               "dead": np.full(3, 1e-3 if t == 1 else 0.0, np.float32)}, state)
+            m = state.first_moment["dead"][0]
+            assert m == 0.0 or _folded(1e-3, 1e-8, t)[0] * abs(m) >= tiny, t
+        assert state.step_count == 1000 and m == 0.0
+        assert state.flat.dtype == np.float32 and (state.first_moment["live"] != 0.0).all()
+
     def test_non_finite_update_names_parameter(self):
         params = ParamStore({"a": np.zeros(2), "big": np.array([1e308, 0.0])})
         state = AdamState.fresh(params, learning_rate=-1e308)
@@ -391,9 +444,9 @@ def _train_surrogate(epochs):
     return train_surrogate(data, config, seed=1).store
 
 
-def _train_flow(epochs):
-    vae = init_vae(4, 4, 4, seed=0, encoder_hidden=(6,), decoder_hidden=(6,))
-    sp = init_surrogate(4, 4, seed=1, hidden=(6,))
+def _train_flow(epochs):   # a float32 VAE and surrogate, as the CLI trains them
+    vae = init_vae(4, 4, 4, seed=0, encoder_hidden=(6,), decoder_hidden=(6,), dtype=TRAIN_DTYPE)
+    sp = init_surrogate(4, 4, seed=1, hidden=(6,), dtype=TRAIN_DTYPE)
     obs = ObservationSet(lattice_operator(2, 2, 0.25, 0.5), np.full(4, 0.2),
                          np.full(4, 0.01))
     config = InferenceSection(sample_size=8, epochs=epochs, batch_size=4, learning_rate=1e-2,
@@ -465,6 +518,43 @@ def test_trail_length_per_step(monkeypatch, train, most):
     monkeypatch.setattr(ad.Tensor, "backward", recording)
     train(epochs=1)
     assert len(lengths) == 2 and max(lengths) <= most
+
+
+@pytest.mark.parametrize("module, train, island", [(vae, _train_vae, None),
+                                                   (surrogate, _train_surrogate, "energy"),
+                                                   (inference, _train_flow, "likelihood")],
+                         ids=["vae", "surrogate", "flow"])
+def test_training_steps_run_in_float32_but_for_the_float64_islands(monkeypatch, module, train,
+                                                                   island):
+    # every node is float32 but the FV energy or the likelihood's tail, which
+    # are float64, and the scalars of the loss built after them; gradient rows
+    # and Adam's buffers are float32
+    trails, steps = [], []
+    backward = ad.Tensor.backward
+
+    def recording(self, trail):
+        trails.append(list(trail))
+        return backward(self, trail)
+
+    def step(params, grads, state):
+        steps.append((grads, state))
+        return adam_step(params, grads, state)
+
+    monkeypatch.setattr(ad.Tensor, "backward", recording)
+    monkeypatch.setattr(module, "adam_step", step)
+    train(epochs=1)
+    assert len(trails) == len(steps) == 2
+    for trail in trails:
+        ops = [node.op for node in trail]
+        first = ops.index(island) if island else len(trail)
+        assert ops.count(island) == (1 if island else 0)
+        for k, node in enumerate(trail):
+            assert node.data.dtype == (np.float64 if k == first or k > first and node.data.size == 1
+                                       else np.float32), (k, node.op)
+    for grads, state in steps:
+        assert all(g.dtype == np.float32 for g in grads.values())
+        assert all(a.dtype == np.float32 for block in state.blocks for a in block)
+        assert state.flat.dtype == np.float32
 
 
 @pytest.mark.parametrize("row", ["parameter", "gradient"])

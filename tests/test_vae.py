@@ -18,7 +18,7 @@ from krflow.vae import (
     sample_prior,
     train_vae,
 )
-from krflow.params import ParamStore, load_model, save_model
+from krflow.params import TRAIN_DTYPE, ParamStore, load_model, save_model
 
 H = W = 6
 D = 3
@@ -208,7 +208,7 @@ class TestTraining:
         config = VaeSection(latent_dim=3, encoder_hidden=(16,), decoder_hidden=(16,),
                             epochs=0, batch_size=16, learning_rate=1e-3)
         trained = train_vae(data, config, seed=5)
-        fresh = init_vae(8, 8, 3, seed=5, encoder_hidden=(16,), decoder_hidden=(16,))
+        fresh = init_vae(8, 8, 3, seed=5, encoder_hidden=(16,), decoder_hidden=(16,), dtype=TRAIN_DTYPE)
         assert trained.store == fresh.store
 
     def test_loss_decreases_and_curve_written(self, tmp_path):
