@@ -2,24 +2,27 @@
 
 A ``Tensor`` wraps a numpy array and the backward function of the operation
 that produced it.  ``evaluate_with_gradients`` records every node in build
-order (the trail), and ``backward`` replays it in reverse, so each node holds
-its whole gradient before it passes it on.  Ops are plain functions, each one
-node made by ``node``: ``add``, ``sub``, ``mul``, ``exp``, ``tanh``, ``relu``,
-``clip``, ``matmul``, ``sum_``, ``mean_``, ``reshape``, ``take_cols``,
-``concat`` and ``dense``, a whole dense layer.  The models' hot chains are
-single nodes too, whose hand-written backwards keep the composed ops' bytes:
-the Gaussian log-densities of :mod:`krflow.nets`, the affine coupling of
-:func:`krflow.flow.coupling`, the FV energy of :func:`krflow.darcy.energy`
-and the likelihood's tail in :func:`krflow.inference.make_surrogate_loglike`.
+order (the trail), and ``backward`` replays that trail in reverse, so each
+node holds its whole gradient before it passes it on to its operands.  Ops
+are plain functions, each one node made by ``node``: ``add``, ``sub``,
+``mul``, ``exp``, ``tanh``, ``relu``, ``clip``, ``matmul``, ``sum_``,
+``mean_``, ``reshape``, ``take_cols``, ``concat`` and ``dense``, a whole
+dense layer.  The hot chains of the models are single nodes too,
+each built with ``node`` and a hand-written backward that keeps the composed
+ops' bytes: the Gaussian log-densities of :mod:`krflow.nets`, the affine
+coupling of :func:`krflow.flow.coupling`, the FV energy of
+:func:`krflow.darcy.energy` and the tail of the latent likelihood of
+:func:`krflow.inference.make_surrogate_loglike`.
 
 Every op dispatches on its input type, so the same code runs on the tape
 (``Tensor`` inputs) or as plain numpy (``ndarray`` inputs, no tape cost).
-On the tape, a float or ndarray operand is read as it is, never wrapped in a
-constant ``Tensor``.  Leaves keep their float dtype: float32 leaves, operands
-and Python float constants (NEP 50) give a float32 tape.  Finiteness is
-checked once per evaluation, not per node.  A gradient reaches a tensor by
-assignment the first time and by out-of-place addition after that, so one
-array may be shared by several tensors: no backward updates one in place.
+On the tape, a float or ndarray operand is read as it is, never wrapped in
+a constant ``Tensor``.  Leaves keep their float dtype: float32 leaves,
+operands and Python float constants (NEP 50) give a float32 tape.
+Finiteness is checked once per evaluation, not per node.  A gradient
+reaches a tensor by assignment the first time and by out-of-place addition
+after that, so one array may be shared by several tensors: no backward
+function updates a received gradient in place.
 """
 
 from __future__ import annotations
@@ -118,8 +121,6 @@ class Tensor:
         ``trail`` must hold every node built since the leaves, in build order;
         it is walked in reverse, and nodes that got no gradient are skipped.
         """
-        if self.data.size != 1:
-            raise ShapeError("backward() requires a scalar output")
         self.grad = np.ones_like(self.data)
         for node in reversed(trail):
             if node._backward is not None and node.grad is not None:
@@ -164,10 +165,7 @@ def add(a, b):
     if not _is_tape(a, b):
         return np.asarray(a) + np.asarray(b)
     av, bv = _value(a), _value(b)
-    try:
-        data = av + bv
-    except ValueError as exc:
-        raise ShapeError(f"add: incompatible shapes {np.shape(av)} and {np.shape(bv)}") from exc
+    data = av + bv   # numpy's ValueError names both shapes, as on the numpy path
 
     def backward(g):
         if _wants_grad(a):
@@ -182,10 +180,7 @@ def sub(a, b):
     if not _is_tape(a, b):
         return np.asarray(a) - np.asarray(b)
     av, bv = _value(a), _value(b)
-    try:
-        data = av - bv
-    except ValueError as exc:
-        raise ShapeError(f"sub: incompatible shapes {np.shape(av)} and {np.shape(bv)}") from exc
+    data = av - bv
 
     def backward(g):
         if _wants_grad(a):
@@ -200,10 +195,7 @@ def mul(a, b):
     if not _is_tape(a, b):
         return np.asarray(a) * np.asarray(b)
     av, bv = _value(a), _value(b)
-    try:
-        data = av * bv
-    except ValueError as exc:
-        raise ShapeError(f"mul: incompatible shapes {np.shape(av)} and {np.shape(bv)}") from exc
+    data = av * bv
 
     def backward(g):
         if _wants_grad(a):
@@ -440,14 +432,14 @@ def evaluate_with_gradients(program: Callable, params: Mapping[str, np.ndarray],
     respect to every entry, zero for entries the program never reads; two
     entries may share one gradient array, so do not update one in place.
     The gradient of an entry ``rows`` names is written, to the same bytes,
-    into that array of the entry's shape and dtype, and returned as it.
+    into that array of the entry's shape and dtype, and returned as that array.
 
-    A leaf holding a NaN or Inf raises NonFiniteError naming it; a NaN or Inf
-    in the value or a gradient raises it naming the op of the first node, in
-    evaluation order, holding one, else the first non-finite gradient.
-    ``flat``, when ``rows`` names every entry, is a (2, n) array whose rows
-    hold the entries and the gradient rows, as AdamState's buffer does: each
-    row is then checked once, and by name only if it fails.
+    A leaf holding a NaN or Inf raises NonFiniteError naming it.  A NaN or
+    Inf in the value or in a gradient raises it naming the op of the first
+    node, in evaluation order, that holds one, else the first non-finite
+    gradient.  ``flat``, when ``rows`` names every entry, is a (2, n) array
+    whose rows hold the entries and the gradient rows, as AdamState's buffer
+    does: each row is then checked once, and by name only if it fails.
     """
     rows = rows or {}
     checked = flat is not None and all_finite(flat[0])

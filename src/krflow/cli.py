@@ -1,10 +1,11 @@
 """Command-line pipeline: data generation, training, inference, reporting.
 
 Every stage reads one config file and one run directory.  Stages record the
-config hash in their outputs and refuse upstream artifacts whose hash
-differs, so a run directory always holds a consistent chain.  Outputs are
-byte-reproducible given the same config, except the per-stage wall times in
-the ``*_timing.json`` files.
+config hash in their outputs and refuse to consume upstream artifacts whose
+hash differs, so a run directory always holds a consistent chain.  Outputs
+are byte-reproducible given the same config; per-stage wall times go to
+separate ``*_timing.json`` files, which are the only non-reproducible
+artifacts.
 
 Exit codes: 0 success, 1 validation/dependency error, 2 numerical failure.
 """
@@ -245,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, type=Path, help="run directory")
         p.add_argument("--seed-override", type=int, default=None,
                        help="replace every stage seed with this value")
-        return p
 
     add_stage("generate-data", "build the prior dataset, truth field and observations")
     add_stage("train-vae", "train the field prior (encoder/decoder)")

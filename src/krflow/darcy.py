@@ -4,23 +4,25 @@
 included; :func:`observe` reads it at the sensors on the grid of its shape,
 and an :class:`ObservationSet` carries one noise sigma per sensor.
 
-The pressure equation -div(exp(y) grad u) = h, for one constant source h, is
-discretized on the nodes of :class:`krflow.grf.Grid` with a 5-point stencil
-whose interface conductivities are harmonic means of exp(y), the standard
-choice for discontinuous coefficients.  Pressure is zero on the left and
-right columns (s1 = 0, 1); the top and bottom rows have zero normal flux and
-half-height control volumes.
+The pressure equation -div(exp(y) grad u) = h is discretized on the node
+grid of :class:`krflow.grf.Grid` with a 5-point stencil, for one constant
+source h.  Interface conductivities are harmonic means of exp(y) at the two
+neighbouring nodes, the standard choice for discontinuous coefficients.
+Pressure is zero on the left/right columns (s1 = 0 and s1 = 1) and zero
+normal flux is imposed on the top/bottom rows, which get half-height control
+volumes.
 
-The system is symmetric positive definite; ``_stencil`` assembles it once,
-for a field or a batch, and ``_apply`` is its matvec.  Numbered row by row,
-the H x m unknowns (m = W-2 interior columns) form a band matrix of
-half-bandwidth m, whose lower half :func:`solve_darcy` factors in LAPACK band
-storage by one banded Cholesky (``dpbsv``, scipy's, loaded by grf), each
-rank-1 update reading a contiguous column (README has the timings).  The
+The resulting system is symmetric positive definite.  ``_stencil`` assembles
+it once, for one field or a batch, and ``_apply`` is its matvec.  Numbering
+the H x m unknowns (the m = W-2 interior columns) row by row makes it a band
+matrix of half-bandwidth m; :func:`solve_darcy` stores its lower half in LAPACK
+band storage and solves it by one banded Cholesky (``pbsv``), where each
+rank-1 update reads a contiguous column (README has the timings).  The
 contract: a relative residual A u - b below 1e-10, or DarcySolveError, which
 a failed factorization also raises, naming LAPACK's info.  :func:`energy` is
-the surrogate's loss 1/2 u^T A u - b^T u, in float64, with exact gradient
-A u - b.
+the surrogate's loss 1/2 u^T A u - b^T u of the same system, in float64,
+with its exact gradient A u - b.  ``dpbsv`` is ``scipy.linalg.lapack.dpbsv``,
+loaded by grf.
 """
 
 from __future__ import annotations

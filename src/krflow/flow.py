@@ -82,12 +82,11 @@ def layer_names(config: FlowConfig):
     return out
 
 
-def init_flow(config: FlowConfig, seed: int, dtype=np.float64) -> FlowParams:
+def init_flow(config: FlowConfig, seed: int) -> FlowParams:
     rng = np.random.default_rng(seed)
     flow = FlowParams(ParamStore(), config)
-    flow.store = ParamStore((item for prefix, sizes in flow.layer_sizes.items()
-                             for item in init_mlp(rng, sizes, prefix, zero_last=True).items()),
-                            dtype)
+    flow.store = ParamStore(item for prefix, sizes in flow.layer_sizes.items()
+                            for item in init_mlp(rng, sizes, prefix, zero_last=True).items())
     return flow
 
 

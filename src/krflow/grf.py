@@ -4,14 +4,17 @@ Fields live on a uniform grid over the unit square.  The first coordinate s1
 runs along columns (width W), the second coordinate s2 along rows (height H),
 so ``field[i, j]`` is the value at ``(s1, s2) = (j/(W-1), i/(H-1))``.
 
-The covariance is the kernel at the grid nodes (no quadrature weights), so
-its eigenvectors are orthonormal under the plain grid inner product.  It is
+The covariance is discretized by pointwise kernel evaluation at the grid
+nodes (no quadrature weights), and eigenvectors of that matrix are therefore
+orthonormal under the plain grid inner product ``sum_p f_p g_p``.  It is
 assembled in place, and LAPACK ``dsyevd`` (what ``eigh`` runs) overwrites one
 owned copy of it.  ``dsyevd`` and darcy's ``dpbsv`` come from scipy's compiled
 ``scipy.linalg._flapack``, which :func:`_load_flapack` loads without importing
-``scipy.linalg`` (0.2 s and 20 MB per CLI process).  The prior dataset file
-is a float64 ``params.ParamStore`` container with one (N, H, W) ``fields``
-entry; each sample's length scale and seed are only in the manifest CSV.
+``scipy.linalg`` (0.2 s and 20 MB per CLI process).
+
+The prior dataset file is a float64 ``params.ParamStore`` container with
+one ``fields`` entry of shape (N, H, W); each sample's length scale and seed
+are recorded only in the manifest CSV written alongside it.
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ from .config import InferenceSection
 from .darcy import ObservationSet, observation_matrix
 from .flow import FlowConfig, FlowParams, init_flow, krnet_inverse
 from .nets import std_normal_logpdf
-from .params import adam_step, fit
+from .params import ParamStore, adam_step, fit
 from .report import write_loss_curve
 # surrogate_forward_batch is not called here; the benchmark's tracer rebinds it by name
 from .surrogate import SurrogateParams, pressure_layers, surrogate_forward_batch  # noqa: F401
@@ -81,19 +81,17 @@ class McmcChain:
 
 
 def posterior_flow_terms(z_batch: np.ndarray, flow_params, flow_config: FlowConfig,
-                         log_like: Callable | None):
+                         log_like: Callable):
     """The three reverse-KL terms, batch-averaged (tape-compatible).
 
-    ``log_like`` is the latent likelihood of :func:`make_surrogate_loglike`;
-    with ``None`` the likelihood term is identically zero (flat-likelihood
-    limit, used by sanity checks).
+    ``log_like`` is the latent likelihood of :func:`make_surrogate_loglike`.
     """
     x, logdet_inv = krnet_inverse(z_batch, flow_params, flow_config, with_logdet=True)
     # log q(x) at x = f^{-1}(z): base density of z minus the inverse logdet
     base = std_normal_logpdf(z_batch)
     entropy = ad.mean_(ad.sub(base, logdet_inv))
     log_prior = ad.mean_(std_normal_logpdf(x))
-    log_lik = 0.0 if log_like is None else ad.mean_(log_like(x))
+    log_lik = ad.mean_(log_like(x))
     return entropy, log_lik, log_prior
 
 
@@ -108,7 +106,6 @@ def train_posterior_flow(flow_config: FlowConfig, vae: VaeParams,
     mini-batches.  Decoder and surrogate are frozen throughout, folded once
     into the likelihood pCN uses.  Returns the final-epoch parameters.
     """
-    dtype = vae.store.dtype
     z_data = np.random.default_rng(seed).standard_normal((config.sample_size, flow_config.dim))
     log_like = make_surrogate_loglike(vae, surrogate, obs)
 
@@ -120,9 +117,9 @@ def train_posterior_flow(flow_config: FlowConfig, vae: VaeParams,
 
         return program
 
-    store, curve = fit("flow", init_flow(flow_config, seed, dtype).store, z_data.astype(dtype),
-                       config.batch_size, config.epochs, config.learning_rate, program_for,
-                       adam_step)
+    store, curve = fit("flow", ParamStore(init_flow(flow_config, seed).store, vae.store.dtype),
+                       z_data.astype(vae.store.dtype), config.batch_size, config.epochs,
+                       config.learning_rate, program_for, adam_step)
     if curve_path is not None:
         write_loss_curve(curve_path, curve)
     return FlowParams(store, flow_config)

@@ -98,7 +98,8 @@ class ParamStore(Mapping):
                 fh.write(raw)
                 fh.write(struct.pack("<I", arr.ndim))
                 fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-                fh.write(code.encode() + arr.astype(code, copy=False).tobytes(order="C"))
+                fh.write(code.encode())
+                fh.write(arr.astype(code, copy=False).tobytes(order="C"))
 
     @classmethod
     def load(cls, path) -> "ParamStore":
@@ -310,16 +311,17 @@ def fit(what: str, store: ParamStore, data: np.ndarray, batch_size: int, epochs:
     """Mini-batch Adam over fixed batches of ``data``; returns the final store,
     copied out of Adam's buffer, and the ``(epoch, mean batch loss)`` curve.
 
-    A fresh Adam state's buffer holds the one copy of the parameters, copied
-    from the caller's store (trainers pop it from their model first), which
-    ``update(store, grads, state)`` changes in place; the tape writes each
-    step's gradients into its gradient row, and each row is checked for
-    finiteness once a step.  ``data`` is cut once, in order, into batches of
-    ``batch_size`` rows that every epoch sweeps in order; ``program_for(batch)``
-    returns one step's loss program (drawing its noise, if any).  Callers pass
-    their own module's ``adam_step``, so rebinding that name there reaches
-    every step.  A non-finite value on the tape raises TrainingDiverged
-    naming ``what`` and the epoch.
+    A fresh Adam state's buffer holds the one copy of the parameters, which
+    ``update`` changes in place; the tape writes each step's gradients into
+    its gradient row, and each row is checked for finiteness once a step.
+    The caller's store is copied, not changed (trainers pop it from their
+    model first).  ``data`` is cut once, in order, into batches of
+    ``batch_size`` rows that every epoch sweeps in the same order;
+    ``program_for(batch)`` returns one step's loss program (drawing its
+    noise, if any), and ``update(store, grads, state)`` applies the optimizer
+    step.  Callers pass their own module's ``adam_step``, so rebinding that
+    name there reaches every step.  A non-finite value on the tape raises
+    TrainingDiverged naming ``what`` and the epoch.
     """
     batches = [data[lo:lo + batch_size] for lo in range(0, len(data), batch_size)]
     state = AdamState.fresh(store := ParamStore(store), learning_rate)   # copies the parameters

@@ -1,14 +1,18 @@
 """Energy-trained surrogate of the Darcy forward map.
 
 A dense network maps a log-permeability image y to the H*(W-2) pressure
-unknowns of the finite-volume system of :mod:`krflow.darcy`, whose Dirichlet
-columns are zero.  Training needs no solved pressures: it minimizes the
-batch mean of the discrete energy E(u; y) = 1/2 u^T A(y) u - b^T u (the
-variational loss of Zhu, Zabaras, Koutsourelakis & Perdikaris 2019).  A(y)
-is symmetric positive definite, so the energy's unique minimizer is exactly
-what ``solve_darcy`` returns, the no-flux rows included, and E(u) - E(u*) =
-1/2 ||u - u*||_A^2 is the error in the energy norm.  :func:`krflow.darcy.energy`
-evaluates it in float64 with the solver's stencil; on the tape it is one node
+unknowns of the finite-volume system of :mod:`krflow.darcy`; the Dirichlet
+columns are zero by construction.  Training needs no solved pressures: it
+minimizes the discrete energy
+
+    E(u; y) = 1/2 u^T A(y) u - b^T u,
+
+averaged over the batch (the variational loss of Zhu, Zabaras,
+Koutsourelakis & Perdikaris 2019).  A(y) is symmetric positive definite, so
+the energy's unique minimizer is exactly what ``solve_darcy`` returns, the
+no-flux rows included, and E(u) - E(u*) = 1/2 ||u - u*||_A^2 measures the
+error in the energy norm.  :func:`krflow.darcy.energy` evaluates it in
+float64 with the stencil the solver assembles; on the tape it is one node
 whose backward passes on the exact gradient A(y) u - b.  The output layer is
 zero-initialized, so a fresh surrogate predicts zero pressure.
 """
@@ -50,10 +54,10 @@ class SurrogateParams:
 
 
 def init_surrogate(height: int, width: int, seed: int, hidden: Sequence[int],
-                   offset: float = 0.0, scale: float = 1.0, dtype=np.float64) -> SurrogateParams:
+                   offset: float = 0.0, scale: float = 1.0) -> SurrogateParams:
     rng = np.random.default_rng(seed)
     sp = SurrogateParams(ParamStore(), height, width, tuple(hidden), offset, scale)
-    sp.store = ParamStore(init_mlp(rng, sp.layer_sizes[""], zero_last=True), dtype)
+    sp.store = ParamStore(init_mlp(rng, sp.layer_sizes[""], zero_last=True))
     return sp
 
 
@@ -110,7 +114,8 @@ def train_surrogate(dataset: np.ndarray, config: SurrogateSection, seed: int,
     n, height, width = data.shape
     offset, scale = float(data.mean()), float(data.std())
     scale = scale if scale > 0 else 1.0
-    sp = init_surrogate(height, width, seed, config.hidden, offset, scale, TRAIN_DTYPE)
+    sp = init_surrogate(height, width, seed, config.hidden, offset=offset, scale=scale)
+    sp.store = ParamStore(sp.store, TRAIN_DTYPE)
     rng = np.random.default_rng(seed)
     cache = {}   # id -> (batch, its cast, its FV system); holding the batch keeps its id unique
 

@@ -7,10 +7,12 @@ Monte Carlo ELBO estimate per sample,
 
     log p(y | x) - (log q(x | y) - log p(x)),    x = mu_en + sigma_en * eps,
 
-by mini-batch Adam; the final epoch's decoder is the inference stage's
-prior.  Log-variance heads are clamped to [-10, 10] to keep likelihoods
-non-degenerate.  Both networks live in one ``ParamStore``, the encoder under
-``enc.`` and the decoder under ``dec.``, the layout ``vae.bin`` holds.
+by mini-batch Adam, and the probabilistic decoder of the final epoch is the
+prior handed to the inference stage.  Log-variance heads are clamped to
+[-10, 10] to keep likelihoods non-degenerate.
+
+Both networks live in one ``ParamStore``: the encoder's layers under
+``enc.`` and the decoder's under ``dec.``, the layout ``vae.bin`` holds.
 """
 
 from __future__ import annotations
@@ -62,26 +64,22 @@ class ElboBreakdown:
 
 def init_vae(height: int, width: int, latent_dim: int, seed: int,
              encoder_hidden: Sequence[int], decoder_hidden: Sequence[int],
-             offset: float = 0.0, scale: float = 1.0, dtype=np.float64) -> VaeParams:
+             offset: float = 0.0, scale: float = 1.0) -> VaeParams:
     rng = np.random.default_rng(seed)
     vae = VaeParams(ParamStore(), latent_dim, height, width,
                     tuple(encoder_hidden), tuple(decoder_hidden), offset, scale)
-    vae.store = ParamStore((item for prefix, sizes in vae.layer_sizes.items()
-                            for item in init_mlp(rng, sizes, prefix).items()), dtype)
+    vae.store = ParamStore(item for prefix, sizes in vae.layer_sizes.items()
+                           for item in init_mlp(rng, sizes, prefix).items())
     return vae
-
-
-def _split_heads(out, n: int):
-    mu = ad.take_cols(out, slice(n))
-    logvar = ad.clip(ad.take_cols(out, slice(n, 2 * n)), -LOGVAR_BOUND, LOGVAR_BOUND)
-    return mu, logvar
 
 
 def encode_batch(y_flat, params, vae: VaeParams):
     """(B, H*W) fields -> (mu_en, logvar_en), each (B, d).  Tape or numpy."""
     out = mlp_forward(params, ad.mul(ad.sub(y_flat, vae.offset), 1.0 / vae.scale),
                       prefix="enc.")
-    return _split_heads(out, vae.latent_dim)
+    d = vae.latent_dim
+    return ad.take_cols(out, slice(d)), ad.clip(ad.take_cols(out, slice(d, 2 * d)),
+                                                -LOGVAR_BOUND, LOGVAR_BOUND)
 
 
 def decode_batch(x, params, vae: VaeParams):
@@ -162,8 +160,9 @@ def train_vae(dataset: np.ndarray, config: VaeSection, seed: int,
     n, height, width = data.shape
     offset, scale = float(data.mean()), float(data.std())
     scale = scale if scale > 0 else 1.0
-    vae = init_vae(height, width, config.latent_dim, seed, config.encoder_hidden,
-                   config.decoder_hidden, offset, scale, TRAIN_DTYPE)
+    vae = init_vae(height, width, config.latent_dim, seed,
+                   config.encoder_hidden, config.decoder_hidden, offset, scale)
+    vae.store = ParamStore(vae.store, TRAIN_DTYPE)
     rng = np.random.default_rng(seed)
     flat = data.reshape(n, -1)[rng.permutation(n)].astype(TRAIN_DTYPE)
 

@@ -256,7 +256,8 @@ class TestDependencyGates:
         (lambda data: data[:4] + struct.pack("<I", 2) + data[8:],
          "unsupported container version 2"),
         (lambda data: data.replace(b"<f4", b"<i4", 1),
-         "entry 'enc.W0' has dtype code b'<i4', not [b'<f4', b'<f8']")], ids=["version-2", "dtype-i4"])
+         "entry 'enc.W0' has dtype code b'<i4', not [b'<f4', b'<f8']")],
+        ids=["version-2", "dtype-i4"])
     def test_old_version_or_unknown_dtype_exits_1_naming_it(self, run_dir, tmp_path, capsys,
                                                              edit, reason):
         _, cfg_path, out = run_dir

@@ -103,7 +103,8 @@ class TestParamStore:
                                              r"after the last of 2 entries$"):
             ParamStore.load(path)
 
-    @pytest.mark.parametrize("dtype, tiny", [(np.float32, 2.0 ** -149), (np.float64, 2.0 ** -1074)],
+    @pytest.mark.parametrize("dtype, tiny",
+                             [(np.float32, 2.0 ** -149), (np.float64, 2.0 ** -1074)],
                              ids=["f4", "f8"])
     def test_each_dtype_round_trips_bit_exact_and_is_recorded(self, tmp_path, dtype, tiny):
         rng = np.random.default_rng(1)
@@ -445,8 +446,9 @@ def _train_surrogate(epochs):
 
 
 def _train_flow(epochs):   # a float32 VAE and surrogate, as the CLI trains them
-    vae = init_vae(4, 4, 4, seed=0, encoder_hidden=(6,), decoder_hidden=(6,), dtype=TRAIN_DTYPE)
-    sp = init_surrogate(4, 4, seed=1, hidden=(6,), dtype=TRAIN_DTYPE)
+    vae = init_vae(4, 4, 4, seed=0, encoder_hidden=(6,), decoder_hidden=(6,))
+    sp = init_surrogate(4, 4, seed=1, hidden=(6,))
+    vae.store, sp.store = ParamStore(vae.store, TRAIN_DTYPE), ParamStore(sp.store, TRAIN_DTYPE)
     obs = ObservationSet(lattice_operator(2, 2, 0.25, 0.5), np.full(4, 0.2),
                          np.full(4, 0.01))
     config = InferenceSection(sample_size=8, epochs=epochs, batch_size=4, learning_rate=1e-2,
@@ -549,8 +551,8 @@ def test_training_steps_run_in_float32_but_for_the_float64_islands(monkeypatch, 
         first = ops.index(island) if island else len(trail)
         assert ops.count(island) == (1 if island else 0)
         for k, node in enumerate(trail):
-            assert node.data.dtype == (np.float64 if k == first or k > first and node.data.size == 1
-                                       else np.float32), (k, node.op)
+            island_or_after = k == first or k > first and node.data.size == 1
+            assert node.data.dtype == (np.float64 if island_or_after else np.float32), (k, node.op)
     for grads, state in steps:
         assert all(g.dtype == np.float32 for g in grads.values())
         assert all(a.dtype == np.float32 for block in state.blocks for a in block)

@@ -5,7 +5,7 @@ from krflow import autodiff as ad
 from krflow.config import SurrogateSection
 from krflow.darcy import solve_darcy
 from krflow.grf import Grid, dataset_to_array, generate_prior_dataset
-from krflow.params import TRAIN_DTYPE, save_model
+from krflow.params import TRAIN_DTYPE, ParamStore, save_model
 from krflow.surrogate import (
     energy_loss,
     init_surrogate,
@@ -117,8 +117,8 @@ class TestTraining:
         config = SurrogateSection(hidden=(16,), epochs=0, batch_size=32,
                                   learning_rate=1e-3, source=3.0)
         sp = train_surrogate(prior_fields(60, 41), config, seed=3)
-        fresh = init_surrogate(H, W, seed=3, hidden=(16,), dtype=TRAIN_DTYPE)
-        assert sp.store == fresh.store
+        fresh = init_surrogate(H, W, seed=3, hidden=(16,))
+        assert sp.store == ParamStore(fresh.store, TRAIN_DTYPE)
 
     def test_energy_approaches_the_finite_volume_minimum(self, tmp_path):
         # the energy starts at 0 and is bounded below by its value at the FV

@@ -208,8 +208,8 @@ class TestTraining:
         config = VaeSection(latent_dim=3, encoder_hidden=(16,), decoder_hidden=(16,),
                             epochs=0, batch_size=16, learning_rate=1e-3)
         trained = train_vae(data, config, seed=5)
-        fresh = init_vae(8, 8, 3, seed=5, encoder_hidden=(16,), decoder_hidden=(16,), dtype=TRAIN_DTYPE)
-        assert trained.store == fresh.store
+        fresh = init_vae(8, 8, 3, seed=5, encoder_hidden=(16,), decoder_hidden=(16,))
+        assert trained.store == ParamStore(fresh.store, TRAIN_DTYPE)
 
     def test_loss_decreases_and_curve_written(self, tmp_path):
         data = self._dataset()
